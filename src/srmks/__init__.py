@@ -7,7 +7,6 @@ scoring candidates by capacity-penalised guaranteed-risk bounds.
 
 from .errors import InvalidInputError, SingularSystemError, SrmksError
 from .kernels import (
-    GramMatrix,
     KernelSpec,
     SDOFKernel,
     SEKernel,
@@ -33,7 +32,7 @@ from .risk import (
     vc_bound_general,
     vc_bound_reduced,
 )
-from .smoother import FittedSmoother, effective_dof, fit, predict
+from .smoother import FittedSmoother, fit, predict
 from .srm import (
     SelectionResult,
     StructureGrid,

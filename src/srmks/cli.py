@@ -8,7 +8,7 @@ config.json inside the output directory, and reruns with identical flags
 rewrite identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or input-file parse error,
-4 numeric failure. SRMKS_THREADS caps experiment worker threads.
+4 numeric failure.
 """
 from __future__ import annotations
 
@@ -230,7 +230,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 def cmd_experiment(args) -> int:
     cfg = _load_experiment_config(args)
-    records = run_experiment(cfg, workers=args.workers)
+    records = run_experiment(cfg)
     summary = summarize(records)
     out = Path(args.out)
     _write_text(out / "records.csv", records_to_csv(records))
@@ -246,10 +246,10 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _load_records(path: Path):
+def _load_records(path: Path, params: OscillatorParams | None = None):
     text = _read_text(path)
     try:
-        records = records_from_csv(text)
+        records = records_from_csv(text, params)
     except (InvalidInputError, ValueError) as exc:
         raise _FileError(f"cannot parse records {path}: {exc}") from exc
     if not records:
@@ -259,21 +259,22 @@ def _load_records(path: Path):
 
 def cmd_plot(args) -> int:
     records_path = Path(args.records)
-    records = _load_records(records_path)
     out = Path(args.out)
     if args.kind == "boxplot":
         name = "boxplot.svg"
-        svg = boxplot_svg(records)
+        svg = boxplot_svg(_load_records(records_path))
     elif args.kind == "complexity":
         name = "complexity.svg"
-        svg = complexity_svg(records)
+        svg = complexity_svg(_load_records(records_path))
     else:
+        # the oscillator in config.json rebuilds the sdof winners for the refit
         config_path = records_path.parent / "config.json"
         text = _read_text(config_path)
         try:
             cfg = ExperimentConfig.from_json(text)
         except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise _FileError(f"cannot parse config {config_path}: {exc}") from exc
+        records = _load_records(records_path, cfg.params)
         sizes = sorted({r.sample_size for r in records})
         n = args.n if args.n is not None else sizes[-1]
         svg = predictions_svg(cfg, records, sample_size=n, iteration=args.iteration)
@@ -338,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", default=None, help="experiment config JSON")
     p_exp.add_argument("--reps", type=int, default=None, help="override repetition count")
     p_exp.add_argument("--seed", type=int, default=None, help="override base seed")
-    p_exp.add_argument("--workers", type=int, default=None, help="worker threads")
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -10,4 +10,4 @@ class InvalidInputError(SrmksError, ValueError):
 
 
 class SingularSystemError(SrmksError, ArithmeticError):
-    """The smoother's linear system could not be factorised, even with jitter."""
+    """The smoother's linear system is singular or not positive definite."""

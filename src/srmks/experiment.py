@@ -16,8 +16,6 @@ digits; infinite bounds are written as "inf".
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +48,6 @@ __all__ = [
     "records_from_csv",
     "summarize",
     "capacity_spread",
-    "sdof_edf_stability",
 ]
 
 FAMILIES = ("se", "sdof")
@@ -226,38 +223,12 @@ def run_iteration(cfg: ExperimentConfig, plan: SamplingPlan, iteration: int) -> 
     return records
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("SRMKS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[IterationRecord]:
-    """Run the full study; records come back sorted by (plan order, iteration, family).
-
-    Work units are independent (plan, iteration) cells, distributed over a
-    thread pool. Results are assembled in deterministic order regardless of
-    scheduling, so output bytes do not depend on the worker count. The
-    default count comes from SRMKS_THREADS or the machine's CPU count.
-    """
-    units = [
-        (plan_index, plan, iteration)
-        for plan_index, plan in enumerate(cfg.plans)
-        for iteration in range(cfg.repetitions)
-    ]
-    count = _worker_count(workers)
-    if count == 1:
-        results = [run_iteration(cfg, plan, it) for _, plan, it in units]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            futures = [pool.submit(run_iteration, cfg, plan, it) for _, plan, it in units]
-            results = [f.result() for f in futures]
+def run_experiment(cfg: ExperimentConfig) -> list[IterationRecord]:
+    """Run the full study; records come back sorted by (plan order, iteration, family)."""
     records: list[IterationRecord] = []
-    for unit_records in results:
-        records.extend(unit_records)
+    for plan in cfg.plans:
+        for iteration in range(cfg.repetitions):
+            records.extend(run_iteration(cfg, plan, iteration))
     return records
 
 
@@ -416,12 +387,9 @@ def summarize(records: list[IterationRecord]) -> BoxplotSummary:
             if not group:
                 continue
             for metric in METRICS:
-                values = np.array([getattr(r, _METRIC_FIELD[metric]) for r in group])
+                values = np.array([getattr(r, metric) for r in group])
                 cells[(n, family, metric)] = _box_stats(values)
     return BoxplotSummary(cells=cells)
-
-
-_METRIC_FIELD = {"bound": "bound", "true_mse": "true_mse", "h": "h"}
 
 
 @dataclass(frozen=True)
@@ -453,8 +421,3 @@ def capacity_spread(records: list[IterationRecord], family: str) -> CapacitySpre
     else:
         spread = (hi - lo) / lo
     return CapacitySpread(family=family, medians=medians, max_relative_spread=spread)
-
-
-def sdof_edf_stability(records: list[IterationRecord]) -> CapacitySpread:
-    """Capacity stability report for the oscillator-kernel structure."""
-    return capacity_spread(records, "sdof")

@@ -18,11 +18,6 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def parse_float(s: str) -> float:
-    """Inverse of :func:`fmt_float` (accepts 'inf', '-inf', 'nan')."""
-    return float(s)
-
-
 def json_float(x: float):
     """Value for embedding in a JSON document: plain float, or 'inf'/'nan' strings."""
     if math.isinf(x):

@@ -13,9 +13,9 @@ Two stationary kernel families are implemented:
                  * exp(-zeta omega_n tau)
                  * [cos(omega_d tau) + (zeta omega_n / omega_d) sin(omega_d tau)]
 
-Both are symmetric and depend on the inputs only through t - t'. Gram
-matrices are filled on the upper triangle and mirrored, so symmetry is
-exact regardless of floating-point evaluation order.
+Both are symmetric and depend on the inputs only through (t - t')^2 or
+|t - t'|, and fl(a - b) == -fl(b - a), so a Gram matrix evaluated over all
+pairs is exactly symmetric.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
     "SEKernel",
     "SDOFKernel",
     "KernelSpec",
-    "GramMatrix",
     "kernel_eval",
     "gram",
     "cross_vector",
@@ -98,35 +97,12 @@ def kernel_eval(spec: KernelSpec, t, t_prime):
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix of pairwise kernel evaluations over a set of inputs."""
-
-    values: np.ndarray
-    kernel: KernelSpec
-    inputs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def gram(spec: KernelSpec, t) -> GramMatrix:
-    """Build the Gram matrix for inputs `t`.
-
-    Each unordered pair is evaluated once (upper triangle) and mirrored,
-    so values[i, j] == values[j, i] holds exactly.
-    """
+def gram(spec: KernelSpec, t) -> np.ndarray:
+    """Gram matrix of `spec` over the inputs `t`, with K[i, j] == K[j, i] exactly."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InvalidInputError("inputs must be a nonempty 1-d array")
-    n = t.size
-    iu, ju = np.triu_indices(n)
-    vals = kernel_eval(spec, t[iu], t[ju])
-    K = np.zeros((n, n), dtype=float)
-    K[iu, ju] = vals
-    K[ju, iu] = vals
-    return GramMatrix(values=K, kernel=spec, inputs=t)
+    return kernel_eval(spec, t[:, None], t[None, :])
 
 
 def cross_vector(spec: KernelSpec, t_train, t_star) -> np.ndarray:

@@ -6,14 +6,23 @@ The smoother is linear in the training targets:
 
 where K is the Gram matrix over the training inputs and k(t*) the vector of
 kernel evaluations against them. Fitting solves the system once by Cholesky
-factorisation, escalating a small diagonal jitter if the factorisation
-fails, and stores the eigenvalues of K (clamped at zero) so the capacity of
-the fitted smoother is available as its effective degrees of freedom:
+factorisation and stores the eigenvalues of K (clamped at zero) so the
+capacity of the fitted smoother is available as its effective degrees of
+freedom:
 
     edf = sum_i lambda_i / (lambda_i + sigma_n^2)
 
 The edf counts the prevalent spectral components of K and serves as a
 real-valued capacity estimate downstream; it is never rounded.
+
+Scoring a family of kernels that differ only in their signal scale sigma_f
+needs no fit at all. Scaling the kernel by sigma_f scales K by sigma_f^2, so
+one eigendecomposition K_0 = U diag(lambda) U^T of the sigma_f = 1 kernel
+gives, for every scale s, the edf above with lambda -> s^2 lambda and the
+training MSE of the eigen-form of the linear smoother (Hastie, Tibshirani &
+Friedman, ESL sec. 5.4.1):
+
+    mse = sum_i (sigma_n^2 / (s^2 lambda_i + sigma_n^2))^2 z_i^2 / n,  z = U^T y
 """
 from __future__ import annotations
 
@@ -26,17 +35,12 @@ from .errors import InvalidInputError, SingularSystemError
 from .kernels import KernelSpec, cross_vector, gram, kernel_eval
 from .oscillator import TrainingSet
 
-__all__ = ["FittedSmoother", "fit", "predict", "effective_dof"]
-
-# jitter escalation on factorisation failure: start at 1e-12 * trace(K)/n,
-# multiply by 10 per retry, at most 3 retries after the clean attempt
-_JITTER_SCALE = 1e-12
-_MAX_RETRIES = 3
+__all__ = ["FittedSmoother", "fit", "predict", "signal_scale_scores"]
 
 
 @dataclass(frozen=True)
 class FittedSmoother:
-    """Immutable result of :func:`fit`; safe to share across threads."""
+    """Immutable result of :func:`fit`."""
 
     kernel: KernelSpec
     t_train: np.ndarray
@@ -63,9 +67,9 @@ def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float) -> float:
 def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
-    Raises SingularSystemError if (K + sigma_n^2 I) cannot be factorised
-    even after jitter escalation, and InvalidInputError for empty data or a
-    negative noise level.
+    Raises SingularSystemError if (K + sigma_n^2 I) is not numerically
+    positive definite, and InvalidInputError for empty data or a negative
+    noise level.
     """
     if not sigma_n >= 0:
         raise InvalidInputError("sigma_n must be nonnegative")
@@ -73,26 +77,16 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     if n == 0:
         raise InvalidInputError("cannot fit a smoother to empty data")
 
-    K = gram(spec, data.t).values
-    A = K + sigma_n**2 * np.eye(n)
-
-    jitter_base = _JITTER_SCALE * float(np.trace(K)) / n
-    weights = None
-    for attempt in range(_MAX_RETRIES + 1):
-        jitter = 0.0 if attempt == 0 else jitter_base * 10.0 ** (attempt - 1)
-        try:
-            factor = scipy.linalg.cho_factor(A + jitter * np.eye(n), lower=True)
-            candidate = scipy.linalg.cho_solve(factor, data.y)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(candidate)):
-            weights = candidate
-            break
-    if weights is None:
+    K = gram(spec, data.t)
+    try:
+        factor = scipy.linalg.cho_factor(K + sigma_n**2 * np.eye(n), lower=True)
+        weights = scipy.linalg.cho_solve(factor, data.y)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"factorisation of the {n}x{n} smoother system failed after "
-            f"{_MAX_RETRIES} jitter retries"
-        )
+            f"cannot factorise the {n}x{n} smoother system: {exc}"
+        ) from exc
+    if not np.all(np.isfinite(weights)):
+        raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
 
     lam = scipy.linalg.eigh(K, eigvals_only=True)[::-1]
     lam = np.maximum(lam, 0.0)
@@ -108,6 +102,33 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     )
 
 
+def signal_scale_scores(
+    base: KernelSpec, data: TrainingSet, sigma_fs
+) -> list[tuple[float, float]]:
+    """(edf, training MSE) of the smoother for each signal scale in `sigma_fs`.
+
+    `base` is the kernel at sigma_f = 1 and the noise level is the training
+    set's own. One eigendecomposition of the base Gram matrix serves every
+    scale. Raises SingularSystemError if a scale leaves (K + sigma_n^2 I)
+    singular, i.e. sigma_n == 0 and a clamped eigenvalue is zero.
+    """
+    lam, vectors = scipy.linalg.eigh(gram(base, data.t))
+    lam = np.maximum(lam, 0.0)
+    z2 = (vectors.T @ data.y) ** 2
+    noise = data.sigma_n**2
+    scores = []
+    for sigma_f in sigma_fs:
+        scaled = sigma_f**2 * lam
+        denom = scaled + noise
+        if np.any(denom == 0.0):
+            raise SingularSystemError(
+                f"the {data.n}x{data.n} smoother system is singular at sigma_n = 0"
+            )
+        mse = float(np.sum((noise / denom) ** 2 * z2)) / data.n
+        scores.append((_edf_from_spectrum(scaled, data.sigma_n), mse))
+    return scores
+
+
 def predict(model: FittedSmoother, t_star):
     """Evaluate the fitted smoother at `t_star` (scalar or array).
 
@@ -120,8 +141,3 @@ def predict(model: FittedSmoother, t_star):
     # one row of kernel evaluations per query point
     cross = kernel_eval(model.kernel, arr[:, None], model.t_train[None, :])
     return cross @ model.weights
-
-
-def effective_dof(model: FittedSmoother) -> float:
-    """Capacity of the fitted smoother (equals trace(K (K + sigma_n^2 I)^-1))."""
-    return model.edf

@@ -8,17 +8,21 @@ decay and hence a higher effective-degrees-of-freedom capacity. For the
 oscillator family the physical coefficients are fixed (assumed known) and
 only the signal scale sigma_f varies.
 
-Selection is an exhaustive search: each candidate is fitted, its training
-MSE and capacity are computed, and the guaranteed-risk bound scores it.
-The winner minimises the bound; ties go to the smaller capacity (the
-simplest adequate element), then to grid order. If every candidate clips
-to +infinity the selection still returns the smallest-capacity candidate,
-flagged degenerate, so batch runs never abort.
+Selection is an exhaustive search: every candidate's training MSE and
+capacity are computed and the guaranteed-risk bound scores it. Candidates
+that differ only in sigma_f share one eigendecomposition of their
+sigma_f = 1 Gram matrix, from which each signal scale is scored in O(n)
+(see smoother.signal_scale_scores), so the SE grid needs one decomposition
+per length-scale and the oscillator grid one in all. The winner minimises
+the bound; ties go to the smaller capacity (the simplest adequate element),
+then to grid order. If every candidate clips to +infinity the selection
+still returns the smallest-capacity candidate, flagged degenerate, so batch
+runs never abort.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,12 +39,11 @@ from .risk import (
     RISK_CSV_HEADER,
     BoundConfig,
     RiskReport,
-    empirical_risk,
     risk_csv_row,
     vc_bound_general,
     vc_bound_reduced,
 )
-from .smoother import fit, predict
+from .smoother import signal_scale_scores
 
 __all__ = [
     "StructureGrid",
@@ -184,22 +187,26 @@ def srm_select(
     data: TrainingSet,
     bound_config: BoundConfig | None = None,
 ) -> SelectionResult:
-    """Exhaustively fit every candidate and return the minimum-bound one.
+    """Exhaustively score every candidate and return the minimum-bound one.
 
-    Every fit uses the training set's own noise level. With the default
-    ``bound_config=None`` candidates are scored by the reduced bound; a
-    config scores them by the general bound instead.
+    Every candidate uses the training set's own noise level. With the
+    default ``bound_config=None`` candidates are scored by the reduced
+    bound; a config scores them by the general bound instead. The trace
+    keeps grid order.
     """
     n = data.n
-    trace = []
-    for spec in grid.candidates:
-        model = fit(spec, data, data.sigma_n)
-        mse = empirical_risk(data.y, predict(model, data.t))
-        if bound_config is None:
-            report = vc_bound_reduced(mse, model.edf, n)
-        else:
-            report = vc_bound_general(mse, model.edf, n, bound_config)
-        trace.append((spec, report))
+    by_base: dict[KernelSpec, list[int]] = {}
+    for index, spec in enumerate(grid.candidates):
+        by_base.setdefault(replace(spec, sigma_f=1.0), []).append(index)
+    reports: list[RiskReport | None] = [None] * grid.size
+    for base, indices in by_base.items():
+        sigma_fs = [grid.candidates[i].sigma_f for i in indices]
+        for index, (edf, mse) in zip(indices, signal_scale_scores(base, data, sigma_fs)):
+            if bound_config is None:
+                reports[index] = vc_bound_reduced(mse, edf, n)
+            else:
+                reports[index] = vc_bound_general(mse, edf, n, bound_config)
+    trace = list(zip(grid.candidates, reports))
 
     best_index, (best_spec, best_report) = min(enumerate(trace), key=_selection_key)
     degenerate = all(report.clipped for _, report in trace)

@@ -9,6 +9,9 @@ import pytest
 import srmks.cli as cli_module
 from srmks.cli import main
 from srmks.errors import SingularSystemError
+from srmks.experiment import ExperimentConfig, GridSettings, records_from_csv
+from srmks.figures import predictions_svg
+from srmks.oscillator import OscillatorParams, SamplingPlan
 
 
 @pytest.fixture()
@@ -20,6 +23,10 @@ def sim_dir(tmp_path):
 
 def _read_rows(path):
     return [ln for ln in path.read_text().splitlines() if ln.strip()]
+
+
+def _sdof_curve(svg):
+    return next(ln for ln in svg.splitlines() if 'data-series="sdof"' in ln)
 
 
 class TestSimulate:
@@ -87,6 +94,15 @@ class TestFit:
     def test_malformed_kernel_is_io_error(self, sim_dir, tmp_path):
         code = main(["fit", "--data", str(sim_dir), "--kernel", "{not json", "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_zero_noise_singular_system_is_numeric_failure(self, sim_dir, tmp_path, capsys):
+        kernel = '{"family": "se", "sigma_f": 1.0, "length_scale": 100.0}'
+        code = main([
+            "fit", "--data", str(sim_dir), "--kernel", kernel,
+            "--sigma-n", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 4
+        assert "smoother system" in capsys.readouterr().err
 
 
 class TestSelect:
@@ -205,6 +221,32 @@ class TestPlot:
         bad = tmp_path / "records.csv"
         bad.write_text("nonsense\n1,2,3\n")
         assert main(["plot", "--records", str(bad), "--kind", "boxplot", "--out", str(tmp_path / "f")]) == 3
+
+    def test_predictions_refit_uses_config_oscillator(self, tmp_path):
+        # sdof winners must be rebuilt with the study's oscillator, not the
+        # reference system (c = 20, k = 1e6)
+        params = OscillatorParams(m=1.0, c=40.0, k=4e6)
+        plan = SamplingPlan(
+            t_start=0.0, t_end=0.3, base_points=1001, decimation=16, snr=10.0, seed=7,
+        )
+        cfg = ExperimentConfig(
+            params=params, plans=(plan,), repetitions=1, base_seed=7,
+            grids=GridSettings(se_sigma_count=2, se_length_count=3, sdof_sigma_count=4),
+        )
+        config = tmp_path / "config.json"
+        config.write_text(cfg.to_json())
+        study = tmp_path / "study"
+        assert main(["experiment", "--config", str(config), "--out", str(study)]) == 0
+        figs = tmp_path / "figs"
+        assert main([
+            "plot", "--records", str(study / "records.csv"),
+            "--kind", "predictions", "--out", str(figs),
+        ]) == 0
+
+        records = records_from_csv((study / "records.csv").read_text(), params)
+        expected = predictions_svg(cfg, records, sample_size=63, iteration=0)
+        actual = (figs / "predictions_n63_iter0.svg").read_text()
+        assert _sdof_curve(actual) == _sdof_curve(expected)
 
     def test_missing_config_for_predictions(self, tmp_path, golden_dir):
         lonely = tmp_path / "lonely"

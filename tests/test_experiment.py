@@ -17,7 +17,6 @@ from srmks.experiment import (
     records_to_csv,
     run_experiment,
     run_iteration,
-    sdof_edf_stability,
     summarize,
 )
 from srmks.kernels import SDOFKernel, SEKernel
@@ -91,7 +90,7 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_cardinality_single_plan(self):
-        records = run_experiment(_one_plan_config(reps=1), workers=1)
+        records = run_experiment(_one_plan_config(reps=1))
         assert len(records) == 2
         assert [r.family for r in records] == ["se", "sdof"]
         assert all(r.sample_size == 63 for r in records)
@@ -111,14 +110,8 @@ class TestRunExperiment:
 
     def test_two_runs_identical_bytes(self):
         cfg = _one_plan_config(reps=2)
-        a = records_to_csv(run_experiment(cfg, workers=1))
-        b = records_to_csv(run_experiment(cfg, workers=1))
-        assert a == b
-
-    def test_worker_count_does_not_change_output(self):
-        cfg = _one_plan_config(reps=2)
-        a = records_to_csv(run_experiment(cfg, workers=1))
-        b = records_to_csv(run_experiment(cfg, workers=4))
+        a = records_to_csv(run_experiment(cfg))
+        b = records_to_csv(run_experiment(cfg))
         assert a == b
 
     def test_single_cell_reproduction(self, small_cfg, small_records):
@@ -247,6 +240,6 @@ class TestCapacitySpread:
             capacity_spread([_record(63, 0, "sdof", bound=1.0)], "sdof")
 
     def test_sdof_stability_helper(self, small_records):
-        report = sdof_edf_stability(small_records)
+        report = capacity_spread(small_records, "sdof")
         assert report.family == "sdof"
         assert set(report.medians) == {63, 126, 251}

@@ -126,7 +126,7 @@ class TestKernelProperties:
                 k = _se(sigma_f=sigma_f, length_scale=float(rng.uniform(5e-4, 0.5)))
             else:
                 k = _sdof(sigma_f=sigma_f)
-            K = gram(k, t).values
+            K = gram(k, t)
             eigs = np.linalg.eigvalsh(K)
             scale = float(np.max(np.abs(eigs))) or 1.0
             assert eigs.min() >= -1e-10 * scale
@@ -137,13 +137,13 @@ class TestGram:
         rng = np.random.default_rng(5)
         t = np.sort(rng.uniform(0.0, 0.3, size=40))
         for k in (_se(), _sdof()):
-            K = gram(k, t).values
+            K = gram(k, t)
             assert np.array_equal(K, K.T)
 
     def test_gram_matches_pointwise(self):
         t = np.array([0.0, 0.01, 0.05, 0.2])
         for k in (_se(), _sdof()):
-            K = gram(k, t).values
+            K = gram(k, t)
             for i, ti in enumerate(t):
                 for j, tj in enumerate(t):
                     assert K[i, j] == pytest.approx(kernel_eval(k, ti, tj), rel=1e-15)
@@ -151,7 +151,7 @@ class TestGram:
     def test_cross_vector_matches_gram_column(self):
         t = np.array([0.0, 0.01, 0.05, 0.2])
         for k in (_se(), _sdof()):
-            K = gram(k, t).values
+            K = gram(k, t)
             col = cross_vector(k, t, float(t[2]))
             assert np.allclose(col, K[:, 2], rtol=1e-15, atol=0.0)
 

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srmks.srm as srm_module
-from srmks.errors import InvalidInputError
-from srmks.kernels import SDOFKernel, SEKernel
+from oracles import edf_trace, solve_dense
+from srmks.errors import InvalidInputError, SingularSystemError
+from srmks.kernels import SDOFKernel, SEKernel, gram
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
-from srmks.risk import RiskReport
+from srmks.risk import BoundConfig, DeltaRule, RiskReport, vc_bound_general, vc_bound_reduced
 from srmks.smoother import fit
 from srmks.srm import (
     SelectionResult,
@@ -201,6 +205,90 @@ class TestSelection:
         winner = compare_structures([se, sdof])
         assert winner.family == "sdof"
         assert winner.best_report.bound < se.best_report.bound
+
+    def test_zero_noise_with_zero_clamped_eigenvalue_raises(self):
+        # l = 100 over a 0.3 s span leaves K numerically rank one; with
+        # sigma_n = 0 a clamped zero eigenvalue makes (K + sigma_n^2 I) singular
+        t = np.linspace(0.0, 0.3, 8)
+        data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
+        grid = build_se_grid((0.0, 0.3), (0.5, 2.0), (50.0, 100.0), 2, 2)
+        base = SEKernel(sigma_f=1.0, length_scale=grid.candidates[0].length_scale)
+        assert scipy.linalg.eigh(gram(base, t), eigvals_only=True).min() < 0.0
+        with pytest.raises(SingularSystemError):
+            srm_select(grid, data)
+
+
+_PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
+_GENERAL = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.FIXED)
+
+
+@st.composite
+def _selection_problems(draw):
+    """Small random training set, a grid of either family and a bound form."""
+    n = draw(st.integers(3, 10))
+    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    data = TrainingSet(
+        t=t, y=y, sigma_n=draw(st.floats(0.05, 0.5)), true_h=np.zeros(n), seed=0
+    )
+    if draw(st.sampled_from(["se", "sdof"])) == "se":
+        sf_lo = draw(st.floats(0.3, 1.0))
+        l_lo = draw(st.floats(0.005, 0.05))
+        grid = build_se_grid(
+            (0.0, float(t[-1])),
+            (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))),
+            (l_lo, l_lo * draw(st.floats(2.0, 20.0))),
+            draw(st.integers(1, 4)),
+            draw(st.integers(1, 4)),
+        )
+    else:
+        sf_lo = draw(st.floats(100.0, 1000.0))
+        grid = build_sdof_grid(
+            _PAPER, (sf_lo, sf_lo * draw(st.floats(2.0, 5.0))), draw(st.integers(1, 6))
+        )
+    bound_config = draw(st.sampled_from([None, _GENERAL]))
+    return grid, data, bound_config
+
+
+def _bound(mse, h, n, bound_config):
+    if bound_config is None:
+        return vc_bound_reduced(mse, h, n)
+    return vc_bound_general(mse, h, n, bound_config)
+
+
+def _brute_force_report(spec, data, bound_config):
+    """Score one candidate by dense Gaussian elimination and the trace identity."""
+    n = data.n
+    K = gram(spec, data.t)
+    A = (K + data.sigma_n**2 * np.eye(n)).tolist()
+    weights = np.array(solve_dense(A, data.y.tolist()))
+    mse = float(np.mean((data.y - K @ weights) ** 2))
+    return _bound(mse, edf_trace(K.tolist(), data.sigma_n), n, bound_config)
+
+
+class TestSpectralSelectionAgainstBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(_selection_problems())
+    def test_matches_per_candidate_dense_solve(self, problem):
+        grid, data, bound_config = problem
+        result = srm_select(grid, data, bound_config)
+        brute = [_brute_force_report(spec, data, bound_config) for spec in grid.candidates]
+        best = min(range(grid.size), key=lambda i: (brute[i].bound, brute[i].h, i))
+
+        assert [spec for spec, _ in result.trace] == list(grid.candidates)
+        assert result.best_spec == grid.candidates[best]
+        assert result.degenerate == all(r.clipped for r in brute)
+        for (_, got), want in zip(result.trace, brute):
+            assert got.h == pytest.approx(want.h, rel=1e-9, abs=0.0)
+            assert got.empirical_risk == pytest.approx(want.empirical_risk, rel=1e-9, abs=0.0)
+            # clip flags and bounds are compared only where a relative change
+            # of 1e-6 in h cannot move the bound across the clip threshold
+            below = _bound(want.empirical_risk, want.h * (1.0 - 1e-6), data.n, bound_config)
+            above = _bound(want.empirical_risk, want.h * (1.0 + 1e-6), data.n, bound_config)
+            if below.clipped == above.clipped:
+                assert got.clipped == want.clipped
+                assert got.bound == pytest.approx(want.bound, rel=1e-9, abs=0.0)
 
 
 class TestCompareStructures:
