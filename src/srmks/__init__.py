@@ -31,6 +31,7 @@ from .risk import (
     realized_confidence,
     vc_bound_general,
     vc_bound_reduced,
+    vc_bounds,
 )
 from .smoother import FittedSmoother, fit, predict
 from .srm import (
@@ -42,6 +43,7 @@ from .srm import (
     default_sdof_grid,
     default_se_grid,
     srm_select,
+    srm_select_batch,
 )
 
 __version__ = "0.1.0"

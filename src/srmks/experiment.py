@@ -8,6 +8,12 @@ grid. The per-iteration seed is base_seed + iteration index, so any single
 (plan, iteration) cell can be recomputed in isolation and reproduces its
 record exactly.
 
+The study runs plan by plan. Every iteration of a plan shares its sample
+times, so each family's selections for all the iterations are one
+srm_select_batch call: one eigendecomposition per (plan, base kernel)
+instead of one per (plan, iteration, base kernel). Each winner is then
+refit by Cholesky and predicted on the dense grid.
+
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
 config.json (echo of the configuration). Floats carry 17 significant
@@ -16,22 +22,26 @@ digits; infinite bounds are written as "inf".
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, SrmksError
-from .ioutil import fmt_float, json_float, json_to_float
-from .kernels import KernelSpec, SEKernel, kernel_from_json_dict, kernel_to_json_dict
+from .ioutil import fmt_float, json_float
+from .kernels import KernelSpec, SEKernel, kernel_from_json_dict
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
+    TrainingSet,
     generate_training_set,
     impulse_response,
 )
-from .risk import BoundConfig, empirical_risk
+from .risk import BoundConfig, RiskReport, empirical_risk
 from .smoother import fit, predict
-from .srm import default_sdof_grid, default_se_grid, srm_select
+from .srm import StructureGrid, default_sdof_grid, default_se_grid, srm_select_batch
 
 __all__ = [
     "GridSettings",
@@ -69,6 +79,22 @@ class GridSettings:
     sdof_sigma_count: int = 30
     amplitude_factors: tuple[float, float] = (0.1, 10.0)
 
+    def __post_init__(self):
+        for name in ("se_sigma_count", "se_length_count", "sdof_sigma_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidInputError(f"grids.{name} must be an integer >= 1, got {value!r}")
+        factors = self.amplitude_factors
+        if not (
+            len(factors) == 2
+            and all(math.isfinite(f) for f in factors)
+            and 0 < factors[0] < factors[1]
+        ):
+            raise InvalidInputError(
+                "grids.amplitude_factors must be two finite numbers lo, hi with "
+                f"0 < lo < hi, got {list(factors)!r}"
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "se_sigma_count": self.se_sigma_count,
@@ -80,11 +106,13 @@ class GridSettings:
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSettings":
         factors = d.get("amplitude_factors", [0.1, 10.0])
+        if not isinstance(factors, list):
+            raise InvalidInputError(f"grids.amplitude_factors must be a list, got {factors!r}")
         return cls(
-            se_sigma_count=int(d.get("se_sigma_count", 10)),
-            se_length_count=int(d.get("se_length_count", 30)),
-            sdof_sigma_count=int(d.get("sdof_sigma_count", 30)),
-            amplitude_factors=(json_to_float(factors[0]), json_to_float(factors[1])),
+            se_sigma_count=d.get("se_sigma_count", 10),
+            se_length_count=d.get("se_length_count", 30),
+            sdof_sigma_count=d.get("sdof_sigma_count", 30),
+            amplitude_factors=tuple(float(f) for f in factors),
         )
 
 
@@ -127,7 +155,7 @@ class ExperimentConfig:
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         osc = d["oscillator"]
         params = OscillatorParams(
-            m=json_to_float(osc["m"]), c=json_to_float(osc["c"]), k=json_to_float(osc["k"])
+            m=float(osc["m"]), c=float(osc["c"]), k=float(osc["k"])
         )
         plans = tuple(SamplingPlan.from_json_dict(p) for p in d["plans"])
         return cls(
@@ -177,58 +205,97 @@ def run_iteration(cfg: ExperimentConfig, plan: SamplingPlan, iteration: int) -> 
     """Run both structures for one plan and iteration; deterministic given cfg.
 
     The plan's own seed field is replaced by the derived per-iteration seed.
+    The cell takes the same path as in run_experiment, so it reproduces the
+    study's records exactly.
     """
-    seeded = replace(plan, seed=cfg.iteration_seed(iteration))
-    data = generate_training_set(cfg.params, seeded)
-    dense_t = plan.base_grid()
-    dense_h = impulse_response(cfg.params, dense_t)
-
-    grids = {
-        "se": default_se_grid(
-            data,
-            n_sigma=cfg.grids.se_sigma_count,
-            n_l=cfg.grids.se_length_count,
-            amplitude_factors=cfg.grids.amplitude_factors,
-        ),
-        "sdof": default_sdof_grid(
-            data,
-            cfg.params,
-            n_sigma=cfg.grids.sdof_sigma_count,
-            amplitude_factors=cfg.grids.amplitude_factors,
-        ),
-    }
-
-    records = []
-    for family in FAMILIES:
-        try:
-            selection = srm_select(grids[family], data, cfg.bound_config)
-            winner = fit(selection.best_spec, data, data.sigma_n)
-            true_mse = empirical_risk(dense_h, predict(winner, dense_t))
-        except SrmksError as exc:
-            raise ExperimentError(
-                f"n={data.n}, iteration={iteration}, family={family}: {exc}"
-            ) from exc
-        records.append(
-            IterationRecord(
-                sample_size=data.n,
-                iteration=iteration,
-                family=family,
-                chosen_spec=selection.best_spec,
-                emp_risk=selection.best_report.empirical_risk,
-                bound=selection.best_report.bound,
-                h=selection.best_report.h,
-                true_mse=true_mse,
-            )
-        )
-    return records
+    return _run_plan(cfg, plan, [iteration])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[IterationRecord]:
     """Run the full study; records come back sorted by (plan order, iteration, family)."""
     records: list[IterationRecord] = []
     for plan in cfg.plans:
-        for iteration in range(cfg.repetitions):
-            records.extend(run_iteration(cfg, plan, iteration))
+        records.extend(_run_plan(cfg, plan, range(cfg.repetitions)))
+    return records
+
+
+@contextmanager
+def _tagged(n: int, iteration: int, family: str):
+    """Re-raise a failure inside one cell as an ExperimentError naming the cell."""
+    try:
+        yield
+    except SrmksError as exc:
+        raise ExperimentError(f"n={n}, iteration={iteration}, family={family}: {exc}") from exc
+
+
+def _family_grid(cfg: ExperimentConfig, family: str, data: TrainingSet) -> StructureGrid:
+    if family == "se":
+        return default_se_grid(
+            data,
+            n_sigma=cfg.grids.se_sigma_count,
+            n_l=cfg.grids.se_length_count,
+            amplitude_factors=cfg.grids.amplitude_factors,
+        )
+    return default_sdof_grid(
+        data,
+        cfg.params,
+        n_sigma=cfg.grids.sdof_sigma_count,
+        amplitude_factors=cfg.grids.amplitude_factors,
+    )
+
+
+def _select_family(
+    cfg: ExperimentConfig,
+    family: str,
+    iterations: Sequence[int],
+    datasets: list[TrainingSet],
+) -> list[tuple[KernelSpec, RiskReport]]:
+    """Winner of one family's search for each iteration, from one batch."""
+    grids = [_family_grid(cfg, family, data) for data in datasets]
+    try:
+        selections = srm_select_batch(grids, datasets, cfg.bound_config)
+    except SrmksError:
+        # the batch does not say which cell failed: select each alone to name it
+        for iteration, grid, data in zip(iterations, grids, datasets):
+            with _tagged(data.n, iteration, family):
+                srm_select_batch([grid], [data], cfg.bound_config)
+        raise
+    return [(s.best_spec, s.best_report) for s in selections]
+
+
+def _run_plan(
+    cfg: ExperimentConfig, plan: SamplingPlan, iterations: Sequence[int]
+) -> list[IterationRecord]:
+    """Records of the given iterations of one plan, in (iteration, family) order."""
+    datasets = [
+        generate_training_set(cfg.params, replace(plan, seed=cfg.iteration_seed(i)))
+        for i in iterations
+    ]
+    dense_t = plan.base_grid()
+    dense_h = impulse_response(cfg.params, dense_t)
+    winners = {
+        family: _select_family(cfg, family, iterations, datasets) for family in FAMILIES
+    }
+
+    records = []
+    for k, (iteration, data) in enumerate(zip(iterations, datasets)):
+        for family in FAMILIES:
+            spec, report = winners[family][k]
+            with _tagged(data.n, iteration, family):
+                model = fit(spec, data, data.sigma_n)
+                true_mse = empirical_risk(dense_h, predict(model, dense_t))
+            records.append(
+                IterationRecord(
+                    sample_size=data.n,
+                    iteration=iteration,
+                    family=family,
+                    chosen_spec=spec,
+                    emp_risk=report.empirical_risk,
+                    bound=report.bound,
+                    h=report.h,
+                    true_mse=true_mse,
+                )
+            )
     return records
 
 

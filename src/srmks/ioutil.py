@@ -26,9 +26,3 @@ def json_float(x: float):
         return "nan"
     return x
 
-
-def json_to_float(v) -> float:
-    """Inverse of :func:`json_float`."""
-    if isinstance(v, str):
-        return float(v)
-    return float(v)

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import json_float, json_to_float
+from .ioutil import json_float
 from .oscillator import OscillatorParams
 
 __all__ = [
@@ -135,12 +135,12 @@ def kernel_from_json_dict(d: dict) -> KernelSpec:
     family = d.get("family")
     if family == "se":
         return SEKernel(
-            sigma_f=json_to_float(d["sigma_f"]),
-            length_scale=json_to_float(d["length_scale"]),
+            sigma_f=float(d["sigma_f"]),
+            length_scale=float(d["length_scale"]),
         )
     if family == "sdof":
         params = OscillatorParams(
-            m=json_to_float(d["m"]), c=json_to_float(d["c"]), k=json_to_float(d["k"])
+            m=float(d["m"]), c=float(d["c"]), k=float(d["k"])
         )
-        return SDOFKernel(sigma_f=json_to_float(d["sigma_f"]), params=params)
+        return SDOFKernel(sigma_f=float(d["sigma_f"]), params=params)
     raise InvalidInputError(f"unknown kernel family {family!r}")

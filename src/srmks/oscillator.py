@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import fmt_float, json_float, json_to_float
+from .ioutil import fmt_float, json_float
 
 __all__ = [
     "OscillatorParams",
@@ -134,11 +134,11 @@ class SamplingPlan:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SamplingPlan":
         return cls(
-            t_start=json_to_float(d["t_start"]),
-            t_end=json_to_float(d["t_end"]),
+            t_start=float(d["t_start"]),
+            t_end=float(d["t_end"]),
             base_points=int(d["base_points"]),
             decimation=int(d["decimation"]),
-            snr=json_to_float(d["snr"]),
+            snr=float(d["snr"]),
             seed=int(d["seed"]),
         )
 
@@ -246,7 +246,7 @@ def training_set_from_files(csv_text: str, json_text: str) -> tuple[TrainingSet,
     data = TrainingSet(
         t=cols[:, 0],
         y=cols[:, 1],
-        sigma_n=json_to_float(meta["sigma_n"]),
+        sigma_n=float(meta["sigma_n"]),
         true_h=cols[:, 2],
         seed=int(meta["seed"]),
     )

@@ -21,6 +21,10 @@ Capacity at or above the sample size (p >= 1) always clips. For p slightly
 above one, g rises above one and the denominator is negative; for much
 larger p the formula's value of g would fall again, an algebraic artifact
 outside the formula's validity region, so the clip is forced there.
+
+vc_bounds evaluates either form over arrays of candidates at once;
+vc_bound_reduced and vc_bound_general are its one-candidate case, so there
+is a single numerical path.
 """
 from __future__ import annotations
 
@@ -31,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import fmt_float, json_float, json_to_float
+from .ioutil import fmt_float, json_float
 
 __all__ = [
     "DeltaRule",
     "BoundConfig",
     "RiskReport",
     "empirical_risk",
+    "vc_bounds",
     "vc_bound_reduced",
     "vc_bound_general",
     "realized_confidence",
@@ -89,10 +94,10 @@ class BoundConfig:
     def from_json_dict(cls, d: dict) -> "BoundConfig":
         delta = d.get("delta")
         return cls(
-            a1=json_to_float(d.get("a1", 1.0)),
-            a2=json_to_float(d.get("a2", 1.0)),
-            c=json_to_float(d.get("c", 1.0)),
-            delta=None if delta is None else json_to_float(delta),
+            a1=float(d.get("a1", 1.0)),
+            a2=float(d.get("a2", 1.0)),
+            c=float(d.get("c", 1.0)),
+            delta=None if delta is None else float(delta),
             delta_rule=DeltaRule(d.get("delta_rule", "four_over_sqrt_n")),
         )
 
@@ -125,12 +130,12 @@ class RiskReport:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RiskReport":
         return cls(
-            empirical_risk=json_to_float(d["empirical_risk"]),
-            h=json_to_float(d["h"]),
+            empirical_risk=float(d["empirical_risk"]),
+            h=float(d["h"]),
             n=int(d["n"]),
-            p=json_to_float(d["p"]),
-            delta=json_to_float(d["delta"]),
-            bound=json_to_float(d["bound"]),
+            p=float(d["p"]),
+            delta=float(d["delta"]),
+            bound=float(d["bound"]),
             clipped=bool(d["clipped"]),
             eta_negative=bool(d.get("eta_negative", False)),
         )
@@ -165,33 +170,56 @@ def empirical_risk(targets, predictions) -> float:
     return float(np.mean(residuals**2))
 
 
-def _validate_bound_inputs(mse: float, h: float, n: int) -> None:
+def _validate_bound_inputs(mse, h, n: int) -> None:
     if n < 1:
         raise InvalidInputError("sample size must be at least 1")
-    if h < 0:
+    if np.any(h < 0):
         raise InvalidInputError("capacity must be nonnegative")
-    if mse < 0:
+    if np.any(mse < 0):
         raise InvalidInputError("empirical risk must be nonnegative")
 
 
-def _penalty_argument(p: float, n: int) -> float:
-    """g = p - p ln p + ln(n)/(2n), with p ln p := 0 at p = 0."""
-    plogp = 0.0 if p == 0.0 else p * math.log(p)
-    return p - plogp + math.log(n) / (2.0 * n)
+def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> list[RiskReport]:
+    """Guaranteed-risk reports for arrays of training MSE and capacity.
+
+    ``cfg=None`` gives the reduced bound, a config the general bound. The
+    formulas are evaluated over the whole arrays at once; every clip rule of
+    the module docstring applies elementwise.
+    """
+    mse = np.asarray(mse, dtype=float)
+    h = np.asarray(h, dtype=float)
+    _validate_bound_inputs(mse, h, n)
+    p = h / n
+    eta_negative = np.zeros(h.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if cfg is None:
+            delta = 4.0 / math.sqrt(n)
+            plogp = np.where(p == 0.0, 0.0, p * np.log(p))
+            g = p - plogp + math.log(n) / (2.0 * n)
+            denom = 1.0 - np.sqrt(g)
+            clipped = (p >= 1.0) | (denom <= EPS_CLIP)
+        else:
+            delta = cfg.realized_delta(n)
+            # log in separated form: a2*n/h overflows for subnormal h
+            log_a2n = math.log(cfg.a2) + math.log(n)
+            capacity_term = np.where(h == 0.0, 0.0, h * (log_a2n - np.log(h) + 1.0))
+            eta = cfg.a1 * (capacity_term - math.log(delta / 4.0)) / n
+            eta_negative = eta < 0.0
+            denom = 1.0 - cfg.c * np.sqrt(eta)
+            clipped = eta_negative | (denom <= EPS_CLIP)
+        bound = np.where(clipped, math.inf, mse / denom)
+    return [
+        RiskReport(m, hh, n, pp, delta, b, clipped=c, eta_negative=e)
+        for m, hh, pp, b, c, e in zip(
+            mse.tolist(), h.tolist(), p.tolist(), bound.tolist(),
+            clipped.tolist(), eta_negative.tolist(),
+        )
+    ]
 
 
 def vc_bound_reduced(mse: float, h: float, n: int) -> RiskReport:
     """Reduced guaranteed-risk bound at confidence delta = 4 / sqrt(n)."""
-    _validate_bound_inputs(mse, h, n)
-    p = h / n
-    delta = 4.0 / math.sqrt(n)
-    if p >= 1.0:
-        return RiskReport(mse, h, n, p, delta, math.inf, clipped=True)
-    g = _penalty_argument(p, n)
-    denom = 1.0 - math.sqrt(g)
-    if denom <= EPS_CLIP:
-        return RiskReport(mse, h, n, p, delta, math.inf, clipped=True)
-    return RiskReport(mse, h, n, p, delta, mse / denom, clipped=False)
+    return vc_bounds([mse], [h], n)[0]
 
 
 def vc_bound_general(mse: float, h: float, n: int, cfg: BoundConfig) -> RiskReport:
@@ -201,21 +229,7 @@ def vc_bound_general(mse: float, h: float, n: int, cfg: BoundConfig) -> RiskRepo
     delta and capacity combinations) the report carries bound = +inf and the
     eta_negative flag instead of raising.
     """
-    _validate_bound_inputs(mse, h, n)
-    p = h / n
-    delta = cfg.realized_delta(n)
-    # log in separated form: a2*n/h overflows for subnormal h
-    capacity_term = (
-        0.0 if h == 0.0
-        else h * (math.log(cfg.a2) + math.log(n) - math.log(h) + 1.0)
-    )
-    eta = cfg.a1 * (capacity_term - math.log(delta / 4.0)) / n
-    if eta < 0.0:
-        return RiskReport(mse, h, n, p, delta, math.inf, clipped=True, eta_negative=True)
-    denom = 1.0 - cfg.c * math.sqrt(eta)
-    if denom <= EPS_CLIP:
-        return RiskReport(mse, h, n, p, delta, math.inf, clipped=True)
-    return RiskReport(mse, h, n, p, delta, mse / denom, clipped=False)
+    return vc_bounds([mse], [h], n, cfg)[0]
 
 
 def realized_confidence(n: int) -> float:

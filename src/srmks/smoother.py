@@ -23,9 +23,19 @@ training MSE of the eigen-form of the linear smoother (Hastie, Tibshirani &
 Friedman, ESL sec. 5.4.1):
 
     mse = sum_i (sigma_n^2 / (s^2 lambda_i + sigma_n^2))^2 z_i^2 / n,  z = U^T y
+
+Only z depends on the targets, so training sets that share their sample
+times (the repetitions of one sampling plan) share the decomposition too:
+one eigh per (plan, base kernel) scores every repetition.
+
+Without noise the system (K + sigma_n^2 I) is K itself. Both the scorer and
+fit treat it as singular when a clamped eigenvalue of K is at most
+n * eps * lambda_max, the rounding level of the decomposition, so selection
+and fitting agree on which zero-noise systems can be solved.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +60,8 @@ class FittedSmoother:
     edf: float
 
 
-def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float) -> float:
-    """Effective degrees of freedom from a nonnegative spectrum.
+def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float):
+    """Effective degrees of freedom from a nonnegative spectrum (last axis).
 
     A zero eigenvalue contributes nothing, also when sigma_n == 0 (the
     component does not exist), which keeps edf == n exactly for full-rank K
@@ -61,7 +71,20 @@ def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float) -> float:
     terms = np.divide(
         eigenvalues, denom, out=np.zeros_like(eigenvalues), where=denom > 0
     )
-    return float(np.sum(terms))
+    return np.sum(terms, axis=-1)
+
+
+def _require_solvable(lam: np.ndarray, noise: float) -> None:
+    """Raise SingularSystemError if (K + noise I) is singular.
+
+    `lam` is the clamped spectrum of K. Only a zero noise variance can leave
+    the system singular; then an eigenvalue at or below n * eps * lambda_max
+    counts as zero.
+    """
+    if noise == 0.0 and lam.min() <= lam.size * np.finfo(float).eps * lam.max():
+        raise SingularSystemError(
+            f"the {lam.size}x{lam.size} smoother system is singular at sigma_n = 0"
+        )
 
 
 def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
@@ -78,6 +101,8 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
         raise InvalidInputError("cannot fit a smoother to empty data")
 
     K = gram(spec, data.t)
+    lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
+    _require_solvable(lam, sigma_n**2)
     try:
         factor = scipy.linalg.cho_factor(K + sigma_n**2 * np.eye(n), lower=True)
         weights = scipy.linalg.cho_solve(factor, data.y)
@@ -87,10 +112,7 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
         ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
-
-    lam = scipy.linalg.eigh(K, eigvals_only=True)[::-1]
-    lam = np.maximum(lam, 0.0)
-    edf = _edf_from_spectrum(lam, sigma_n)
+    edf = float(_edf_from_spectrum(lam, sigma_n))
 
     return FittedSmoother(
         kernel=spec,
@@ -103,28 +125,28 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
 
 
 def signal_scale_scores(
-    base: KernelSpec, data: TrainingSet, sigma_fs
-) -> list[tuple[float, float]]:
-    """(edf, training MSE) of the smoother for each signal scale in `sigma_fs`.
+    base: KernelSpec, datasets: Sequence[TrainingSet], sigma_fs: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(edf, training MSE) arrays per training set, one entry per signal scale.
 
-    `base` is the kernel at sigma_f = 1 and the noise level is the training
-    set's own. One eigendecomposition of the base Gram matrix serves every
-    scale. Raises SingularSystemError if a scale leaves (K + sigma_n^2 I)
-    singular, i.e. sigma_n == 0 and a clamped eigenvalue is zero.
+    `base` is the kernel at sigma_f = 1; `sigma_fs[r]` holds the scales to
+    score on `datasets[r]`, each at that set's own noise level. All sets
+    must share their sample times: one eigendecomposition of the base Gram
+    matrix over the first set's times serves every set and scale. Raises
+    SingularSystemError if a set has sigma_n == 0 and K is singular.
     """
-    lam, vectors = scipy.linalg.eigh(gram(base, data.t))
+    lam, vectors = scipy.linalg.eigh(gram(base, datasets[0].t))
     lam = np.maximum(lam, 0.0)
-    z2 = (vectors.T @ data.y) ** 2
-    noise = data.sigma_n**2
     scores = []
-    for sigma_f in sigma_fs:
-        scaled = sigma_f**2 * lam
+    for data, scales in zip(datasets, sigma_fs):
+        noise = data.sigma_n**2
+        _require_solvable(lam, noise)
+        z2 = (vectors.T @ data.y) ** 2
+        # squared one by one as Python floats: numpy's square can differ
+        # from the scalar pow by one ulp
+        scaled = np.array([s**2 for s in scales])[:, None] * lam
         denom = scaled + noise
-        if np.any(denom == 0.0):
-            raise SingularSystemError(
-                f"the {data.n}x{data.n} smoother system is singular at sigma_n = 0"
-            )
-        mse = float(np.sum((noise / denom) ** 2 * z2)) / data.n
+        mse = np.sum((noise / denom) ** 2 * z2, axis=1) / data.n
         scores.append((_edf_from_spectrum(scaled, data.sigma_n), mse))
     return scores
 

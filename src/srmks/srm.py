@@ -12,9 +12,13 @@ Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. Candidates
 that differ only in sigma_f share one eigendecomposition of their
 sigma_f = 1 Gram matrix, from which each signal scale is scored in O(n)
-(see smoother.signal_scale_scores), so the SE grid needs one decomposition
-per length-scale and the oscillator grid one in all. The winner minimises
-the bound; ties go to the smaller capacity (the simplest adequate element),
+(see smoother.signal_scale_scores). The decomposition depends on the sample
+times only, so srm_select_batch searches the repetitions of one sampling
+plan together: one decomposition per (plan, base kernel), i.e. one per
+length-scale for the SE grid and one in all for the oscillator grid, serves
+every repetition, and the bounds of each repetition are evaluated as arrays
+(risk.vc_bounds). srm_select is the batch of one. The winner minimises the
+bound; ties go to the smaller capacity (the simplest adequate element),
 then to grid order. If every candidate clips to +infinity the selection
 still returns the smallest-capacity candidate, flagged degenerate, so batch
 runs never abort.
@@ -22,6 +26,7 @@ runs never abort.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +45,7 @@ from .risk import (
     BoundConfig,
     RiskReport,
     risk_csv_row,
-    vc_bound_general,
-    vc_bound_reduced,
+    vc_bounds,
 )
 from .smoother import signal_scale_scores
 
@@ -53,6 +57,7 @@ __all__ = [
     "default_se_grid",
     "default_sdof_grid",
     "srm_select",
+    "srm_select_batch",
     "compare_structures",
     "selection_to_json",
     "trace_to_csv",
@@ -194,29 +199,56 @@ def srm_select(
     bound; a config scores them by the general bound instead. The trace
     keeps grid order.
     """
-    n = data.n
-    by_base: dict[KernelSpec, list[int]] = {}
-    for index, spec in enumerate(grid.candidates):
-        by_base.setdefault(replace(spec, sigma_f=1.0), []).append(index)
-    reports: list[RiskReport | None] = [None] * grid.size
-    for base, indices in by_base.items():
-        sigma_fs = [grid.candidates[i].sigma_f for i in indices]
-        for index, (edf, mse) in zip(indices, signal_scale_scores(base, data, sigma_fs)):
-            if bound_config is None:
-                reports[index] = vc_bound_reduced(mse, edf, n)
-            else:
-                reports[index] = vc_bound_general(mse, edf, n, bound_config)
-    trace = list(zip(grid.candidates, reports))
+    return srm_select_batch([grid], [data], bound_config)[0]
 
-    best_index, (best_spec, best_report) = min(enumerate(trace), key=_selection_key)
-    degenerate = all(report.clipped for _, report in trace)
-    return SelectionResult(
-        family=grid.family,
-        best_spec=best_spec,
-        best_report=best_report,
-        trace=tuple(trace),
-        degenerate=degenerate,
-    )
+
+def srm_select_batch(
+    grids: Sequence[StructureGrid],
+    datasets: Sequence[TrainingSet],
+    bound_config: BoundConfig | None = None,
+) -> list[SelectionResult]:
+    """``srm_select(grids[r], datasets[r], bound_config)`` for every r at once.
+
+    The training sets must share their sample times. The candidates of all
+    the grids are grouped by base kernel (sigma_f = 1), in grid order, and
+    each base kernel is decomposed once for every set. Raises
+    InvalidInputError if the counts or the sample times differ.
+    """
+    if len(grids) != len(datasets):
+        raise InvalidInputError("srm_select_batch needs one grid per training set")
+    if any(not np.array_equal(data.t, datasets[0].t) for data in datasets[1:]):
+        raise InvalidInputError("batched training sets must share their sample times")
+    # base kernel -> position of the set -> indices of its grid's candidates
+    by_base: dict[KernelSpec, dict[int, list[int]]] = {}
+    for r, grid in enumerate(grids):
+        for index, spec in enumerate(grid.candidates):
+            by_base.setdefault(replace(spec, sigma_f=1.0), {}).setdefault(r, []).append(index)
+    edfs = [np.empty(grid.size) for grid in grids]
+    mses = [np.empty(grid.size) for grid in grids]
+    for base, members in by_base.items():
+        scores = signal_scale_scores(
+            base,
+            [datasets[r] for r in members],
+            [[grids[r].candidates[i].sigma_f for i in indices] for r, indices in members.items()],
+        )
+        for (r, indices), (edf, mse) in zip(members.items(), scores):
+            edfs[r][indices] = edf
+            mses[r][indices] = mse
+
+    results = []
+    for grid, data, edf, mse in zip(grids, datasets, edfs, mses):
+        trace = tuple(zip(grid.candidates, vc_bounds(mse, edf, data.n, bound_config)))
+        _, (best_spec, best_report) = min(enumerate(trace), key=_selection_key)
+        results.append(
+            SelectionResult(
+                family=grid.family,
+                best_spec=best_spec,
+                best_report=best_report,
+                trace=trace,
+                degenerate=all(report.clipped for _, report in trace),
+            )
+        )
+    return results
 
 
 def compare_structures(results: list[SelectionResult]) -> SelectionResult:

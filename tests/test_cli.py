@@ -173,6 +173,25 @@ class TestExperiment:
         bad.write_text("{\"oscillator\": 3}")
         assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("amplitude_factors", [0.1]),
+            ("se_length_count", 2.7),
+            ("amplitude_factors", [10.0, 0.1]),
+        ],
+        ids=["one-amplitude-factor", "fractional-count", "reversed-amplitude-factors"],
+    )
+    def test_invalid_grid_settings_are_io_errors(self, tmp_path, golden_dir, capsys, field, value):
+        doc = json.loads((golden_dir / "config_ref.json").read_text())
+        doc["grids"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(bad), "--out", str(out)]) == 3
+        assert f"grids.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlot:
     @pytest.fixture()

@@ -138,10 +138,10 @@ class TestRunExperiment:
             assert math.isfinite(r.h)
 
     def test_failures_are_tagged(self, monkeypatch):
-        def boom(grid, data, bound_config=None):
+        def boom(grids, datasets, bound_config=None):
             raise SingularSystemError("synthetic failure")
 
-        monkeypatch.setattr(experiment_module, "srm_select", boom)
+        monkeypatch.setattr(experiment_module, "srm_select_batch", boom)
         cfg = _one_plan_config()
         with pytest.raises(ExperimentError, match=r"n=63, iteration=0, family=se"):
             run_iteration(cfg, cfg.plans[0], 0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srmks.errors import InvalidInputError
@@ -18,6 +18,7 @@ from srmks.risk import (
     risk_csv_row,
     vc_bound_general,
     vc_bound_reduced,
+    vc_bounds,
 )
 
 
@@ -150,6 +151,84 @@ class TestGeneralBound:
         cfg = BoundConfig(a1=2.0, a2=0.5, c=1.5, delta=0.25, delta_rule=DeltaRule.FIXED)
         back = BoundConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back == cfg
+
+
+def _scalar_bound(mse, h, n, cfg):
+    """(bound, clipped, eta_negative, denominator) by the docstring formulas,
+    one candidate at a time with math.log; the denominator is None where a
+    rule clips before it is formed."""
+    if cfg is None:
+        if h / n >= 1.0:
+            return math.inf, True, False, None
+        denom = 1.0 - math.sqrt(_g(h / n, n))
+    else:
+        capacity = 0.0 if h == 0.0 else h * (math.log(cfg.a2) + math.log(n) - math.log(h) + 1.0)
+        eta = cfg.a1 * (capacity - math.log(cfg.realized_delta(n) / 4.0)) / n
+        if eta < 0.0:
+            return math.inf, True, True, None
+        denom = 1.0 - cfg.c * math.sqrt(eta)
+    if denom <= EPS_CLIP:
+        return math.inf, True, False, denom
+    return mse / denom, False, False, denom
+
+
+_FIXED = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.FIXED)
+_ETA_NEGATIVE = BoundConfig(a2=1e-12, delta=0.5, delta_rule=DeltaRule.FIXED)
+
+
+@st.composite
+def _bound_batches(draw):
+    n = draw(st.integers(1, 5000))
+    h = st.one_of(
+        st.sampled_from([0.0, 0.999 * n, float(n), 2.0 * n]),
+        st.floats(0.0, 1.5 * n),
+    )
+    pairs = draw(st.lists(st.tuples(st.floats(0.0, 1e3), h), min_size=1, max_size=20))
+    cfg = draw(st.sampled_from([None, BoundConfig(), _FIXED, _ETA_NEGATIVE]))
+    return [m for m, _ in pairs], [hh for _, hh in pairs], n, cfg
+
+
+class TestArrayBound:
+    @settings(max_examples=300, deadline=None)
+    @given(_bound_batches())
+    @example(([1.0], [0.0], 100, None))  # p = 0
+    @example(([1.0], [0.0], 100, _FIXED))  # h = 0 in the general form
+    @example(([1.0, 2.0], [100.0, 250.0], 100, None))  # p >= 1
+    @example(([1.0], [99.0], 100, None))  # p < 1 but denominator <= EPS_CLIP
+    @example(([1.0], [50.0], 100, _ETA_NEGATIVE))  # eta < 0 under DeltaRule.FIXED
+    def test_matches_scalar_formula(self, batch):
+        mse, h, n, cfg = batch
+        reports = vc_bounds(np.array(mse), np.array(h), n, cfg)
+        assert len(reports) == len(mse)
+        delta = 4.0 / math.sqrt(n) if cfg is None else cfg.realized_delta(n)
+        for report, m, hh in zip(reports, mse, h):
+            bound, clipped, eta_negative, denom = _scalar_bound(m, hh, n, cfg)
+            assert (report.empirical_risk, report.h, report.n) == (m, hh, n)
+            assert report.p == hh / n
+            assert report.delta == delta
+            # np.log and math.log may differ by an ulp, which moves the
+            # denominator by about 1e-16: flags are compared away from the
+            # thresholds, bounds where that error is below rel 1e-12
+            if denom is None or abs(denom - EPS_CLIP) > 1e-9:
+                assert report.clipped == clipped
+                assert report.eta_negative == eta_negative
+            if clipped and report.clipped:
+                assert math.isinf(report.bound)
+            elif denom is not None and denom > 1e-3:
+                assert report.bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+    def test_scalar_forms_are_the_array_form(self):
+        cfg = BoundConfig(a1=2.0, a2=0.5, c=0.5, delta=0.1, delta_rule=DeltaRule.FIXED)
+        assert vc_bound_reduced(0.3, 12.0, 200) == vc_bounds([0.3], [12.0], 200)[0]
+        assert vc_bound_general(0.3, 12.0, 200, cfg) == vc_bounds([0.3], [12.0], 200, cfg)[0]
+
+    def test_array_inputs_validated(self):
+        with pytest.raises(InvalidInputError):
+            vc_bounds([1.0, 1.0], [1.0, -1.0], 100)
+        with pytest.raises(InvalidInputError):
+            vc_bounds([1.0, -1.0], [1.0, 1.0], 100)
+        with pytest.raises(InvalidInputError):
+            vc_bounds([1.0], [1.0], 0)
 
 
 class TestConfidence:

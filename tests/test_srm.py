@@ -24,6 +24,7 @@ from srmks.srm import (
     default_se_grid,
     selection_to_json,
     srm_select,
+    srm_select_batch,
     trace_to_csv,
 )
 
@@ -157,10 +158,13 @@ class TestSelection:
         # force identical bounds so only h differentiates candidates
         data = _dataset(paper_params)
 
-        def fake_bound(mse, h, n):
-            return RiskReport(mse, h, n, h / n, 0.4, bound=1.0, clipped=False)
+        def fake_bounds(mse, h, n, cfg=None):
+            return [
+                RiskReport(m, hh, n, hh / n, 0.4, bound=1.0, clipped=False)
+                for m, hh in zip(mse.tolist(), h.tolist())
+            ]
 
-        monkeypatch.setattr(srm_module, "vc_bound_reduced", fake_bound)
+        monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
         grid = build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.02, 0.3), 2, 4)
         result = srm_select(grid, data)
         min_h = min(r.h for _, r in result.trace)
@@ -169,10 +173,13 @@ class TestSelection:
     def test_full_ties_break_to_grid_order(self, paper_params, monkeypatch):
         data = _dataset(paper_params)
 
-        def fake_bound(mse, h, n):
-            return RiskReport(mse, 2.0, n, 2.0 / n, 0.4, bound=1.0, clipped=False)
+        def fake_bounds(mse, h, n, cfg=None):
+            return [
+                RiskReport(m, 2.0, n, 2.0 / n, 0.4, bound=1.0, clipped=False)
+                for m in mse.tolist()
+            ]
 
-        monkeypatch.setattr(srm_module, "vc_bound_reduced", fake_bound)
+        monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
         grid = build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.02, 0.3), 2, 4)
         result = srm_select(grid, data)
         assert result.best_spec == grid.candidates[0]
@@ -216,6 +223,20 @@ class TestSelection:
         assert scipy.linalg.eigh(gram(base, t), eigvals_only=True).min() < 0.0
         with pytest.raises(SingularSystemError):
             srm_select(grid, data)
+
+    def test_zero_noise_near_singular_gram_raises_in_selection_and_fit(self):
+        # l = 1000 over a 0.3 s span: the decomposition with vectors returns
+        # only positive eigenvalues, but six of the eight sit at rounding
+        # level (below 1e-15), so without noise the selection must not score
+        # an exact interpolant that fit cannot solve
+        t = np.linspace(0.0, 0.3, 8)
+        data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
+        spec = SEKernel(sigma_f=1.0, length_scale=1000.0)
+        grid = StructureGrid(family="se", candidates=(spec,), ordering_note="")
+        with pytest.raises(SingularSystemError):
+            srm_select(grid, data)
+        with pytest.raises(SingularSystemError):
+            fit(spec, data, 0.0)
 
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
@@ -289,6 +310,64 @@ class TestSpectralSelectionAgainstBruteForce:
             if below.clipped == above.clipped:
                 assert got.clipped == want.clipped
                 assert got.bound == pytest.approx(want.bound, rel=1e-9, abs=0.0)
+
+
+@st.composite
+def _batch_problems(draw):
+    """1-4 training sets on shared sample times, each with its own grid.
+
+    The SE grids share one length-scale bracket, as the grids of one
+    sampling plan do, so their base kernels coincide across sets.
+    """
+    n = draw(st.integers(3, 10))
+    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    l_lo = draw(st.floats(0.005, 0.05))
+    l_range = (l_lo, l_lo * draw(st.floats(2.0, 20.0)))
+    n_l = draw(st.integers(1, 4))
+    grids, datasets = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        datasets.append(
+            TrainingSet(t=t, y=y, sigma_n=draw(st.floats(0.05, 0.5)), true_h=np.zeros(n), seed=0)
+        )
+        if draw(st.sampled_from(["se", "sdof"])) == "se":
+            sf_lo = draw(st.floats(0.3, 1.0))
+            grids.append(build_se_grid(
+                (0.0, float(t[-1])), (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))),
+                l_range, draw(st.integers(1, 4)), n_l,
+            ))
+        else:
+            sf_lo = draw(st.floats(100.0, 1000.0))
+            grids.append(build_sdof_grid(
+                _PAPER, (sf_lo, sf_lo * draw(st.floats(2.0, 5.0))), draw(st.integers(1, 6))
+            ))
+    return grids, datasets, draw(st.sampled_from([None, _GENERAL]))
+
+
+class TestBatchSelection:
+    @settings(max_examples=100, deadline=None)
+    @given(_batch_problems())
+    def test_equals_separate_selections_bit_for_bit(self, problem):
+        grids, datasets, bound_config = problem
+        batch = srm_select_batch(grids, datasets, bound_config)
+        separate = [srm_select(g, d, bound_config) for g, d in zip(grids, datasets)]
+        # dataclass equality compares every float of winner and trace exactly
+        assert batch == separate
+
+    def test_rejects_sets_with_different_sample_times(self, paper_params):
+        first = _dataset(paper_params, decimation=16, seed=0)
+        shifted = TrainingSet(
+            t=first.t + 1e-3, y=first.y, sigma_n=first.sigma_n, true_h=first.true_h, seed=0
+        )
+        grid = build_sdof_grid(paper_params, (100.0, 1000.0), 3)
+        with pytest.raises(InvalidInputError):
+            srm_select_batch([grid, grid], [first, shifted])
+        other_n = _dataset(paper_params, decimation=8, seed=0)
+        with pytest.raises(InvalidInputError):
+            srm_select_batch([grid, grid], [first, other_n])
+        with pytest.raises(InvalidInputError):
+            srm_select_batch([grid], [first, first])
 
 
 class TestCompareStructures:
