@@ -10,7 +10,6 @@ from .kernels import (
     KernelSpec,
     SDOFKernel,
     SEKernel,
-    cross_vector,
     gram,
     kernel_eval,
     kernel_from_json_dict,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularSystemError, SrmksError
 from .experiment import (
     ExperimentConfig,
+    GridSettings,
     default_config,
     records_from_csv,
     records_to_csv,
@@ -30,7 +31,7 @@ from .experiment import (
     summarize,
 )
 from .figures import boxplot_svg, complexity_svg, predictions_svg
-from .ioutil import fmt_float, json_float
+from .ioutil import csv_row, fmt_float, json_float
 from .kernels import kernel_from_json_dict, kernel_to_json_dict
 from .oscillator import (
     OscillatorParams,
@@ -45,8 +46,6 @@ from .smoother import fit as fit_smoother
 from .smoother import predict
 from .srm import (
     compare_structures,
-    default_sdof_grid,
-    default_se_grid,
     selection_to_json,
     srm_select,
     trace_to_csv,
@@ -103,11 +102,7 @@ def cmd_simulate(args) -> int:
         out,
         "simulate",
         {
-            "oscillator": {
-                "m": json_float(params.m),
-                "c": json_float(params.c),
-                "k": json_float(params.k),
-            },
+            "oscillator": params.to_json_dict(),
             "plan": plan.to_json_dict(),
         },
     )
@@ -139,7 +134,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     lines = ["t,y,prediction"]
     for ti, yi, pi in zip(data.t, data.y, train_pred):
-        lines.append(f"{fmt_float(ti)},{fmt_float(yi)},{fmt_float(pi)}")
+        lines.append(csv_row([ti, yi, pi]))
     _write_text(out / "predictions.csv", "\n".join(lines) + "\n")
     doc = {
         "kernel": kernel_to_json_dict(kernel),
@@ -166,21 +161,17 @@ def cmd_fit(args) -> int:
 def cmd_select(args) -> int:
     data, plan = _load_training(Path(args.data))
     params = OscillatorParams(m=args.m, c=args.c, k=args.k)
+    settings = GridSettings(
+        se_sigma_count=args.se_sigma_count,
+        se_length_count=args.se_length_count,
+        sdof_sigma_count=args.sdof_sigma_count,
+        amplitude_factors=(args.amp_lo, args.amp_hi),
+    )
     families = ["se", "sdof"] if args.family == "both" else [args.family]
-    factors = (args.amp_lo, args.amp_hi)
     out = Path(args.out)
     results = []
     for family in families:
-        if family == "se":
-            grid = default_se_grid(
-                data, n_sigma=args.se_sigma_count, n_l=args.se_length_count,
-                amplitude_factors=factors,
-            )
-        else:
-            grid = default_sdof_grid(
-                data, params, n_sigma=args.sdof_sigma_count, amplitude_factors=factors,
-            )
-        result = srm_select(grid, data)
+        result = srm_select(settings.family_grid(family, data, params), data)
         results.append(result)
         _write_text(out / f"selection_{family}.json", selection_to_json(result))
         _write_text(out / f"trace_{family}.csv", trace_to_csv(result))
@@ -192,15 +183,8 @@ def cmd_select(args) -> int:
         {
             "data": str(args.data),
             "family": args.family,
-            "oscillator": {
-                "m": json_float(params.m),
-                "c": json_float(params.c),
-                "k": json_float(params.k),
-            },
-            "se_sigma_count": args.se_sigma_count,
-            "se_length_count": args.se_length_count,
-            "sdof_sigma_count": args.sdof_sigma_count,
-            "amplitude_factors": [json_float(f) for f in factors],
+            "oscillator": params.to_json_dict(),
+            **settings.to_json_dict(),
             "plan": plan.to_json_dict(),
         },
     )
@@ -212,15 +196,16 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _parse_config(path: Path) -> ExperimentConfig:
+    text = _read_text(path)
+    try:
+        return ExperimentConfig.from_json(text)
+    except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise _FileError(f"cannot parse config {path}: {exc}") from exc
+
+
 def _load_experiment_config(args) -> ExperimentConfig:
-    if args.config is not None:
-        text = _read_text(Path(args.config))
-        try:
-            cfg = ExperimentConfig.from_json(text)
-        except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise _FileError(f"cannot parse config {args.config}: {exc}") from exc
-    else:
-        cfg = default_config()
+    cfg = default_config() if args.config is None else _parse_config(Path(args.config))
     if args.reps is not None:
         cfg = replace(cfg, repetitions=args.reps)
     if args.seed is not None:
@@ -268,12 +253,7 @@ def cmd_plot(args) -> int:
         svg = complexity_svg(_load_records(records_path))
     else:
         # the oscillator in config.json rebuilds the sdof winners for the refit
-        config_path = records_path.parent / "config.json"
-        text = _read_text(config_path)
-        try:
-            cfg = ExperimentConfig.from_json(text)
-        except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise _FileError(f"cannot parse config {config_path}: {exc}") from exc
+        cfg = _parse_config(records_path.parent / "config.json")
         records = _load_records(records_path, cfg.params)
         sizes = sorted({r.sample_size for r in records})
         n = args.n if args.n is not None else sizes[-1]

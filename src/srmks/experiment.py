@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, SrmksError
-from .ioutil import fmt_float, json_float
-from .kernels import KernelSpec, SEKernel, kernel_from_json_dict
+from .ioutil import csv_row, json_float
+from .kernels import KernelSpec, SDOFKernel, SEKernel
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
@@ -103,6 +103,24 @@ class GridSettings:
             "amplitude_factors": [json_float(f) for f in self.amplitude_factors],
         }
 
+    def family_grid(
+        self, family: str, data: TrainingSet, params: OscillatorParams
+    ) -> StructureGrid:
+        """The data-driven grid of `family` ("se" or "sdof") for `data`."""
+        if family == "se":
+            return default_se_grid(
+                data,
+                n_sigma=self.se_sigma_count,
+                n_l=self.se_length_count,
+                amplitude_factors=self.amplitude_factors,
+            )
+        return default_sdof_grid(
+            data,
+            params,
+            n_sigma=self.sdof_sigma_count,
+            amplitude_factors=self.amplitude_factors,
+        )
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSettings":
         factors = d.get("amplitude_factors", [0.1, 10.0])
@@ -136,11 +154,7 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "oscillator": {
-                "m": json_float(self.params.m),
-                "c": json_float(self.params.c),
-                "k": json_float(self.params.k),
-            },
+            "oscillator": self.params.to_json_dict(),
             "plans": [p.to_json_dict() for p in self.plans],
             "repetitions": self.repetitions,
             "base_seed": self.base_seed,
@@ -153,13 +167,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        osc = d["oscillator"]
-        params = OscillatorParams(
-            m=float(osc["m"]), c=float(osc["c"]), k=float(osc["k"])
-        )
         plans = tuple(SamplingPlan.from_json_dict(p) for p in d["plans"])
         return cls(
-            params=params,
+            params=OscillatorParams.from_json_dict(d["oscillator"]),
             plans=plans,
             repetitions=int(d["repetitions"]),
             base_seed=int(d["base_seed"]),
@@ -228,22 +238,6 @@ def _tagged(n: int, iteration: int, family: str):
         raise ExperimentError(f"n={n}, iteration={iteration}, family={family}: {exc}") from exc
 
 
-def _family_grid(cfg: ExperimentConfig, family: str, data: TrainingSet) -> StructureGrid:
-    if family == "se":
-        return default_se_grid(
-            data,
-            n_sigma=cfg.grids.se_sigma_count,
-            n_l=cfg.grids.se_length_count,
-            amplitude_factors=cfg.grids.amplitude_factors,
-        )
-    return default_sdof_grid(
-        data,
-        cfg.params,
-        n_sigma=cfg.grids.sdof_sigma_count,
-        amplitude_factors=cfg.grids.amplitude_factors,
-    )
-
-
 def _select_family(
     cfg: ExperimentConfig,
     family: str,
@@ -251,7 +245,7 @@ def _select_family(
     datasets: list[TrainingSet],
 ) -> list[tuple[KernelSpec, RiskReport]]:
     """Winner of one family's search for each iteration, from one batch."""
-    grids = [_family_grid(cfg, family, data) for data in datasets]
+    grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
     try:
         selections = srm_select_batch(grids, datasets, cfg.bound_config)
     except SrmksError:
@@ -304,20 +298,11 @@ def records_to_csv(records: list[IterationRecord]) -> str:
     lines = [RECORDS_CSV_HEADER]
     for r in records:
         spec = r.chosen_spec
-        length = fmt_float(spec.length_scale) if isinstance(spec, SEKernel) else ""
+        length = spec.length_scale if isinstance(spec, SEKernel) else ""
         lines.append(
-            ",".join(
-                [
-                    str(r.sample_size),
-                    str(r.iteration),
-                    r.family,
-                    fmt_float(spec.sigma_f),
-                    length,
-                    fmt_float(r.emp_risk),
-                    fmt_float(r.h),
-                    fmt_float(r.bound),
-                    fmt_float(r.true_mse),
-                ]
+            csv_row(
+                [r.sample_size, r.iteration, r.family, spec.sigma_f, length,
+                 r.emp_risk, r.h, r.bound, r.true_mse]
             )
         )
     return "\n".join(lines) + "\n"
@@ -339,19 +324,9 @@ def records_from_csv(text: str, params: OscillatorParams | None = None) -> list[
             raise InvalidInputError(f"malformed records row: {ln!r}")
         n, iteration, family, sigma_f, length, emp, h, bound, tmse = parts
         if family == "se":
-            spec: KernelSpec = kernel_from_json_dict(
-                {"family": "se", "sigma_f": float(sigma_f), "length_scale": float(length)}
-            )
+            spec: KernelSpec = SEKernel(sigma_f=float(sigma_f), length_scale=float(length))
         elif family == "sdof":
-            spec = kernel_from_json_dict(
-                {
-                    "family": "sdof",
-                    "sigma_f": float(sigma_f),
-                    "m": params.m,
-                    "c": params.c,
-                    "k": params.k,
-                }
-            )
+            spec = SDOFKernel(sigma_f=float(sigma_f), params=params)
         else:
             raise InvalidInputError(f"unknown family {family!r} in records row")
         records.append(

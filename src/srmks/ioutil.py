@@ -26,3 +26,7 @@ def json_float(x: float):
         return "nan"
     return x
 
+
+def csv_row(fields) -> str:
+    """Comma-separated fields: floats as fmt_float writes them, the rest as str()."""
+    return ",".join([fmt_float(f) if isinstance(f, float) else str(f) for f in fields])

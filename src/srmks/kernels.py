@@ -35,7 +35,6 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "gram",
-    "cross_vector",
     "kernel_to_json_dict",
     "kernel_from_json_dict",
 ]
@@ -105,14 +104,6 @@ def gram(spec: KernelSpec, t) -> np.ndarray:
     return kernel_eval(spec, t[:, None], t[None, :])
 
 
-def cross_vector(spec: KernelSpec, t_train, t_star) -> np.ndarray:
-    """Vector with element i equal to kernel_eval(spec, t_train[i], t_star)."""
-    t_train = np.asarray(t_train, dtype=float)
-    if t_train.ndim != 1 or t_train.size == 0:
-        raise InvalidInputError("t_train must be a nonempty 1-d array")
-    return np.asarray(kernel_eval(spec, t_train, t_star), dtype=float)
-
-
 def kernel_to_json_dict(spec: KernelSpec) -> dict:
     if isinstance(spec, SEKernel):
         return {
@@ -124,9 +115,7 @@ def kernel_to_json_dict(spec: KernelSpec) -> dict:
         return {
             "family": "sdof",
             "sigma_f": json_float(spec.sigma_f),
-            "m": json_float(spec.params.m),
-            "c": json_float(spec.params.c),
-            "k": json_float(spec.params.k),
+            **spec.params.to_json_dict(),
         }
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
@@ -139,8 +128,7 @@ def kernel_from_json_dict(d: dict) -> KernelSpec:
             length_scale=float(d["length_scale"]),
         )
     if family == "sdof":
-        params = OscillatorParams(
-            m=float(d["m"]), c=float(d["c"]), k=float(d["k"])
+        return SDOFKernel(
+            sigma_f=float(d["sigma_f"]), params=OscillatorParams.from_json_dict(d)
         )
-        return SDOFKernel(sigma_f=float(d["sigma_f"]), params=params)
     raise InvalidInputError(f"unknown kernel family {family!r}")

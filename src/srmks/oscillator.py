@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import fmt_float, json_float
+from .ioutil import csv_row, json_float
 
 __all__ = [
     "OscillatorParams",
@@ -84,6 +84,13 @@ class OscillatorParams:
     def omega_d(self) -> float:
         """Damped natural frequency, omega_n sqrt(1 - zeta^2) (rad/s)."""
         return self.omega_n * math.sqrt(1.0 - self.zeta**2)
+
+    def to_json_dict(self) -> dict:
+        return {"m": json_float(self.m), "c": json_float(self.c), "k": json_float(self.k)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "OscillatorParams":
+        return cls(m=float(d["m"]), c=float(d["c"]), k=float(d["k"]))
 
 
 @dataclass(frozen=True)
@@ -217,7 +224,7 @@ def training_set_to_csv(data: TrainingSet) -> str:
     """CSV text with header ``t,y,true_h``, one row per sample."""
     lines = ["t,y,true_h"]
     for ti, yi, hi in zip(data.t, data.y, data.true_h):
-        lines.append(f"{fmt_float(ti)},{fmt_float(yi)},{fmt_float(hi)}")
+        lines.append(csv_row([ti, yi, hi]))
     return "\n".join(lines) + "\n"
 
 

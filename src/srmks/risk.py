@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import fmt_float, json_float
+from .ioutil import csv_row, json_float
 
 __all__ = [
     "DeltaRule",
@@ -146,15 +146,15 @@ RISK_CSV_HEADER = "kernel,n,h,p,delta,emp_risk,bound,clipped"
 
 def risk_csv_row(kernel_label: str, report: RiskReport) -> str:
     """One CSV row in the ``kernel,n,h,p,delta,emp_risk,bound,clipped`` format."""
-    return ",".join(
+    return csv_row(
         [
             kernel_label,
-            str(report.n),
-            fmt_float(report.h),
-            fmt_float(report.p),
-            fmt_float(report.delta),
-            fmt_float(report.empirical_risk),
-            fmt_float(report.bound),
+            report.n,
+            report.h,
+            report.p,
+            report.delta,
+            report.empirical_risk,
+            report.bound,
             "true" if report.clipped else "false",
         ]
     )

@@ -6,9 +6,8 @@ The smoother is linear in the training targets:
 
 where K is the Gram matrix over the training inputs and k(t*) the vector of
 kernel evaluations against them. Fitting solves the system once by Cholesky
-factorisation and stores the eigenvalues of K (clamped at zero) so the
-capacity of the fitted smoother is available as its effective degrees of
-freedom:
+factorisation and takes the eigenvalues of K (clamped at zero) for the
+capacity of the fitted smoother, its effective degrees of freedom:
 
     edf = sum_i lambda_i / (lambda_i + sigma_n^2)
 
@@ -42,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, SingularSystemError
-from .kernels import KernelSpec, cross_vector, gram, kernel_eval
+from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
 __all__ = ["FittedSmoother", "fit", "predict", "signal_scale_scores"]
@@ -56,7 +55,6 @@ class FittedSmoother:
     t_train: np.ndarray
     sigma_n: float
     weights: np.ndarray
-    eigenvalues: np.ndarray  # descending, clamped at zero
     edf: float
 
 
@@ -119,7 +117,6 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
         t_train=data.t,
         sigma_n=sigma_n,
         weights=weights,
-        eigenvalues=lam,
         edf=edf,
     )
 
@@ -158,8 +155,6 @@ def predict(model: FittedSmoother, t_star):
     span.
     """
     arr = np.asarray(t_star, dtype=float)
-    if arr.ndim == 0:
-        return float(cross_vector(model.kernel, model.t_train, float(arr)) @ model.weights)
     # one row of kernel evaluations per query point
-    cross = kernel_eval(model.kernel, arr[:, None], model.t_train[None, :])
-    return cross @ model.weights
+    values = kernel_eval(model.kernel, arr[..., None], model.t_train) @ model.weights
+    return float(values) if arr.ndim == 0 else values

@@ -1,18 +1,19 @@
 """Structural risk minimisation over nested kernel-smoother families.
 
-A structure is an ordered list of kernel candidates whose capacity grows
-along the list. For the SE family the nesting parameter is the
-length-scale: candidates are ordered by descending l, because admitting
-smaller length-scales produces wigglier smoothers with slower eigenvalue
-decay and hence a higher effective-degrees-of-freedom capacity. For the
-oscillator family the physical coefficients are fixed (assumed known) and
-only the signal scale sigma_f varies.
+A structure is a list of base kernels (sigma_f = 1) whose capacity grows
+along the list, each scaled by every signal scale sigma_f; its candidates
+are this product, base-major. For the SE family the nesting parameter is
+the length-scale: base kernels are ordered by descending l, because
+admitting smaller length-scales produces wigglier smoothers with slower
+eigenvalue decay and hence a higher effective-degrees-of-freedom capacity.
+For the oscillator family the physical coefficients are fixed (assumed
+known), so there is one base kernel and only sigma_f varies.
 
 Selection is an exhaustive search: every candidate's training MSE and
-capacity are computed and the guaranteed-risk bound scores it. Candidates
-that differ only in sigma_f share one eigendecomposition of their
-sigma_f = 1 Gram matrix, from which each signal scale is scored in O(n)
-(see smoother.signal_scale_scores). The decomposition depends on the sample
+capacity are computed and the guaranteed-risk bound scores it. The
+candidates of one base kernel share one eigendecomposition of its Gram
+matrix, from which each signal scale is scored in O(n) (see
+smoother.signal_scale_scores). The decomposition depends on the sample
 times only, so srm_select_batch searches the repetitions of one sampling
 plan together: one decomposition per (plan, base kernel), i.e. one per
 length-scale for the SE grid and one in all for the oscillator grid, serves
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import fmt_float
+from .ioutil import csv_row
 from .kernels import (
     KernelSpec,
     SDOFKernel,
@@ -66,21 +67,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructureGrid:
-    """Ordered kernel candidates forming one nested structure."""
+    """One nested structure: every base kernel at every signal scale.
+
+    `bases` are the sigma_f = 1 kernels in capacity order and `sigma_fs`
+    the ascending signal scales; the candidates are their product,
+    base-major.
+    """
 
     family: str
-    candidates: tuple[KernelSpec, ...]
-    ordering_note: str
+    bases: tuple[KernelSpec, ...]
+    sigma_fs: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.candidates:
-            raise InvalidInputError("a structure needs at least one candidate")
-        if any(c.family != self.family for c in self.candidates):
-            raise InvalidInputError("all candidates must share the structure's family")
+        if not (self.bases and self.sigma_fs):
+            raise InvalidInputError("a structure needs at least one base kernel and signal scale")
+        if any(b.family != self.family or b.sigma_f != 1.0 for b in self.bases):
+            raise InvalidInputError(
+                "base kernels must share the structure's family and have sigma_f = 1"
+            )
+
+    @property
+    def candidates(self) -> tuple[KernelSpec, ...]:
+        return tuple(replace(b, sigma_f=s) for b in self.bases for s in self.sigma_fs)
 
     @property
     def size(self) -> int:
-        return len(self.candidates)
+        return len(self.bases) * len(self.sigma_fs)
 
 
 @dataclass(frozen=True)
@@ -94,39 +106,29 @@ class SelectionResult:
     degenerate: bool = False
 
 
-def _log_spaced(lo: float, hi: float, count: int) -> np.ndarray:
+def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
     if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
         raise InvalidInputError(f"range must satisfy 0 < lo < hi, got ({lo}, {hi})")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
-    return np.geomspace(lo, hi, count)
+    return tuple(np.geomspace(lo, hi, count).tolist())
 
 
 def build_se_grid(
-    data_span: tuple[float, float],
     sigma_f_range: tuple[float, float],
     l_range: tuple[float, float],
     n_sigma: int,
     n_l: int,
 ) -> StructureGrid:
-    """SE structure: Cartesian grid over sigma_f (ascending) and l (descending).
+    """SE structure: Cartesian grid over l (descending) and sigma_f (ascending).
 
     The primary ordering key is the descending length-scale, so capacity is
     nondecreasing along the candidate list.
     """
-    sigmas = _log_spaced(*sigma_f_range, n_sigma)
-    lengths = _log_spaced(*l_range, n_l)[::-1]
-    candidates = tuple(
-        SEKernel(sigma_f=float(sf), length_scale=float(l))
-        for l in lengths
-        for sf in sigmas
+    bases = tuple(
+        SEKernel(sigma_f=1.0, length_scale=l) for l in _log_spaced(*l_range, n_l)[::-1]
     )
-    note = (
-        f"length-scale descending from {lengths[0]:.6g} to {lengths[-1]:.6g} over "
-        f"data span [{data_span[0]:.6g}, {data_span[1]:.6g}]; each step widens the "
-        "admissible set of smoothers toward higher capacity"
-    )
-    return StructureGrid(family="se", candidates=candidates, ordering_note=note)
+    return StructureGrid("se", bases, _log_spaced(*sigma_f_range, n_sigma))
 
 
 def build_sdof_grid(
@@ -135,13 +137,8 @@ def build_sdof_grid(
     n_sigma: int,
 ) -> StructureGrid:
     """Oscillator structure: sigma_f grid with the coefficients held fixed."""
-    sigmas = _log_spaced(*sigma_f_range, n_sigma)
-    candidates = tuple(SDOFKernel(sigma_f=float(sf), params=params) for sf in sigmas)
-    note = (
-        "signal scale ascending; m, c, k fixed to the supplied coefficients "
-        "in every candidate"
-    )
-    return StructureGrid(family="sdof", candidates=candidates, ordering_note=note)
+    base = SDOFKernel(sigma_f=1.0, params=params)
+    return StructureGrid("sdof", (base,), _log_spaced(*sigma_f_range, n_sigma))
 
 
 def _amplitude_range(data: TrainingSet, lo_factor: float, hi_factor: float) -> tuple[float, float]:
@@ -162,8 +159,7 @@ def default_se_grid(
     sf_range = _amplitude_range(data, *amplitude_factors)
     gaps = np.diff(data.t)
     l_range = (float(np.min(gaps)), float(data.t[-1] - data.t[0]))
-    span = (float(data.t[0]), float(data.t[-1]))
-    return build_se_grid(span, sf_range, l_range, n_sigma, n_l)
+    return build_se_grid(sf_range, l_range, n_sigma, n_l)
 
 
 def default_sdof_grid(
@@ -209,35 +205,32 @@ def srm_select_batch(
 ) -> list[SelectionResult]:
     """``srm_select(grids[r], datasets[r], bound_config)`` for every r at once.
 
-    The training sets must share their sample times. The candidates of all
-    the grids are grouped by base kernel (sigma_f = 1), in grid order, and
-    each base kernel is decomposed once for every set. Raises
-    InvalidInputError if the counts or the sample times differ.
+    The training sets must share their sample times and the grids their
+    base kernels; each base kernel is decomposed once for every set. Raises
+    InvalidInputError if the counts, the sample times or the bases differ.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
+    if not grids:
+        return []
     if any(not np.array_equal(data.t, datasets[0].t) for data in datasets[1:]):
         raise InvalidInputError("batched training sets must share their sample times")
-    # base kernel -> position of the set -> indices of its grid's candidates
-    by_base: dict[KernelSpec, dict[int, list[int]]] = {}
-    for r, grid in enumerate(grids):
-        for index, spec in enumerate(grid.candidates):
-            by_base.setdefault(replace(spec, sigma_f=1.0), {}).setdefault(r, []).append(index)
-    edfs = [np.empty(grid.size) for grid in grids]
-    mses = [np.empty(grid.size) for grid in grids]
-    for base, members in by_base.items():
-        scores = signal_scale_scores(
-            base,
-            [datasets[r] for r in members],
-            [[grids[r].candidates[i].sigma_f for i in indices] for r, indices in members.items()],
-        )
-        for (r, indices), (edf, mse) in zip(members.items(), scores):
-            edfs[r][indices] = edf
-            mses[r][indices] = mse
+    bases = grids[0].bases
+    if any(grid.bases != bases for grid in grids[1:]):
+        raise InvalidInputError("batched grids must share their base kernels")
+    # scores per set, one row per base kernel and one column per signal scale
+    edfs = [np.empty((len(bases), len(grid.sigma_fs))) for grid in grids]
+    mses = [np.empty((len(bases), len(grid.sigma_fs))) for grid in grids]
+    for b, base in enumerate(bases):
+        scores = signal_scale_scores(base, datasets, [grid.sigma_fs for grid in grids])
+        for edf, mse, (base_edf, base_mse) in zip(edfs, mses, scores):
+            edf[b] = base_edf
+            mse[b] = base_mse
 
     results = []
     for grid, data, edf, mse in zip(grids, datasets, edfs, mses):
-        trace = tuple(zip(grid.candidates, vc_bounds(mse, edf, data.n, bound_config)))
+        reports = vc_bounds(mse.ravel(), edf.ravel(), data.n, bound_config)
+        trace = tuple(zip(grid.candidates, reports))
         _, (best_spec, best_report) = min(enumerate(trace), key=_selection_key)
         results.append(
             SelectionResult(
@@ -282,9 +275,6 @@ def trace_to_csv(result: SelectionResult) -> str:
     """Trace rows in the risk-report CSV format plus candidate hyperparameters."""
     lines = [RISK_CSV_HEADER + ",sigma_f,length_scale"]
     for spec, report in result.trace:
-        length = fmt_float(spec.length_scale) if isinstance(spec, SEKernel) else ""
-        lines.append(
-            risk_csv_row(result.family, report)
-            + f",{fmt_float(spec.sigma_f)},{length}"
-        )
+        length = spec.length_scale if isinstance(spec, SEKernel) else ""
+        lines.append(csv_row([risk_csv_row(result.family, report), spec.sigma_f, length]))
     return "\n".join(lines) + "\n"

@@ -295,7 +295,7 @@ def test_criterion_10_property_battery():
     plan = SamplingPlan(t_start=0.0, t_end=0.3, base_points=1001,
                         decimation=16, snr=10.0, seed=3)
     train = generate_training_set(PAPER_PARAMS, plan)
-    grid = build_se_grid((0.0, 0.3), (1e-4, 1e-2), (0.005, 0.3), 3, 8)
+    grid = build_se_grid((1e-4, 1e-2), (0.005, 0.3), 3, 8)
     result = srm_select(grid, train)
     ok = ok and len(result.trace) == grid.size
     finite = [r.bound for _, r in result.trace if not r.clipped]

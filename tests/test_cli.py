@@ -135,6 +135,16 @@ class TestSelect:
         assert doc["family"] == "sdof"
         assert len(doc["trace"]) == 5
 
+    def test_reversed_amplitude_factors_are_usage_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "sel"
+        code = main([
+            "select", "--data", str(sim_dir), "--amp-lo", "0.5", "--amp-hi", "0.1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "amplitude_factors" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_reps_one_gives_six_records(self, tmp_path, capsys):

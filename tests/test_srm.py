@@ -55,17 +55,17 @@ def _result(bound, h, family="se"):
 
 class TestGridConstruction:
     def test_se_length_scales_descend_by_decade(self):
-        grid = build_se_grid((0.0, 0.3), (1.0, 1.0 + 1e-12), (1e-3, 1e-1), 1, 3)
+        grid = build_se_grid((1.0, 1.0 + 1e-12), (1e-3, 1e-1), 1, 3)
         lengths = [c.length_scale for c in grid.candidates]
         assert np.allclose(lengths, [1e-1, 1e-2, 1e-3], rtol=1e-12)
         assert all(a > b for a, b in zip(lengths, lengths[1:]))
 
     def test_se_grid_size_is_cartesian_product(self):
-        grid = build_se_grid((0.0, 0.3), (0.1, 1.0), (1e-3, 1e-1), 4, 7)
+        grid = build_se_grid((0.1, 1.0), (1e-3, 1e-1), 4, 7)
         assert grid.size == 28
 
     def test_se_sigma_ascends_within_each_length(self):
-        grid = build_se_grid((0.0, 0.3), (0.1, 1.0), (1e-3, 1e-1), 3, 2)
+        grid = build_se_grid((0.1, 1.0), (1e-3, 1e-1), 3, 2)
         sigmas = [c.sigma_f for c in grid.candidates[:3]]
         assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
         assert len({c.length_scale for c in grid.candidates[:3]}) == 1
@@ -83,7 +83,7 @@ class TestGridConstruction:
 
     def test_invalid_ranges_rejected(self, paper_params):
         with pytest.raises(InvalidInputError):
-            build_se_grid((0.0, 0.3), (1.0, 0.5), (1e-3, 1e-1), 2, 2)
+            build_se_grid((1.0, 0.5), (1e-3, 1e-1), 2, 2)
         with pytest.raises(InvalidInputError):
             build_sdof_grid(paper_params, (0.0, 1.0), 3)
         with pytest.raises(InvalidInputError):
@@ -93,8 +93,8 @@ class TestGridConstruction:
         with pytest.raises(InvalidInputError):
             StructureGrid(
                 family="se",
-                candidates=(SDOFKernel(sigma_f=1.0, params=paper_params),),
-                ordering_note="",
+                bases=(SDOFKernel(sigma_f=1.0, params=paper_params),),
+                sigma_fs=(1.0,),
             )
 
     def test_default_grids_bracket_data_amplitude(self, paper_params):
@@ -123,7 +123,7 @@ class TestGridConstruction:
     def test_nesting_faithfulness_edf_nondecreasing(self, paper_params):
         # along the descending-l ordering at fixed sigma_f, capacity never drops
         data = _dataset(paper_params)
-        grid = build_se_grid((0.0, 0.3), (1.0, 1.0 + 1e-12), (5e-3, 0.3), 1, 8)
+        grid = build_se_grid((1.0, 1.0 + 1e-12), (5e-3, 0.3), 1, 8)
         edfs = [fit(c, data, data.sigma_n).edf for c in grid.candidates]
         assert all(a <= b + 1e-10 for a, b in zip(edfs, edfs[1:]))
 
@@ -138,7 +138,7 @@ class TestSelection:
 
     def test_trace_is_exhaustive_and_ordered(self, paper_params):
         data = _dataset(paper_params)
-        grid = build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.02, 0.3), 2, 3)
+        grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 3)
         result = srm_select(grid, data)
         assert len(result.trace) == grid.size
         assert tuple(spec for spec, _ in result.trace) == grid.candidates
@@ -165,7 +165,7 @@ class TestSelection:
             ]
 
         monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
-        grid = build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.02, 0.3), 2, 4)
+        grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 4)
         result = srm_select(grid, data)
         min_h = min(r.h for _, r in result.trace)
         assert result.best_report.h == min_h
@@ -180,7 +180,7 @@ class TestSelection:
             ]
 
         monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
-        grid = build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.02, 0.3), 2, 4)
+        grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 4)
         result = srm_select(grid, data)
         assert result.best_spec == grid.candidates[0]
 
@@ -190,7 +190,7 @@ class TestSelection:
         t = np.linspace(0.0, 0.3, 8)
         y = np.sin(40 * t)
         data = TrainingSet(t=t, y=y, sigma_n=1e-6, true_h=np.zeros(8), seed=0)
-        grid = build_se_grid((0.0, 0.3), (0.5, 2.0), (1e-5, 1e-4), 3, 2)
+        grid = build_se_grid((0.5, 2.0), (1e-5, 1e-4), 3, 2)
         result = srm_select(grid, data)
         assert result.degenerate
         assert all(r.clipped for _, r in result.trace)
@@ -218,7 +218,7 @@ class TestSelection:
         # sigma_n = 0 a clamped zero eigenvalue makes (K + sigma_n^2 I) singular
         t = np.linspace(0.0, 0.3, 8)
         data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
-        grid = build_se_grid((0.0, 0.3), (0.5, 2.0), (50.0, 100.0), 2, 2)
+        grid = build_se_grid((0.5, 2.0), (50.0, 100.0), 2, 2)
         base = SEKernel(sigma_f=1.0, length_scale=grid.candidates[0].length_scale)
         assert scipy.linalg.eigh(gram(base, t), eigvals_only=True).min() < 0.0
         with pytest.raises(SingularSystemError):
@@ -232,7 +232,7 @@ class TestSelection:
         t = np.linspace(0.0, 0.3, 8)
         data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
         spec = SEKernel(sigma_f=1.0, length_scale=1000.0)
-        grid = StructureGrid(family="se", candidates=(spec,), ordering_note="")
+        grid = StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,))
         with pytest.raises(SingularSystemError):
             srm_select(grid, data)
         with pytest.raises(SingularSystemError):
@@ -257,7 +257,6 @@ def _selection_problems(draw):
         sf_lo = draw(st.floats(0.3, 1.0))
         l_lo = draw(st.floats(0.005, 0.05))
         grid = build_se_grid(
-            (0.0, float(t[-1])),
             (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))),
             (l_lo, l_lo * draw(st.floats(2.0, 20.0))),
             draw(st.integers(1, 4)),
@@ -316,12 +315,13 @@ class TestSpectralSelectionAgainstBruteForce:
 def _batch_problems(draw):
     """1-4 training sets on shared sample times, each with its own grid.
 
-    The SE grids share one length-scale bracket, as the grids of one
-    sampling plan do, so their base kernels coincide across sets.
+    The grids share one family and one set of base kernels, as the grids of
+    one sampling plan do; their signal scales differ from set to set.
     """
     n = draw(st.integers(3, 10))
     gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
     t = np.concatenate([[0.0], np.cumsum(gaps)])
+    family = draw(st.sampled_from(["se", "sdof"]))
     l_lo = draw(st.floats(0.005, 0.05))
     l_range = (l_lo, l_lo * draw(st.floats(2.0, 20.0)))
     n_l = draw(st.integers(1, 4))
@@ -331,11 +331,10 @@ def _batch_problems(draw):
         datasets.append(
             TrainingSet(t=t, y=y, sigma_n=draw(st.floats(0.05, 0.5)), true_h=np.zeros(n), seed=0)
         )
-        if draw(st.sampled_from(["se", "sdof"])) == "se":
+        if family == "se":
             sf_lo = draw(st.floats(0.3, 1.0))
             grids.append(build_se_grid(
-                (0.0, float(t[-1])), (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))),
-                l_range, draw(st.integers(1, 4)), n_l,
+                (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))), l_range, draw(st.integers(1, 4)), n_l,
             ))
         else:
             sf_lo = draw(st.floats(100.0, 1000.0))
@@ -368,6 +367,15 @@ class TestBatchSelection:
             srm_select_batch([grid, grid], [first, other_n])
         with pytest.raises(InvalidInputError):
             srm_select_batch([grid], [first, first])
+
+    def test_rejects_grids_with_different_bases(self, paper_params):
+        data = _dataset(paper_params, decimation=16, seed=0)
+        se = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 3)
+        sdof = build_sdof_grid(paper_params, (100.0, 1000.0), 2)
+        other_lengths = build_se_grid((1e-4, 1e-3), (0.01, 0.3), 2, 3)
+        for grids in ([se, sdof], [sdof, se], [se, other_lengths]):
+            with pytest.raises(InvalidInputError, match="base kernels"):
+                srm_select_batch(grids, [data, data])
 
 
 class TestCompareStructures:
@@ -406,7 +414,7 @@ class TestSerialization:
 
     def test_trace_csv_shape(self, paper_params):
         data = _dataset(paper_params)
-        se_result = srm_select(build_se_grid((0.0, 0.3), (1e-4, 1e-3), (0.05, 0.3), 2, 2), data)
+        se_result = srm_select(build_se_grid((1e-4, 1e-3), (0.05, 0.3), 2, 2), data)
         lines = trace_to_csv(se_result).strip().split("\n")
         assert lines[0] == "kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale"
         assert len(lines) == 5
