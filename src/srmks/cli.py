@@ -43,7 +43,6 @@ from .oscillator import (
 )
 from .risk import empirical_risk
 from .smoother import fit as fit_smoother
-from .smoother import predict
 from .srm import (
     compare_structures,
     selection_to_json,
@@ -129,11 +128,10 @@ def cmd_fit(args) -> int:
     kernel, _ = _parse_kernel(args.kernel)
     sigma_n = args.sigma_n if args.sigma_n is not None else data.sigma_n
     model = fit_smoother(kernel, data, sigma_n)
-    train_pred = predict(model, data.t)
-    mse = empirical_risk(data.y, train_pred)
+    mse = empirical_risk(data.y, model.fitted)
     out = Path(args.out)
     lines = ["t,y,prediction"]
-    for ti, yi, pi in zip(data.t, data.y, train_pred):
+    for ti, yi, pi in zip(data.t, data.y, model.fitted):
         lines.append(csv_row([ti, yi, pi]))
     _write_text(out / "predictions.csv", "\n".join(lines) + "\n")
     doc = {

@@ -11,3 +11,9 @@ class InvalidInputError(SrmksError, ValueError):
 
 class SingularSystemError(SrmksError, ArithmeticError):
     """The smoother's linear system is singular or not positive definite."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidInputError unless `value` is an int (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")

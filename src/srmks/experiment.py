@@ -11,8 +11,10 @@ record exactly.
 The study runs plan by plan. Every iteration of a plan shares its sample
 times, so each family's selections for all the iterations are one
 srm_select_batch call: one eigendecomposition per (plan, base kernel)
-instead of one per (plan, iteration, base kernel). Each winner is then
-refit by Cholesky and predicted on the dense grid.
+instead of one per (plan, iteration, base kernel). The winners of both
+families are then refit by Cholesky and predicted on the dense grid in one
+fit_predict_batch call, which builds one Gram matrix and one dense
+cross-kernel matrix per (plan, winning base kernel) and computes no edf.
 
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, SrmksError
+from .errors import InvalidInputError, SrmksError, require_int
 from .ioutil import csv_row, json_float
 from .kernels import KernelSpec, SDOFKernel, SEKernel
 from .oscillator import (
@@ -40,7 +42,7 @@ from .oscillator import (
     impulse_response,
 )
 from .risk import BoundConfig, RiskReport, empirical_risk
-from .smoother import fit, predict
+from .smoother import fit_predict_batch
 from .srm import StructureGrid, default_sdof_grid, default_se_grid, srm_select_batch
 
 __all__ = [
@@ -81,9 +83,7 @@ class GridSettings:
 
     def __post_init__(self):
         for name in ("se_sigma_count", "se_length_count", "sdof_sigma_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidInputError(f"grids.{name} must be an integer >= 1, got {value!r}")
+            require_int(f"grids.{name}", getattr(self, name), 1)
         factors = self.amplitude_factors
         if not (
             len(factors) == 2
@@ -148,6 +148,7 @@ class ExperimentConfig:
             raise InvalidInputError("repetitions must be at least 1")
         if not self.plans:
             raise InvalidInputError("at least one sampling plan is required")
+        require_int("base_seed", self.base_seed, 0)
 
     def iteration_seed(self, iteration: int) -> int:
         return self.base_seed + iteration
@@ -172,7 +173,7 @@ class ExperimentConfig:
             params=OscillatorParams.from_json_dict(d["oscillator"]),
             plans=plans,
             repetitions=int(d["repetitions"]),
-            base_seed=int(d["base_seed"]),
+            base_seed=d["base_seed"],
             grids=GridSettings.from_json_dict(d.get("grids", {})),
             bound_config=BoundConfig.from_json_dict(d.get("bound", {})),
         )
@@ -270,27 +271,33 @@ def _run_plan(
     winners = {
         family: _select_family(cfg, family, iterations, datasets) for family in FAMILIES
     }
-
-    records = []
-    for k, (iteration, data) in enumerate(zip(iterations, datasets)):
-        for family in FAMILIES:
-            spec, report = winners[family][k]
+    cells = [
+        (iteration, family, data, *winners[family][k])
+        for k, (iteration, data) in enumerate(zip(iterations, datasets))
+        for family in FAMILIES
+    ]
+    pairs = [(spec, data) for _, _, data, spec, _ in cells]
+    try:
+        predictions = fit_predict_batch(pairs, dense_t)
+    except SrmksError:
+        # the batch does not say which cell failed: refit each alone to name it
+        for (iteration, family, data, _, _), pair in zip(cells, pairs):
             with _tagged(data.n, iteration, family):
-                model = fit(spec, data, data.sigma_n)
-                true_mse = empirical_risk(dense_h, predict(model, dense_t))
-            records.append(
-                IterationRecord(
-                    sample_size=data.n,
-                    iteration=iteration,
-                    family=family,
-                    chosen_spec=spec,
-                    emp_risk=report.empirical_risk,
-                    bound=report.bound,
-                    h=report.h,
-                    true_mse=true_mse,
-                )
-            )
-    return records
+                fit_predict_batch([pair], dense_t)
+        raise
+    return [
+        IterationRecord(
+            sample_size=data.n,
+            iteration=iteration,
+            family=family,
+            chosen_spec=spec,
+            emp_risk=report.empirical_risk,
+            bound=report.bound,
+            h=report.h,
+            true_mse=empirical_risk(dense_h, prediction),
+        )
+        for (iteration, family, data, spec, report), prediction in zip(cells, predictions)
+    ]
 
 
 def records_to_csv(records: list[IterationRecord]) -> str:

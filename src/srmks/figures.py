@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
 from .oscillator import generate_training_set, impulse_response
-from .smoother import fit, predict
+from .smoother import fit_predict_batch
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]
 
@@ -260,11 +260,12 @@ def predictions_svg(
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
 
+    families = [fam for fam in ("se", "sdof") if fam in cell]
+    predictions = fit_predict_batch([(cell[fam].chosen_spec, data) for fam in families], dense_t)
     curves: list[tuple[str, np.ndarray, str]] = [("true", np.asarray(dense_h), _TRUE_COLOR)]
-    for fam in ("se", "sdof"):
-        if fam in cell:
-            model = fit(cell[fam].chosen_spec, data, data.sigma_n)
-            curves.append((fam, np.asarray(predict(model, dense_t)), _FAMILY_COLOR[fam]))
+    curves.extend(
+        (fam, prediction, _FAMILY_COLOR[fam]) for fam, prediction in zip(families, predictions)
+    )
 
     width, height = 720, 420
     plot_x, plot_y, plot_w, plot_h = 70, 30, width - 100, height - 90

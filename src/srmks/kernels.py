@@ -71,17 +71,27 @@ class SDOFKernel:
         # params validates the underdamped requirement at construction
 
     @property
+    def unit_diagonal(self) -> float:
+        """Kernel value at tau = 0 for sigma_f = 1: 1 / (4 m^2 zeta omega_n^3)."""
+        p = self.params
+        return 1.0 / (4.0 * p.m**2 * p.zeta * p.omega_n**3)
+
+    @property
     def diagonal(self) -> float:
         """Kernel value at tau = 0: sigma_f^2 / (4 m^2 zeta omega_n^3)."""
-        p = self.params
-        return self.sigma_f**2 / (4.0 * p.m**2 * p.zeta * p.omega_n**3)
+        return self.sigma_f**2 * self.unit_diagonal
 
 
 KernelSpec = Union[SEKernel, SDOFKernel]
 
 
 def kernel_eval(spec: KernelSpec, t, t_prime):
-    """Evaluate the kernel at (t, t'). Broadcasts over array inputs."""
+    """Evaluate the kernel at (t, t'). Broadcasts over array inputs.
+
+    Both families compute sigma_f^2 times the sigma_f = 1 kernel, so
+    kernel_eval(spec) == spec.sigma_f**2 * kernel_eval(replace(spec,
+    sigma_f=1.0)) holds bit for bit.
+    """
     tau = np.subtract(t, t_prime)
     if isinstance(spec, SEKernel):
         return spec.sigma_f**2 * np.exp(-(tau**2) / (2.0 * spec.length_scale**2))
@@ -92,7 +102,7 @@ def kernel_eval(spec: KernelSpec, t, t_prime):
         atau = np.abs(tau)
         envelope = np.exp(-zw * atau)
         oscillation = np.cos(wd * atau) + (zw / wd) * np.sin(wd * atau)
-        return spec.diagonal * envelope * oscillation
+        return spec.sigma_f**2 * (spec.unit_diagonal * envelope * oscillation)
     raise InvalidInputError(f"unknown kernel spec {spec!r}")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .ioutil import csv_row, json_float
 
 __all__ = [
@@ -120,6 +120,7 @@ class SamplingPlan:
             raise InvalidInputError("decimation must be a positive integer")
         if not self.snr > 0:
             raise InvalidInputError("snr must be positive")
+        require_int("seed", self.seed, 0)
 
     @property
     def n_samples(self) -> int:
@@ -146,7 +147,7 @@ class SamplingPlan:
             base_points=int(d["base_points"]),
             decimation=int(d["decimation"]),
             snr=float(d["snr"]),
-            seed=int(d["seed"]),
+            seed=d["seed"],
         )
 
 

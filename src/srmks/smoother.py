@@ -27,15 +27,22 @@ Only z depends on the targets, so training sets that share their sample
 times (the repetitions of one sampling plan) share the decomposition too:
 one eigh per (plan, base kernel) scores every repetition.
 
-Without noise the system (K + sigma_n^2 I) is K itself. Both the scorer and
-fit treat it as singular when a clamped eigenvalue of K is at most
+Predicting the winners of such a selection needs no edf either.
+fit_predict_batch refits each (kernel, training set) pair by Cholesky from
+one Gram matrix K_0 and one cross-kernel matrix k*_0 per base kernel,
+scaled by s^2 (Rasmussen & Williams, GPML eq. 2.25), and computes no
+eigenvalues; fit and fit_predict_batch share one Cholesky solve.
+
+Without noise the system (K + sigma_n^2 I) is K itself. The scorer and the
+solve treat it as singular when a clamped eigenvalue of K is at most
 n * eps * lambda_max, the rounding level of the decomposition, so selection
 and fitting agree on which zero-noise systems can be solved.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +51,7 @@ from .errors import InvalidInputError, SingularSystemError
 from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
-__all__ = ["FittedSmoother", "fit", "predict", "signal_scale_scores"]
+__all__ = ["FittedSmoother", "fit", "fit_predict_batch", "predict", "signal_scale_scores"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,7 @@ class FittedSmoother:
     t_train: np.ndarray
     sigma_n: float
     weights: np.ndarray
+    fitted: np.ndarray  # the smoother at the training inputs, K @ weights
     edf: float
 
 
@@ -85,39 +93,57 @@ def _require_solvable(lam: np.ndarray, noise: float) -> None:
         )
 
 
-def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
-    """Fit the kernel smoother to `data` with noise level `sigma_n`.
+def _clamped_spectrum(K: np.ndarray) -> np.ndarray:
+    """Eigenvalues of K in descending order, clamped at zero."""
+    return np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
 
-    Raises SingularSystemError if (K + sigma_n^2 I) is not numerically
-    positive definite, and InvalidInputError for empty data or a negative
-    noise level.
+
+def _solve(K: np.ndarray, sigma_n: float, y: np.ndarray) -> np.ndarray:
+    """Weights w of (K + sigma_n^2 I) w = y by Cholesky factorisation.
+
+    Raises InvalidInputError for a negative or non-finite noise level and
+    SingularSystemError for a non-finite K, a singular zero-noise system, a
+    failed factorisation or non-finite weights.
     """
-    if not sigma_n >= 0:
-        raise InvalidInputError("sigma_n must be nonnegative")
-    n = data.n
-    if n == 0:
-        raise InvalidInputError("cannot fit a smoother to empty data")
-
-    K = gram(spec, data.t)
-    lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
-    _require_solvable(lam, sigma_n**2)
+    if not (math.isfinite(sigma_n) and sigma_n >= 0):
+        raise InvalidInputError(f"sigma_n must be nonnegative and finite, got {sigma_n!r}")
+    n = K.shape[0]
+    if not np.all(np.isfinite(K)):
+        raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
+    if sigma_n == 0.0:
+        _require_solvable(_clamped_spectrum(K), 0.0)
     try:
         factor = scipy.linalg.cho_factor(K + sigma_n**2 * np.eye(n), lower=True)
-        weights = scipy.linalg.cho_solve(factor, data.y)
+        weights = scipy.linalg.cho_solve(factor, y)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"cannot factorise the {n}x{n} smoother system: {exc}"
         ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
-    edf = float(_edf_from_spectrum(lam, sigma_n))
+    return weights
 
+
+def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
+    """Fit the kernel smoother to `data` with noise level `sigma_n`.
+
+    Raises SingularSystemError if (K + sigma_n^2 I) is not numerically
+    positive definite, and InvalidInputError for empty data or a negative
+    or non-finite noise level.
+    """
+    if data.n == 0:
+        raise InvalidInputError("cannot fit a smoother to empty data")
+    K = gram(spec, data.t)
+    weights = _solve(K, sigma_n, data.y)
+    # a solvable zero-noise system has no zero eigenvalue: each term is 1
+    edf = data.n if sigma_n == 0 else _edf_from_spectrum(_clamped_spectrum(K), sigma_n)
     return FittedSmoother(
         kernel=spec,
         t_train=data.t,
         sigma_n=sigma_n,
         weights=weights,
-        edf=edf,
+        fitted=K @ weights,
+        edf=float(edf),
     )
 
 
@@ -158,3 +184,38 @@ def predict(model: FittedSmoother, t_star):
     # one row of kernel evaluations per query point
     values = kernel_eval(model.kernel, arr[..., None], model.t_train) @ model.weights
     return float(values) if arr.ndim == 0 else values
+
+
+def fit_predict_batch(
+    pairs: Sequence[tuple[KernelSpec, TrainingSet]], t_star
+) -> list[np.ndarray]:
+    """Prediction at `t_star` (1-d) of each (kernel, training set) pair.
+
+    Each pair is fit at its set's own noise level, and its prediction equals
+    predict(fit(spec, data, data.sigma_n), t_star) bit for bit. All sets
+    must share their sample times. Since K(s) = s^2 K_0 and k*(s) = s^2 k*_0,
+    the pairs whose kernels share a base kernel (sigma_f = 1) share one Gram
+    matrix K_0 and one cross-kernel matrix k*_0, built once and freed before
+    the next base's. No eigenvalues are computed unless a set has
+    sigma_n == 0. Raises SingularSystemError as fit does.
+    """
+    if not pairs:
+        return []
+    t = pairs[0][1].t
+    if any(not np.array_equal(data.t, t) for _, data in pairs):
+        raise InvalidInputError("fit_predict_batch needs training sets with equal sample times")
+    t_star = np.asarray(t_star, dtype=float)
+    by_base: dict[KernelSpec, list[int]] = {}
+    for k, (spec, _) in enumerate(pairs):
+        by_base.setdefault(replace(spec, sigma_f=1.0), []).append(k)
+    predictions: list[np.ndarray] = [np.empty(0)] * len(pairs)
+    for base, members in by_base.items():
+        K0 = gram(base, t)
+        C0 = kernel_eval(base, t_star[:, None], t)
+        for k in members:
+            spec, data = pairs[k]
+            scale = spec.sigma_f**2
+            weights = _solve(scale * K0, data.sigma_n, data.y)
+            predictions[k] = (scale * C0) @ weights
+        del K0, C0  # before the next base's are built
+    return predictions

@@ -288,6 +288,59 @@ class TestPlot:
         assert code == 3
 
 
+def _edited_config(golden_dir, tmp_path, edit):
+    doc = json.loads((golden_dir / "config_ref.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Invalid inputs that must end in exit code 2, 3 or 4, never a traceback, one
+# row each: (id, exit code, argv built from the simulated data dir, a config
+# editor and the output dir). Earlier cases have their own tests in TestFit,
+# TestSelect and TestExperiment.
+_INVALID_INPUTS = [
+    ("simulate-negative-seed", 2,
+     lambda data, config, out: ["simulate", "--seed", "-1", "--out", out]),
+    ("experiment-negative-seed", 2,
+     lambda data, config, out: ["experiment", "--reps", "1", "--seed", "-5", "--out", out]),
+    ("config-negative-base-seed", 3,
+     lambda data, config, out: [
+         "experiment", "--config", config(lambda d: d.update(base_seed=-3)), "--out", out]),
+    ("config-negative-plan-seed", 3,
+     lambda data, config, out: [
+         "experiment", "--config", config(lambda d: d["plans"][0].update(seed=-1)),
+         "--out", out]),
+    ("config-fractional-base-seed", 3,
+     lambda data, config, out: [
+         "experiment", "--config", config(lambda d: d.update(base_seed=2.7)), "--out", out]),
+    ("fit-infinite-sigma-n", 2,
+     lambda data, config, out: [
+         "fit", "--data", data, "--kernel",
+         '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01}',
+         "--sigma-n", "inf", "--out", out]),
+    ("fit-non-finite-gram", 4,
+     lambda data, config, out: [
+         "fit", "--data", data, "--kernel",
+         '{"family": "se", "sigma_f": 0.001, "length_scale": 1e-300}', "--out", out]),
+]
+
+
+@pytest.mark.parametrize(
+    "expected,argv", [row[1:] for row in _INVALID_INPUTS], ids=[row[0] for row in _INVALID_INPUTS]
+)
+def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys, expected, argv):
+    # an exception escaping main fails the test; every row maps to 2, 3 or 4
+    def config(edit):
+        return _edited_config(golden_dir, tmp_path, edit)
+
+    code = main(argv(str(sim_dir), config, str(tmp_path / "o")))
+    assert code in (2, 3, 4)
+    assert code == expected
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import srmks.experiment as experiment_module
+import srmks.smoother as smoother_module
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import (
     ExperimentConfig,
@@ -83,6 +84,11 @@ class TestConfig:
                 params=cfg.params, plans=(), repetitions=1, base_seed=1,
             )
 
+    def test_rejects_negative_base_seed(self):
+        cfg = default_config()
+        with pytest.raises(InvalidInputError, match="base_seed"):
+            ExperimentConfig(params=cfg.params, plans=cfg.plans, repetitions=1, base_seed=-3)
+
     def test_iteration_seed_derivation(self):
         cfg = default_config(base_seed=1000)
         assert [cfg.iteration_seed(i) for i in (0, 1, 41)] == [1000, 1001, 1041]
@@ -145,6 +151,15 @@ class TestRunExperiment:
         cfg = _one_plan_config()
         with pytest.raises(ExperimentError, match=r"n=63, iteration=0, family=se"):
             run_iteration(cfg, cfg.plans[0], 0)
+
+    def test_refit_failures_are_tagged(self, monkeypatch):
+        # selection only decomposes; a failing Cholesky hits the winners' refit
+        def broken(a, **kw):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(smoother_module.scipy.linalg, "cho_factor", broken)
+        with pytest.raises(ExperimentError, match=r"n=63, iteration=0, family=se"):
+            run_experiment(_one_plan_config(reps=2))
 
 
 class TestRecordsCsv:

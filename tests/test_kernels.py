@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,20 @@ class TestKernelProperties:
     def test_power_of_two_sigma_scaling_exact(self, t, u):
         for base, scaled in ((_se(1.0), _se(2.0)), (_sdof(1.0), _sdof(2.0))):
             assert kernel_eval(scaled, t, u) == 4.0 * kernel_eval(base, t, u)
+
+    @given(
+        t=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=12),
+        sigma_f=st.floats(1e-3, 1e4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sigma_scaling_of_the_base_kernel_is_exact(self, t, sigma_f):
+        # kernel_eval(spec) == sigma_f^2 * kernel_eval(base) bit for bit, the
+        # identity that lets winners on one base kernel share its matrices
+        t = np.array(t)
+        for base in (_se(1.0), _sdof(1.0)):
+            spec = replace(base, sigma_f=sigma_f)
+            got = kernel_eval(spec, t[:, None], t)
+            assert np.array_equal(got, sigma_f**2 * kernel_eval(base, t[:, None], t))
 
     def test_diagonal_dominates(self):
         rng = np.random.default_rng(0)

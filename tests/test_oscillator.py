@@ -117,6 +117,11 @@ class TestSamplingPlan:
             SamplingPlan(t_start=0.3, t_end=0.0, base_points=1001,
                          decimation=16, snr=10.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            _plan(seed=seed)
+
 
 class TestGenerateTrainingSet:
     def test_noise_level_from_snr(self, paper_params):

@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import edf_trace, solve_dense
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_eval
 from srmks.oscillator import OscillatorParams, TrainingSet
-from srmks.smoother import fit, predict
+from srmks.smoother import fit, fit_predict_batch, predict
+
+_PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
 
 
 def _random_instance(rng, n_max=8):
@@ -122,6 +128,13 @@ class TestPredictionBehaviour:
         q = np.linspace(0.0, 0.3, 7)
         assert np.allclose(predict(b, q), 3.0 * np.asarray(predict(a, q)), rtol=1e-10)
 
+    def test_fitted_equals_prediction_at_training_inputs(self):
+        rng = np.random.default_rng(80)
+        for _ in range(30):
+            kernel, data, sigma_n = _random_instance(rng)
+            model = fit(kernel, data, sigma_n)
+            assert np.array_equal(model.fitted, predict(model, data.t))
+
     def test_near_interpolation_at_zero_noise(self):
         t = np.linspace(0.0, 0.3, 8)
         y = np.cos(20 * t)
@@ -135,6 +148,21 @@ class TestRobustness:
         t = np.linspace(0.0, 0.3, 5)
         with pytest.raises(InvalidInputError):
             fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(t)), -0.1)
+
+    def test_rejects_infinite_noise(self):
+        t = np.linspace(0.0, 0.3, 5)
+        with pytest.raises(InvalidInputError):
+            fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(t)), float("inf"))
+
+    def test_non_finite_gram_raises(self):
+        # l = 1e-300 squares to zero: the Gram diagonal is 0/0
+        t = np.linspace(0.0, 0.3, 5)
+        data = _make_data(t, np.sin(t))
+        kernel = SEKernel(0.001, 1e-300)
+        with pytest.raises(SingularSystemError):
+            fit(kernel, data, 0.1)
+        with pytest.raises(SingularSystemError):
+            fit_predict_batch([(kernel, data)], t)
 
     def test_exhausted_retries_raise(self, monkeypatch):
         # fit makes a single factorisation attempt and no jitter retries, so
@@ -159,3 +187,53 @@ class TestRobustness:
         t = np.linspace(0.0, 0.3, 8)
         with pytest.raises(SingularSystemError):
             fit(SEKernel(1.0, 100.0), _make_data(t, np.sin(30 * t), 0.0), 0.0)
+
+
+@st.composite
+def _refit_batches(draw):
+    """1-4 training sets on shared times, 1-3 winners each, drawn from 1-3 bases."""
+    n = draw(st.integers(2, 10))
+    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    lengths = draw(st.lists(st.floats(0.005, 0.2), min_size=1, max_size=2))
+    bases = [SEKernel(1.0, length) for length in lengths]
+    if draw(st.booleans()):
+        bases.append(SDOFKernel(1.0, _PAPER))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        sigma_n = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5)))
+        data = TrainingSet(t=t, y=y, sigma_n=sigma_n, true_h=np.zeros(n), seed=0)
+        for _ in range(draw(st.integers(1, 3))):
+            base = draw(st.sampled_from(bases))
+            scales = st.floats(0.3, 3.0) if base.family == "se" else st.floats(100.0, 5000.0)
+            pairs.append((replace(base, sigma_f=draw(scales)), data))
+    return pairs
+
+
+class TestFitPredictBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(_refit_batches())
+    def test_equals_fit_then_predict_bit_for_bit(self, pairs):
+        t_star = np.linspace(-0.05, 0.5, 37)
+        try:
+            want = [predict(fit(spec, data, data.sigma_n), t_star) for spec, data in pairs]
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                fit_predict_batch(pairs, t_star)
+            return
+        got = fit_predict_batch(pairs, t_star)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_rejects_sets_with_different_times(self):
+        t = np.linspace(0.0, 0.3, 6)
+        a = _make_data(t, np.sin(30 * t))
+        b = _make_data(t + 0.01, np.sin(30 * t))
+        kernel = SEKernel(1.0, 0.05)
+        with pytest.raises(InvalidInputError):
+            fit_predict_batch([(kernel, a), (kernel, b)], t)
+
+    def test_empty_batch(self):
+        assert fit_predict_batch([], np.linspace(0.0, 0.3, 5)) == []
