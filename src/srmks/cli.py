@@ -8,19 +8,21 @@ config.json inside the output directory, and reruns with identical flags
 rewrite identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or input-file parse error,
-4 numeric failure.
+4 numeric failure. An input file that cannot be read, decoded or parsed
+(ValueError, KeyError, TypeError, AttributeError, OverflowError) exits 3.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularSystemError, SrmksError
+from .errors import InvalidInputError, SrmksError
 from .experiment import (
     ExperimentConfig,
     GridSettings,
@@ -32,7 +34,7 @@ from .experiment import (
 )
 from .figures import boxplot_svg, complexity_svg, predictions_svg
 from .ioutil import csv_row, fmt_float, json_float
-from .kernels import kernel_from_json_dict, kernel_to_json_dict
+from .kernels import KernelSpec, kernel_from_json_dict, kernel_to_json_dict
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
@@ -62,11 +64,16 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
+def _parse(document: str, parse, *sources: Path | str):
+    """parse(*texts), where each source is a Path read as UTF-8 or inline text.
+
+    A read, decode or parse failure raises _FileError naming `document`.
+    """
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _FileError(f"cannot read {path}: {exc}") from exc
+        texts = [s.read_text(encoding="utf-8") if isinstance(s, Path) else s for s in sources]
+        return parse(*texts)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise _FileError(f"cannot load {document}: {exc}") from exc
 
 
 def _provenance(path: Path, command: str, resolved: dict) -> None:
@@ -75,12 +82,10 @@ def _provenance(path: Path, command: str, resolved: dict) -> None:
 
 
 def _load_training(data_dir: Path):
-    csv_text = _read_text(data_dir / "training.csv")
-    json_text = _read_text(data_dir / "training.json")
-    try:
-        return training_set_from_files(csv_text, json_text)
-    except (InvalidInputError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _FileError(f"cannot parse training set in {data_dir}: {exc}") from exc
+    return _parse(
+        f"training set in {data_dir}", training_set_from_files,
+        data_dir / "training.csv", data_dir / "training.json",
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -109,23 +114,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_kernel(arg: str):
-    path = Path(arg)
-    if path.exists():
-        text = _read_text(path)
-        source = str(path)
-    else:
-        text = arg
-        source = "inline"
-    try:
-        return kernel_from_json_dict(json.loads(text)), source
-    except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise _FileError(f"cannot parse kernel spec from {source}: {exc}") from exc
+def _parse_kernel(arg: str) -> KernelSpec:
+    # isfile, unlike Path.exists, is False for inline JSON too long to be a path
+    is_file = os.path.isfile(arg)
+    return _parse(
+        f"kernel spec from {arg if is_file else 'inline'}",
+        lambda text: kernel_from_json_dict(json.loads(text)),
+        Path(arg) if is_file else arg,
+    )
 
 
 def cmd_fit(args) -> int:
     data, plan = _load_training(Path(args.data))
-    kernel, _ = _parse_kernel(args.kernel)
+    kernel = _parse_kernel(args.kernel)
     sigma_n = args.sigma_n if args.sigma_n is not None else data.sigma_n
     model = fit_smoother(kernel, data, sigma_n)
     mse = empirical_risk(data.y, model.fitted)
@@ -195,11 +196,7 @@ def cmd_select(args) -> int:
 
 
 def _parse_config(path: Path) -> ExperimentConfig:
-    text = _read_text(path)
-    try:
-        return ExperimentConfig.from_json(text)
-    except (InvalidInputError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise _FileError(f"cannot parse config {path}: {exc}") from exc
+    return _parse(f"config {path}", ExperimentConfig.from_json, path)
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -230,14 +227,7 @@ def cmd_experiment(args) -> int:
 
 
 def _load_records(path: Path, params: OscillatorParams | None = None):
-    text = _read_text(path)
-    try:
-        records = records_from_csv(text, params)
-    except (InvalidInputError, ValueError) as exc:
-        raise _FileError(f"cannot parse records {path}: {exc}") from exc
-    if not records:
-        raise _FileError(f"parsed zero records from {path}")
-    return records
+    return _parse(f"records {path}", lambda text: records_from_csv(text, params), path)
 
 
 def cmd_plot(args) -> int:
@@ -279,15 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="SRM model selection for kernel smoothers on oscillator data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ref = default_config()
+    osc, plan, grids = ref.params, ref.plans[0], GridSettings()
 
     p_sim = sub.add_parser("simulate", help="generate a noisy impulse-response training set")
-    p_sim.add_argument("--m", type=float, default=1.0, help="mass")
-    p_sim.add_argument("--c", type=float, default=20.0, help="damping coefficient")
-    p_sim.add_argument("--k", type=float, default=1e6, help="stiffness")
-    p_sim.add_argument("--t-end", type=float, default=0.3, help="end of the time window (s)")
-    p_sim.add_argument("--base-points", type=int, default=1001, help="dense-grid point count")
-    p_sim.add_argument("--decimation", type=int, default=16, help="keep every d-th grid point")
-    p_sim.add_argument("--snr", type=float, default=10.0, help="signal-to-noise power ratio")
+    p_sim.add_argument("--m", type=float, default=osc.m, help="mass")
+    p_sim.add_argument("--c", type=float, default=osc.c, help="damping coefficient")
+    p_sim.add_argument("--k", type=float, default=osc.k, help="stiffness")
+    p_sim.add_argument("--t-end", type=float, default=plan.t_end, help="end of the time window (s)")
+    p_sim.add_argument(
+        "--base-points", type=int, default=plan.base_points, help="dense-grid point count"
+    )
+    p_sim.add_argument(
+        "--decimation", type=int, default=plan.decimation, help="keep every d-th grid point"
+    )
+    p_sim.add_argument("--snr", type=float, default=plan.snr, help="signal-to-noise power ratio")
     p_sim.add_argument("--seed", type=int, default=0, help="noise seed")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
@@ -302,14 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select", help="run the SRM search on stored training data")
     p_sel.add_argument("--data", required=True, help="directory from a simulate run")
     p_sel.add_argument("--family", choices=["se", "sdof", "both"], default="both")
-    p_sel.add_argument("--m", type=float, default=1.0, help="oscillator mass (sdof grid)")
-    p_sel.add_argument("--c", type=float, default=20.0, help="oscillator damping (sdof grid)")
-    p_sel.add_argument("--k", type=float, default=1e6, help="oscillator stiffness (sdof grid)")
-    p_sel.add_argument("--se-sigma-count", type=int, default=10)
-    p_sel.add_argument("--se-length-count", type=int, default=30)
-    p_sel.add_argument("--sdof-sigma-count", type=int, default=30)
-    p_sel.add_argument("--amp-lo", type=float, default=0.1, help="lower amplitude factor")
-    p_sel.add_argument("--amp-hi", type=float, default=10.0, help="upper amplitude factor")
+    p_sel.add_argument("--m", type=float, default=osc.m, help="oscillator mass (sdof grid)")
+    p_sel.add_argument("--c", type=float, default=osc.c, help="oscillator damping (sdof grid)")
+    p_sel.add_argument("--k", type=float, default=osc.k, help="oscillator stiffness (sdof grid)")
+    p_sel.add_argument("--se-sigma-count", type=int, default=grids.se_sigma_count)
+    p_sel.add_argument("--se-length-count", type=int, default=grids.se_length_count)
+    p_sel.add_argument("--sdof-sigma-count", type=int, default=grids.sdof_sigma_count)
+    lo, hi = grids.amplitude_factors
+    p_sel.add_argument("--amp-lo", type=float, default=lo, help="lower amplitude factor")
+    p_sel.add_argument("--amp-hi", type=float, default=hi, help="upper amplitude factor")
     p_sel.add_argument("--out", required=True, help="output directory")
     p_sel.set_defaults(func=cmd_select)
 
@@ -341,16 +338,13 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else 2
     try:
         return args.func(args)
-    except _FileError as exc:
+    except (_FileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SingularSystemError, SrmksError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (SrmksError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -123,13 +123,14 @@ class GridSettings:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSettings":
-        factors = d.get("amplitude_factors", [0.1, 10.0])
+        defaults = cls()
+        factors = d.get("amplitude_factors", list(defaults.amplitude_factors))
         if not isinstance(factors, list):
             raise InvalidInputError(f"grids.amplitude_factors must be a list, got {factors!r}")
         return cls(
-            se_sigma_count=d.get("se_sigma_count", 10),
-            se_length_count=d.get("se_length_count", 30),
-            sdof_sigma_count=d.get("sdof_sigma_count", 30),
+            se_sigma_count=d.get("se_sigma_count", defaults.se_sigma_count),
+            se_length_count=d.get("se_length_count", defaults.se_length_count),
+            sdof_sigma_count=d.get("sdof_sigma_count", defaults.sdof_sigma_count),
             amplitude_factors=tuple(float(f) for f in factors),
         )
 
@@ -144,8 +145,7 @@ class ExperimentConfig:
     bound_config: BoundConfig = field(default_factory=BoundConfig)
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise InvalidInputError("repetitions must be at least 1")
+        require_int("repetitions", self.repetitions, 1)
         if not self.plans:
             raise InvalidInputError("at least one sampling plan is required")
         require_int("base_seed", self.base_seed, 0)
@@ -172,7 +172,7 @@ class ExperimentConfig:
         return cls(
             params=OscillatorParams.from_json_dict(d["oscillator"]),
             plans=plans,
-            repetitions=int(d["repetitions"]),
+            repetitions=d["repetitions"],
             base_seed=d["base_seed"],
             grids=GridSettings.from_json_dict(d.get("grids", {})),
             bound_config=BoundConfig.from_json_dict(d.get("bound", {})),
@@ -318,12 +318,14 @@ def records_to_csv(records: list[IterationRecord]) -> str:
 def records_from_csv(text: str, params: OscillatorParams | None = None) -> list[IterationRecord]:
     """Parse records.csv; `params` rebuilds sdof specs (defaults to the reference system)."""
     if params is None:
-        params = OscillatorParams(m=1.0, c=20.0, k=1e6)
+        params = default_config().params
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != RECORDS_CSV_HEADER:
         raise InvalidInputError(
             f"records CSV must start with header '{RECORDS_CSV_HEADER}'"
         )
+    if len(lines) < 2:
+        raise InvalidInputError("records CSV holds zero records")
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")

@@ -54,6 +54,8 @@ class SEKernel:
             raise InvalidInputError("sigma_f must be positive and finite")
         if not (math.isfinite(self.length_scale) and self.length_scale > 0):
             raise InvalidInputError("length_scale must be positive and finite")
+        if self.length_scale**2 == 0.0:  # kernel_eval divides by 2 l^2
+            raise InvalidInputError(f"length_scale {self.length_scale!r} squares to 0")
 
 
 @dataclass(frozen=True)

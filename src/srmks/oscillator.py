@@ -114,10 +114,8 @@ class SamplingPlan:
             raise InvalidInputError("time range must be finite")
         if self.t_end <= self.t_start:
             raise InvalidInputError("t_end must exceed t_start")
-        if self.base_points < 2:
-            raise InvalidInputError("base_points must be at least 2")
-        if self.decimation < 1:
-            raise InvalidInputError("decimation must be a positive integer")
+        require_int("base_points", self.base_points, 2)
+        require_int("decimation", self.decimation, 1)
         if not self.snr > 0:
             raise InvalidInputError("snr must be positive")
         require_int("seed", self.seed, 0)
@@ -144,8 +142,8 @@ class SamplingPlan:
         return cls(
             t_start=float(d["t_start"]),
             t_end=float(d["t_end"]),
-            base_points=int(d["base_points"]),
-            decimation=int(d["decimation"]),
+            base_points=d["base_points"],
+            decimation=d["decimation"],
             snr=float(d["snr"]),
             seed=d["seed"],
         )
@@ -172,10 +170,13 @@ class TrainingSet:
             raise InvalidInputError("t must be a nonempty 1-d array")
         if y.shape != t.shape or true_h.shape != t.shape:
             raise InvalidInputError("t, y and true_h must have equal lengths")
+        if not all(np.all(np.isfinite(a)) for a in (t, y, true_h)):
+            raise InvalidInputError("t, y and true_h must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvalidInputError("t must be strictly increasing")
-        if not self.sigma_n >= 0:
-            raise InvalidInputError("sigma_n must be nonnegative")
+        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0):
+            raise InvalidInputError("sigma_n must be nonnegative and finite")
+        require_int("seed", self.seed, 0)
 
     @property
     def n(self) -> int:
@@ -256,6 +257,6 @@ def training_set_from_files(csv_text: str, json_text: str) -> tuple[TrainingSet,
         y=cols[:, 1],
         sigma_n=float(meta["sigma_n"]),
         true_h=cols[:, 2],
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )
     return data, plan

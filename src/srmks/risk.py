@@ -17,10 +17,11 @@ The general form exposes the adjustable constants:
 With a1 = a2 = c = 1 and delta = 4 / sqrt(n) the two forms coincide
 algebraically: h/n [ln(n/h) + 1] + ln(sqrt(n))/n == p - p ln p + ln(n)/(2n).
 
-Capacity at or above the sample size (p >= 1) always clips. For p slightly
-above one, g rises above one and the denominator is negative; for much
-larger p the formula's value of g would fall again, an algebraic artifact
-outside the formula's validity region, so the clip is forced there.
+Capacity at or above the sample size (p >= 1) always clips, in both forms.
+For p slightly above one, g rises above one and the denominator is
+negative; for much larger p the formula's value of g would fall again, an
+algebraic artifact outside the formula's validity region, so the clip is
+forced there.
 
 vc_bounds evaluates either form over arrays of candidates at once;
 vc_bound_reduced and vc_bound_general are its one-candidate case, so there
@@ -197,7 +198,6 @@ def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> list[RiskReport
             plogp = np.where(p == 0.0, 0.0, p * np.log(p))
             g = p - plogp + math.log(n) / (2.0 * n)
             denom = 1.0 - np.sqrt(g)
-            clipped = (p >= 1.0) | (denom <= EPS_CLIP)
         else:
             delta = cfg.realized_delta(n)
             # log in separated form: a2*n/h overflows for subnormal h
@@ -206,7 +206,7 @@ def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> list[RiskReport
             eta = cfg.a1 * (capacity_term - math.log(delta / 4.0)) / n
             eta_negative = eta < 0.0
             denom = 1.0 - cfg.c * np.sqrt(eta)
-            clipped = eta_negative | (denom <= EPS_CLIP)
+        clipped = (p >= 1.0) | eta_negative | (denom <= EPS_CLIP)
         bound = np.where(clipped, math.inf, mse / denom)
     return [
         RiskReport(m, hh, n, pp, delta, b, clipped=c, eta_negative=e)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,11 @@ class TestFit:
         spec.write_text('{"family": "se", "sigma_f": 0.0003, "length_scale": 0.01}\n')
         out = tmp_path / "fit"
         assert main(["fit", "--data", str(sim_dir), "--kernel", str(spec), "--out", str(out)]) == 0
+
+    def test_inline_kernel_longer_than_a_file_name(self, sim_dir, tmp_path):
+        kernel = '{"family": "se", "sigma_f": 0.0003, "length_scale": 0.01' + " " * 300 + "}"
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(sim_dir), "--kernel", kernel, "--out", str(out)]) == 0
 
     def test_missing_data_dir_is_io_error(self, tmp_path, capsys):
         code = main(["fit", "--data", str(tmp_path / "nope"), "--kernel", "{}", "--out", str(tmp_path / "o")])
@@ -288,42 +294,118 @@ class TestPlot:
         assert code == 3
 
 
-def _edited_config(golden_dir, tmp_path, edit):
-    doc = json.loads((golden_dir / "config_ref.json").read_text())
-    edit(doc)
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+class _Inputs:
+    """Edited copies of the test inputs, written next to the simulated data."""
 
+    def __init__(self, sim_dir, tmp_path, golden_dir):
+        self.data = str(sim_dir)
+        self._sim_dir = sim_dir
+        self._tmp_path = tmp_path
+        self._golden_dir = golden_dir
+
+    def config(self, edit):
+        """Path of the golden config after edit(doc) mutated it."""
+        doc = json.loads((self._golden_dir / "config_ref.json").read_text())
+        edit(doc)
+        return self.file("edited.json", json.dumps(doc).encode())
+
+    def training(self, edit):
+        """Copy of the simulated data dir after edit(doc) mutated training.json."""
+        doc = json.loads((self._sim_dir / "training.json").read_text())
+        edit(doc)
+        return self.training_file("training.json", json.dumps(doc).encode())
+
+    def training_file(self, name, content):
+        """Copy of the simulated data dir with `name` replaced by `content` bytes."""
+        data = self._tmp_path / "edited_sim"
+        shutil.copytree(self._sim_dir, data)
+        (data / name).write_bytes(content)
+        return str(data)
+
+    def file(self, name, content):
+        path = self._tmp_path / name
+        path.write_bytes(content)
+        return str(path)
+
+
+_NOT_UTF8 = b"\xff\xfe{"
+_SE_KERNEL = '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01}'
 
 # Invalid inputs that must end in exit code 2, 3 or 4, never a traceback, one
-# row each: (id, exit code, argv built from the simulated data dir, a config
-# editor and the output dir). Earlier cases have their own tests in TestFit,
-# TestSelect and TestExperiment.
+# row each: (id, exit code, argv built from an _Inputs and the output dir).
+# Earlier cases have their own tests in TestFit, TestSelect and TestExperiment.
 _INVALID_INPUTS = [
     ("simulate-negative-seed", 2,
-     lambda data, config, out: ["simulate", "--seed", "-1", "--out", out]),
+     lambda i, out: ["simulate", "--seed", "-1", "--out", out]),
     ("experiment-negative-seed", 2,
-     lambda data, config, out: ["experiment", "--reps", "1", "--seed", "-5", "--out", out]),
+     lambda i, out: ["experiment", "--reps", "1", "--seed", "-5", "--out", out]),
     ("config-negative-base-seed", 3,
-     lambda data, config, out: [
-         "experiment", "--config", config(lambda d: d.update(base_seed=-3)), "--out", out]),
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(base_seed=-3)), "--out", out]),
     ("config-negative-plan-seed", 3,
-     lambda data, config, out: [
-         "experiment", "--config", config(lambda d: d["plans"][0].update(seed=-1)),
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["plans"][0].update(seed=-1)),
          "--out", out]),
     ("config-fractional-base-seed", 3,
-     lambda data, config, out: [
-         "experiment", "--config", config(lambda d: d.update(base_seed=2.7)), "--out", out]),
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(base_seed=2.7)), "--out", out]),
     ("fit-infinite-sigma-n", 2,
-     lambda data, config, out: [
-         "fit", "--data", data, "--kernel",
-         '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01}',
-         "--sigma-n", "inf", "--out", out]),
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel", _SE_KERNEL, "--sigma-n", "inf", "--out", out]),
     ("fit-non-finite-gram", 4,
-     lambda data, config, out: [
-         "fit", "--data", data, "--kernel",
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "se", "sigma_f": 1e200, "length_scale": 0.01}', "--out", out]),
+    ("fit-underflowing-length-scale", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
          '{"family": "se", "sigma_f": 0.001, "length_scale": 1e-300}', "--out", out]),
+    ("training-plan-not-an-object", 3,
+     lambda i, out: [
+         "select", "--data", i.training(lambda d: d.update(plan=5)), "--out", out]),
+    ("training-null-sigma-n", 3,
+     lambda i, out: [
+         "fit", "--data", i.training(lambda d: d.update(sigma_n=None)),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("training-json-is-a-list", 3,
+     lambda i, out: [
+         "select", "--data", i.training_file("training.json", b"[1]"), "--out", out]),
+    ("training-fractional-decimation", 3,
+     lambda i, out: [
+         "select", "--data", i.training(lambda d: d["plan"].update(decimation=2.5)),
+         "--out", out]),
+    ("training-infinite-sigma-n", 3,
+     lambda i, out: [
+         "fit", "--data", i.training(lambda d: d.update(sigma_n=math.inf)),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("training-csv-nan-target", 3,
+     lambda i, out: [
+         "fit", "--data", i.training_file("training.csv", b"t,y,true_h\n0,nan,0\n0.01,0,0\n"),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("training-csv-not-utf8", 3,
+     lambda i, out: [
+         "select", "--data", i.training_file("training.csv", _NOT_UTF8), "--out", out]),
+    ("config-grids-not-an-object", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(grids=[1])), "--out", out]),
+    ("config-bound-not-an-object", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(bound=[1])), "--out", out]),
+    ("config-fractional-repetitions", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(repetitions=1.7)),
+         "--out", out]),
+    ("config-fractional-decimation", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["plans"][0].update(decimation=2.5)),
+         "--out", out]),
+    ("config-not-utf8", 3,
+     lambda i, out: ["experiment", "--config", i.file("config.json", _NOT_UTF8), "--out", out]),
+    ("fit-kernel-not-an-object", 3,
+     lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),
+    ("fit-kernel-file-not-utf8", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel", i.file("kernel.json", _NOT_UTF8), "--out", out]),
 ]
 
 
@@ -332,13 +414,12 @@ _INVALID_INPUTS = [
 )
 def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys, expected, argv):
     # an exception escaping main fails the test; every row maps to 2, 3 or 4
-    def config(edit):
-        return _edited_config(golden_dir, tmp_path, edit)
-
-    code = main(argv(str(sim_dir), config, str(tmp_path / "o")))
+    out = tmp_path / "o"
+    code = main(argv(_Inputs(sim_dir, tmp_path, golden_dir), str(out)))
     assert code in (2, 3, 4)
     assert code == expected
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestExitCodes:

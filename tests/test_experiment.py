@@ -84,6 +84,12 @@ class TestConfig:
                 params=cfg.params, plans=(), repetitions=1, base_seed=1,
             )
 
+    def test_rejects_fractional_repetitions(self):
+        doc = default_config().to_json_dict()
+        doc["repetitions"] = 1.7
+        with pytest.raises(InvalidInputError, match="repetitions"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_rejects_negative_base_seed(self):
         cfg = default_config()
         with pytest.raises(InvalidInputError, match="base_seed"):
@@ -183,6 +189,10 @@ class TestRecordsCsv:
         header = "n,iteration,family,sigma_f,length_scale,emp_risk,h,bound,true_mse"
         with pytest.raises(InvalidInputError):
             records_from_csv(header + "\n63,0,se,1.0\n")
+
+    def test_rejects_header_only(self):
+        with pytest.raises(InvalidInputError, match="zero records"):
+            records_from_csv(records_to_csv([]))
 
 
 class TestSummaries:

@@ -38,6 +38,12 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             SEKernel(sigma_f=1.0, length_scale=-0.1)
 
+    @pytest.mark.parametrize("length_scale", [1e-300, 1e-170])
+    def test_se_rejects_length_scale_whose_square_underflows(self, length_scale):
+        # kernel_eval divides by 2 l^2, which would be 0
+        with pytest.raises(InvalidInputError, match="square"):
+            SEKernel(sigma_f=1.0, length_scale=length_scale)
+
     def test_sdof_rejects_nonpositive_sigma(self):
         with pytest.raises(InvalidInputError):
             _sdof(sigma_f=0.0)

@@ -122,6 +122,14 @@ class TestSamplingPlan:
         with pytest.raises(InvalidInputError, match="seed"):
             _plan(seed=seed)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("base_points", 1001.0), ("base_points", 1), ("decimation", 2.5), ("decimation", True)],
+    )
+    def test_rejects_count_that_is_not_an_integer(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            _plan(**{field: value})
+
 
 class TestGenerateTrainingSet:
     def test_noise_level_from_snr(self, paper_params):
@@ -186,3 +194,12 @@ class TestSerialization:
         doc = json.loads(training_set_to_json(data, plan))
         assert doc["n"] == data.n
         assert doc["seed"] == 21
+
+    @pytest.mark.parametrize("seed", [21.0, -1])
+    def test_sidecar_seed_must_be_a_nonnegative_integer(self, paper_params, seed):
+        plan = _plan(seed=21)
+        data = generate_training_set(paper_params, plan)
+        doc = json.loads(training_set_to_json(data, plan))
+        doc["seed"] = seed
+        with pytest.raises(InvalidInputError, match="seed"):
+            training_set_from_files(training_set_to_csv(data), json.dumps(doc))

@@ -127,6 +127,20 @@ class TestGeneralBound:
         else:
             assert general.bound == pytest.approx(reduced.bound, rel=1e-10)
 
+    @given(
+        mse=st.floats(min_value=0.0, max_value=1e3),
+        ratio=st.floats(min_value=1.0, max_value=3.0),
+        n=st.integers(min_value=1, max_value=100000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_defaults_clip_where_the_reduced_form_does(self, mse, ratio, n):
+        # h in [n, 3n]: the reduced form clips, and so must the general one
+        h = ratio * n
+        assert vc_bound_reduced(mse, h, n).clipped
+        general = vc_bound_general(mse, h, n, BoundConfig())
+        assert general.clipped
+        assert math.isinf(general.bound)
+
     def test_fixed_delta_changes_bound(self):
         loose = vc_bound_general(1.0, 10.0, 100, BoundConfig(delta=0.5, delta_rule=DeltaRule.FIXED))
         tight = vc_bound_general(1.0, 10.0, 100, BoundConfig(delta=0.01, delta_rule=DeltaRule.FIXED))
@@ -166,6 +180,8 @@ def _scalar_bound(mse, h, n, cfg):
         eta = cfg.a1 * (capacity - math.log(cfg.realized_delta(n) / 4.0)) / n
         if eta < 0.0:
             return math.inf, True, True, None
+        if h / n >= 1.0:
+            return math.inf, True, False, None
         denom = 1.0 - cfg.c * math.sqrt(eta)
     if denom <= EPS_CLIP:
         return math.inf, True, False, denom
@@ -194,6 +210,7 @@ class TestArrayBound:
     @example(([1.0], [0.0], 100, None))  # p = 0
     @example(([1.0], [0.0], 100, _FIXED))  # h = 0 in the general form
     @example(([1.0, 2.0], [100.0, 250.0], 100, None))  # p >= 1
+    @example(([1.0], [150.0], 100, BoundConfig()))  # p >= 1 in the general form
     @example(([1.0], [99.0], 100, None))  # p < 1 but denominator <= EPS_CLIP
     @example(([1.0], [50.0], 100, _ETA_NEGATIVE))  # eta < 0 under DeltaRule.FIXED
     def test_matches_scalar_formula(self, batch):
