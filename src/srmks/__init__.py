@@ -39,8 +39,6 @@ from .srm import (
     build_sdof_grid,
     build_se_grid,
     compare_structures,
-    default_sdof_grid,
-    default_se_grid,
     srm_select,
     srm_select_batch,
 )

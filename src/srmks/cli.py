@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -208,6 +209,12 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _median_bound(summary, n: int, family: str) -> float:
+    median = summary.get(n, family, "bound").median
+    # summarize builds a cell only from records, so no finite median means all are +inf
+    return math.inf if median is None else median
+
+
 def cmd_experiment(args) -> int:
     cfg = _load_experiment_config(args)
     records = run_experiment(cfg)
@@ -217,11 +224,9 @@ def cmd_experiment(args) -> int:
     _write_text(out / "summary.json", summary.to_json())
     _write_text(out / "config.json", cfg.to_json())
     for n in summary.sample_sizes:
-        se_med = summary.get(n, "se", "bound").median
-        sdof_med = summary.get(n, "sdof", "bound").median
         print(
-            f"n={n} se_median_bound={fmt_float(se_med)} "
-            f"sdof_median_bound={fmt_float(sdof_med)}"
+            f"n={n} se_median_bound={fmt_float(_median_bound(summary, n, 'se'))} "
+            f"sdof_median_bound={fmt_float(_median_bound(summary, n, 'sdof'))}"
         )
     return 0
 

@@ -43,7 +43,7 @@ from .oscillator import (
 )
 from .risk import BoundConfig, RiskReport, empirical_risk
 from .smoother import fit_predict_batch
-from .srm import StructureGrid, default_sdof_grid, default_se_grid, srm_select_batch
+from .srm import StructureGrid, build_sdof_grid, build_se_grid, srm_select_batch
 
 __all__ = [
     "GridSettings",
@@ -106,20 +106,24 @@ class GridSettings:
     def family_grid(
         self, family: str, data: TrainingSet, params: OscillatorParams
     ) -> StructureGrid:
-        """The data-driven grid of `family` ("se" or "sdof") for `data`."""
+        """The data-driven grid of `family` ("se" or "sdof") for `data`.
+
+        Both families sweep the same output amplitudes sqrt(k(0)),
+        amplitude_factors times RMS(y), which keeps their treatment
+        symmetric. For SE, sigma_f is that amplitude and the length-scale
+        spans the smallest training-point gap up to the full span. For the
+        oscillator family sqrt(k(0)) = sigma_f / sqrt(4 m^2 zeta omega_n^3),
+        so its sigma_f bracket is the amplitude bracket rescaled by
+        sqrt(4 m^2 zeta omega_n^3), with `params` held fixed.
+        """
+        rms = float(np.sqrt(np.mean(data.y**2)))
+        lo, hi = (factor * rms for factor in self.amplitude_factors)
         if family == "se":
-            return default_se_grid(
-                data,
-                n_sigma=self.se_sigma_count,
-                n_l=self.se_length_count,
-                amplitude_factors=self.amplitude_factors,
-            )
-        return default_sdof_grid(
-            data,
-            params,
-            n_sigma=self.sdof_sigma_count,
-            amplitude_factors=self.amplitude_factors,
-        )
+            l_range = (float(np.min(np.diff(data.t))), float(data.t[-1] - data.t[0]))
+            return build_se_grid((lo, hi), l_range, self.se_sigma_count, self.se_length_count)
+        SDOFKernel(sigma_f=1.0, params=params)  # rejects params before the scale overflows
+        scale = np.sqrt(4.0 * params.m**2 * params.zeta * params.omega_n**3)
+        return build_sdof_grid(params, (lo * scale, hi * scale), self.sdof_sigma_count)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSettings":
@@ -146,6 +150,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_int("repetitions", self.repetitions, 1)
+        SDOFKernel(sigma_f=1.0, params=self.params)  # rejects params the SDOF grid cannot use
         if not self.plans:
             raise InvalidInputError("at least one sampling plan is required")
         require_int("base_seed", self.base_seed, 0)

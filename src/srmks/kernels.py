@@ -71,6 +71,20 @@ class SDOFKernel:
         if not (math.isfinite(self.sigma_f) and self.sigma_f > 0):
             raise InvalidInputError("sigma_f must be positive and finite")
         # params validates the underdamped requirement at construction
+        if self.params.zeta == 0.0:
+            raise InvalidInputError(
+                "oscillator kernel needs positive damping: an undamped oscillator "
+                "has no stationary covariance"
+            )
+        try:
+            usable = 0.0 < self.unit_diagonal < math.inf
+        except (OverflowError, ZeroDivisionError):
+            usable = False
+        if not usable:
+            raise InvalidInputError(
+                f"oscillator coefficients {self.params.to_json_dict()} give no positive "
+                "finite kernel variance 1 / (4 m^2 zeta omega_n^3)"
+            )
 
     @property
     def unit_diagonal(self) -> float:

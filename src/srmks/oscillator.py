@@ -65,6 +65,12 @@ class OscillatorParams:
             raise InvalidInputError(f"damping must be nonnegative, got {self.c}")
         if self.k <= 0:
             raise InvalidInputError(f"stiffness must be positive, got {self.k}")
+        # omega_n = sqrt(k / m) and zeta = c / (2 sqrt(k m)) need both finite and nonzero
+        if not (0.0 < self.k * self.m < math.inf and 0.0 < self.k / self.m < math.inf):
+            raise InvalidInputError(
+                f"coefficients m = {self.m}, k = {self.k} give k * m or k / m outside "
+                "the positive finite range"
+            )
         if self.zeta >= 1.0:
             raise InvalidInputError(
                 f"underdamped system required: zeta = {self.zeta} >= 1"
@@ -189,8 +195,6 @@ def impulse_response(params: OscillatorParams, t) -> np.ndarray | float:
     Accepts a scalar time or an array of times (seconds, nonnegative) and
     returns displacement in the same shape. Raises on non-finite input.
     """
-    if params.zeta >= 1.0:
-        raise InvalidInputError("underdamped system required")
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("time values must be finite")

@@ -71,11 +71,15 @@ class BoundConfig:
     delta_rule: DeltaRule = DeltaRule.FOUR_OVER_SQRT_N
 
     def __post_init__(self):
-        if not (self.a1 > 0 and self.a2 > 0 and self.c > 0):
-            raise InvalidInputError("a1, a2 and c must be positive")
+        if not all(0 < v < math.inf for v in (self.a1, self.a2, self.c)):
+            raise InvalidInputError("a1, a2 and c must be positive and finite")
         if self.delta_rule is DeltaRule.FIXED:
             if self.delta is None or not (0.0 < self.delta < 1.0):
                 raise InvalidInputError("FIXED rule requires delta in (0, 1)")
+        elif self.delta is not None:
+            raise InvalidInputError(
+                f"delta is read only by the fixed delta rule, not {self.delta_rule.value}"
+            )
 
     def realized_delta(self, n: int) -> float:
         if self.delta_rule is DeltaRule.FIXED:

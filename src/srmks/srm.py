@@ -7,7 +7,9 @@ the length-scale: base kernels are ordered by descending l, because
 admitting smaller length-scales produces wigglier smoothers with slower
 eigenvalue decay and hence a higher effective-degrees-of-freedom capacity.
 For the oscillator family the physical coefficients are fixed (assumed
-known), so there is one base kernel and only sigma_f varies.
+known), so there is one base kernel and only sigma_f varies. The builders
+here take explicit ranges; the data-driven brackets of the study live in
+experiment.GridSettings.family_grid.
 
 Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. The
@@ -55,8 +57,6 @@ __all__ = [
     "SelectionResult",
     "build_se_grid",
     "build_sdof_grid",
-    "default_se_grid",
-    "default_sdof_grid",
     "srm_select",
     "srm_select_batch",
     "compare_structures",
@@ -139,43 +139,6 @@ def build_sdof_grid(
     """Oscillator structure: sigma_f grid with the coefficients held fixed."""
     base = SDOFKernel(sigma_f=1.0, params=params)
     return StructureGrid("sdof", (base,), _log_spaced(*sigma_f_range, n_sigma))
-
-
-def _amplitude_range(data: TrainingSet, lo_factor: float, hi_factor: float) -> tuple[float, float]:
-    rms = float(np.sqrt(np.mean(data.y**2)))
-    return lo_factor * rms, hi_factor * rms
-
-
-def default_se_grid(
-    data: TrainingSet, n_sigma: int = 10, n_l: int = 30,
-    amplitude_factors: tuple[float, float] = (0.1, 10.0),
-) -> StructureGrid:
-    """Data-driven SE grid: sigma_f brackets the target RMS, l the resolvable scales.
-
-    sigma_f (which equals the kernel's output amplitude sqrt(k(0))) spans
-    [0.1, 10] times RMS(y); the length-scale spans the smallest training-point
-    gap up to the full span.
-    """
-    sf_range = _amplitude_range(data, *amplitude_factors)
-    gaps = np.diff(data.t)
-    l_range = (float(np.min(gaps)), float(data.t[-1] - data.t[0]))
-    return build_se_grid(sf_range, l_range, n_sigma, n_l)
-
-
-def default_sdof_grid(
-    data: TrainingSet, params: OscillatorParams, n_sigma: int = 30,
-    amplitude_factors: tuple[float, float] = (0.1, 10.0),
-) -> StructureGrid:
-    """Data-driven oscillator grid bracketing the kernel's output amplitude.
-
-    For this family sqrt(k(0)) = sigma_f / sqrt(4 m^2 zeta omega_n^3), so the
-    sigma_f range is the amplitude bracket [0.1, 10] * RMS(y) rescaled by
-    sqrt(4 m^2 zeta omega_n^3). Both families then sweep the same output
-    amplitudes, which keeps their treatment symmetric.
-    """
-    lo, hi = _amplitude_range(data, *amplitude_factors)
-    scale = np.sqrt(4.0 * params.m**2 * params.zeta * params.omega_n**3)
-    return build_sdof_grid(params, (lo * scale, hi * scale), n_sigma)
 
 
 def _selection_key(entry: tuple[int, tuple[KernelSpec, RiskReport]]):

@@ -25,7 +25,7 @@ from srmks.oscillator import (
 )
 from srmks.risk import realized_confidence, vc_bound_general, vc_bound_reduced, BoundConfig
 from srmks.smoother import fit, predict
-from srmks.srm import build_se_grid, default_se_grid, srm_select
+from srmks.srm import build_se_grid, srm_select
 
 PAPER_PARAMS = OscillatorParams(m=1.0, c=20.0, k=1e6)
 
@@ -219,12 +219,7 @@ def test_criterion_8_infinite_bound_exercised(full_run):
     for iteration in range(cfg.repetitions):
         seeded = replace(plan, seed=cfg.iteration_seed(iteration))
         data = generate_training_set(cfg.params, seeded)
-        grid = default_se_grid(
-            data,
-            n_sigma=cfg.grids.se_sigma_count,
-            n_l=cfg.grids.se_length_count,
-            amplitude_factors=cfg.grids.amplitude_factors,
-        )
+        grid = cfg.grids.family_grid("se", data, cfg.params)
         result = srm_select(grid, data, cfg.bound_config)
         if any(report.clipped for _, report in result.trace):
             found_iteration = iteration

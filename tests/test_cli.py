@@ -181,6 +181,17 @@ class TestExperiment:
         assert written["repetitions"] == 1
         assert written["base_seed"] == 1234
 
+    def test_all_infinite_bounds_print_inf(self, tmp_path, golden_dir, capsys):
+        # a1 = 1000 clips every candidate, so no cell has a finite median bound
+        doc = json.loads((golden_dir / "config_ref.json").read_text())
+        doc["bound"] = {"a1": 1000.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", str(config), "--reps", "1", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("se_median_bound=inf sdof_median_bound=inf") == 3
+
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert main(["experiment", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 3
 
@@ -401,6 +412,41 @@ _INVALID_INPUTS = [
          "--out", out]),
     ("config-not-utf8", 3,
      lambda i, out: ["experiment", "--config", i.file("config.json", _NOT_UTF8), "--out", out]),
+    ("config-infinite-bound-constant", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(bound={"a1": math.inf})),
+         "--out", out]),
+    ("config-delta-without-fixed-rule", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(bound={"delta": 0.05})),
+         "--out", out]),
+    ("simulate-k-times-m-underflows", 2,
+     lambda i, out: [
+         "simulate", "--m", "1e-200", "--k", "1e-200", "--c", "0", "--out", out]),
+    ("config-k-times-m-underflows", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["oscillator"].update(m=1e-200, k=1e-200)),
+         "--out", out]),
+    ("config-undamped-oscillator", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["oscillator"].update(c=0.0)),
+         "--out", out]),
+    ("fit-sdof-k-times-m-underflows", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "sdof", "sigma_f": 1.0, "m": 1e-200, "c": 0.0, "k": 1e-200}', "--out", out]),
+    ("fit-sdof-undamped", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "sdof", "sigma_f": 1.0, "m": 1.0, "c": 0.0, "k": 1e6}', "--out", out]),
+    ("fit-sdof-m-squared-overflows", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "sdof", "sigma_f": 1.0, "m": 1e160, "c": 20.0, "k": 1e140}', "--out", out]),
+    ("select-sdof-m-squared-overflows", 2,
+     lambda i, out: [
+         "select", "--data", i.data, "--family", "sdof", "--m", "1e160", "--k", "1e140",
+         "--out", out]),
     ("fit-kernel-not-an-object", 3,
      lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),
     ("fit-kernel-file-not-utf8", 3,

@@ -3,6 +3,8 @@
 An import is unused when the name it binds never appears as a name in the
 module and is not listed in ``__all__``. ``__init__.py`` re-exports by
 importing, and ``from __future__`` imports bind nothing, so both are skipped.
+An ``__all__`` entry is stale when the module binds no such name at its top
+level, so ``from module import *`` would fail.
 """
 import ast
 from pathlib import Path
@@ -16,6 +18,29 @@ SOURCES = sorted(
 )
 
 
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _stale_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return [name for name in _exported(tree) if name not in bound]
+
+
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -27,11 +52,7 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exported(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -50,3 +71,19 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_scanner_flags_a_stale_export():
+    source = (
+        "from json import dumps\n"
+        "__all__ = ['dumps', 'f', 'C', 'X', 'gone']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "X: int = 1\n"
+    )
+    assert _stale_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_export_is_bound(path):
+    assert _stale_exports(path.read_text()) == []

@@ -48,6 +48,15 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             _sdof(sigma_f=0.0)
 
+    @pytest.mark.parametrize(
+        "m,c,k,match",
+        [(1.0, 0.0, 1e6, "damping"), (1e160, 20.0, 1e140, "variance")],
+        ids=["undamped", "m-squared-overflows"],
+    )
+    def test_sdof_rejects_coefficients_without_a_finite_variance(self, m, c, k, match):
+        with pytest.raises(InvalidInputError, match=match):
+            SDOFKernel(sigma_f=1.0, params=OscillatorParams(m=m, c=c, k=k))
+
 
 class TestPointwiseValues:
     def test_se_diagonal_is_signal_variance(self):

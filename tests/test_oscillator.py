@@ -38,7 +38,16 @@ class TestParams:
         with pytest.raises(InvalidInputError):
             OscillatorParams(m=m, c=c, k=k)
 
-    @pytest.mark.parametrize("m,c,k", [(0.0, 20.0, 1e6), (1.0, -1.0, 1e6), (1.0, 20.0, 0.0)])
+    @pytest.mark.parametrize(
+        "m,c,k",
+        [
+            (0.0, 20.0, 1e6),
+            (1.0, -1.0, 1e6),
+            (1.0, 20.0, 0.0),
+            (1e-200, 20.0, 1e-200),  # k * m underflows to 0
+            (1e-200, 0.0, 1e200),  # k / m overflows
+        ],
+    )
     def test_rejects_invalid_coefficients(self, m, c, k):
         with pytest.raises(InvalidInputError):
             OscillatorParams(m=m, c=c, k=k)

@@ -160,6 +160,11 @@ class TestGeneralBound:
             BoundConfig(delta_rule=DeltaRule.FIXED)  # missing delta
         with pytest.raises(InvalidInputError):
             BoundConfig(delta=1.5, delta_rule=DeltaRule.FIXED)
+        for name in ("a1", "a2", "c"):
+            with pytest.raises(InvalidInputError, match="finite"):
+                BoundConfig(**{name: math.inf})
+        with pytest.raises(InvalidInputError, match="fixed"):
+            BoundConfig(delta=0.05)  # the default rule never reads delta
 
     def test_config_round_trip(self):
         cfg = BoundConfig(a1=2.0, a2=0.5, c=1.5, delta=0.25, delta_rule=DeltaRule.FIXED)

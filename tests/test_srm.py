@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from srmks.errors import InvalidInputError, SingularSystemError
+from srmks.experiment import GridSettings
 from srmks.kernels import SDOFKernel, SEKernel, gram
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
 from srmks.risk import BoundConfig, DeltaRule, RiskReport, vc_bound_general, vc_bound_reduced
@@ -20,8 +21,6 @@ from srmks.srm import (
     build_sdof_grid,
     build_se_grid,
     compare_structures,
-    default_sdof_grid,
-    default_se_grid,
     selection_to_json,
     srm_select,
     srm_select_batch,
@@ -100,7 +99,7 @@ class TestGridConstruction:
     def test_default_grids_bracket_data_amplitude(self, paper_params):
         data = _dataset(paper_params)
         rms = float(np.sqrt(np.mean(data.y**2)))
-        se = default_se_grid(data)
+        se = GridSettings().family_grid("se", data, paper_params)
         assert se.size == 300
         se_sigmas = sorted({c.sigma_f for c in se.candidates})
         assert se_sigmas[0] == pytest.approx(0.1 * rms, rel=1e-12)
@@ -111,7 +110,7 @@ class TestGridConstruction:
 
         # the oscillator kernel's sigma_f is rescaled so sqrt(k(0)) spans the
         # same output amplitudes as the SE grid
-        sdof = default_sdof_grid(data, paper_params)
+        sdof = GridSettings().family_grid("sdof", data, paper_params)
         assert sdof.size == 30
         amp = math.sqrt(
             4.0 * paper_params.m**2 * paper_params.zeta * paper_params.omega_n**3
@@ -145,13 +144,19 @@ class TestSelection:
 
     def test_winner_dominance(self, paper_params):
         data = _dataset(paper_params)
-        result = srm_select(default_se_grid(data, n_sigma=4, n_l=10), data)
+        grid = GridSettings(se_sigma_count=4, se_length_count=10).family_grid(
+            "se", data, paper_params
+        )
+        result = srm_select(grid, data)
         finite = [r.bound for _, r in result.trace if not r.clipped]
         assert result.best_report.bound <= min(finite)
 
     def test_winner_bound_dominates_its_mse(self, paper_params):
         data = _dataset(paper_params, decimation=16)
-        result = srm_select(default_se_grid(data, n_sigma=4, n_l=10), data)
+        grid = GridSettings(se_sigma_count=4, se_length_count=10).family_grid(
+            "se", data, paper_params
+        )
+        result = srm_select(grid, data)
         assert result.best_report.bound >= result.best_report.empirical_risk
 
     def test_bound_ties_break_to_smaller_capacity(self, paper_params, monkeypatch):
@@ -199,7 +204,9 @@ class TestSelection:
 
     def test_selection_determinism(self, paper_params):
         data = _dataset(paper_params, seed=9)
-        grid = default_se_grid(data, n_sigma=3, n_l=8)
+        grid = GridSettings(se_sigma_count=3, se_length_count=8).family_grid(
+            "se", data, paper_params
+        )
         a = selection_to_json(srm_select(grid, data))
         b = selection_to_json(srm_select(grid, data))
         assert a == b
@@ -207,8 +214,8 @@ class TestSelection:
     def test_reference_pipeline_sdof_wins_at_largest_n(self, paper_params):
         # full two-structure comparison on one n=251 realisation
         data = _dataset(paper_params, decimation=4, seed=0)
-        se = srm_select(default_se_grid(data), data)
-        sdof = srm_select(default_sdof_grid(data, paper_params), data)
+        se = srm_select(GridSettings().family_grid("se", data, paper_params), data)
+        sdof = srm_select(GridSettings().family_grid("sdof", data, paper_params), data)
         winner = compare_structures([se, sdof])
         assert winner.family == "sdof"
         assert winner.best_report.bound < se.best_report.bound
