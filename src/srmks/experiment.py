@@ -252,14 +252,10 @@ def _select_family(
 ) -> list[tuple[KernelSpec, RiskReport]]:
     """Winner of one family's search for each iteration, from one batch."""
     grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
-    try:
+    # the iterations share sample times and sigma_n, so the one selection
+    # failure (a singular zero-noise system) hits every cell or none
+    with _tagged(datasets[0].n, iterations[0], family):
         selections = srm_select_batch(grids, datasets, cfg.bound_config)
-    except SrmksError:
-        # the batch does not say which cell failed: select each alone to name it
-        for iteration, grid, data in zip(iterations, grids, datasets):
-            with _tagged(data.n, iteration, family):
-                srm_select_batch([grid], [data], cfg.bound_config)
-        raise
     return [(s.best_spec, s.best_report) for s in selections]
 
 

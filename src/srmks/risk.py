@@ -1,31 +1,29 @@
 """Empirical risk and guaranteed-risk bounds for regression.
 
-Given a training MSE, a capacity estimate h, and a sample size n, the
-reduced bound on the expected risk is
+Given a training MSE, a capacity estimate h and a sample size n, the
+practical VC bound (Cherkassky, Shao, Mulier & Vapnik, IEEE TNN 10(5), 1999)
+on the expected risk is
 
-    bound = mse / (1 - sqrt(g))_+ ,   g = p - p ln p + ln(n) / (2n),  p = h/n
+    bound = mse / (1 - c sqrt(eta))_+ ,   eta = a1 (p (ln a2 + 1) - p ln p + C)
 
-where (x)_+ sends a nonpositive denominator to +infinity (the bound is
-"clipped"). The term p ln p is extended continuously to 0 at p = 0. The
-bound holds with probability at least 1 - delta where delta = 4 / sqrt(n).
+with p = h/n, where (x)_+ sends a nonpositive denominator to +infinity (the
+bound is "clipped") and p ln p is 0 at p = 0. C = ln(n) / (2n) under the
+default confidence delta = 4 / sqrt(n), and C = -ln(delta / 4) / n under a
+fixed delta; the bound holds with probability at least 1 - delta. At the
+defaults a1 = a2 = c = 1 it is the reduced form
 
-The general form exposes the adjustable constants:
+    bound = mse / (1 - sqrt(p - p ln p + ln(n) / (2n)))_+
 
-    bound = mse / (1 - c sqrt(eta))_+ ,
-    eta   = a1 (h [ln(a2 n / h) + 1] - ln(delta / 4)) / n
+operation for operation, since p * 1.0 and 1.0 * x are exact. Written in
+p, eta stays finite for subnormal h.
 
-With a1 = a2 = c = 1 and delta = 4 / sqrt(n) the two forms coincide
-algebraically: h/n [ln(n/h) + 1] + ln(sqrt(n))/n == p - p ln p + ln(n)/(2n).
+Capacity at or above the sample size (p >= 1) always clips. For p slightly
+above one the denominator is negative; for much larger p the formula's
+value of eta would fall again, an algebraic artifact outside its validity
+region, so the clip is forced there.
 
-Capacity at or above the sample size (p >= 1) always clips, in both forms.
-For p slightly above one, g rises above one and the denominator is
-negative; for much larger p the formula's value of g would fall again, an
-algebraic artifact outside the formula's validity region, so the clip is
-forced there.
-
-vc_bounds evaluates either form over arrays of candidates at once;
-vc_bound_reduced and vc_bound_general are its one-candidate case, so there
-is a single numerical path.
+vc_bounds evaluates the formula over arrays of candidates and returns
+Bounds; vc_bound_reduced and vc_bound_general are its one-candidate case.
 """
 from __future__ import annotations
 
@@ -42,6 +40,7 @@ __all__ = [
     "DeltaRule",
     "BoundConfig",
     "RiskReport",
+    "Bounds",
     "empirical_risk",
     "vc_bounds",
     "vc_bound_reduced",
@@ -118,7 +117,7 @@ class RiskReport:
     delta: float
     bound: float
     clipped: bool
-    eta_negative: bool = False  # general form only: penalty argument went negative
+    eta_negative: bool = False  # eta < 0; at the defaults only for h > e n, never in selection
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,46 +183,55 @@ def _validate_bound_inputs(mse, h, n: int) -> None:
         raise InvalidInputError("empirical risk must be nonnegative")
 
 
-def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> list[RiskReport]:
-    """Guaranteed-risk reports for arrays of training MSE and capacity.
+@dataclass(frozen=True, eq=False)
+class Bounds:
+    """Guaranteed-risk scores of an array of candidates, one entry each."""
 
-    ``cfg=None`` gives the reduced bound, a config the general bound. The
-    formulas are evaluated over the whole arrays at once; every clip rule of
-    the module docstring applies elementwise.
+    empirical_risk: np.ndarray
+    h: np.ndarray
+    bound: np.ndarray
+    clipped: np.ndarray
+    eta_negative: np.ndarray
+    n: int
+    delta: float
+
+    def report(self, i: int) -> RiskReport:
+        """The RiskReport of candidate i."""
+        h = float(self.h[i])
+        return RiskReport(
+            float(self.empirical_risk[i]), h, self.n, h / self.n, self.delta,
+            float(self.bound[i]), bool(self.clipped[i]), bool(self.eta_negative[i]),
+        )
+
+
+def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> Bounds:
+    """Guaranteed-risk bounds for arrays of training MSE and capacity.
+
+    ``cfg=None`` means ``BoundConfig()``. The formula is evaluated over the
+    whole arrays at once; every clip rule of the module docstring applies
+    elementwise.
     """
+    cfg = BoundConfig() if cfg is None else cfg
     mse = np.asarray(mse, dtype=float)
     h = np.asarray(h, dtype=float)
     _validate_bound_inputs(mse, h, n)
+    delta = cfg.realized_delta(n)
+    fixed = cfg.delta_rule is DeltaRule.FIXED
+    confidence = -math.log(delta / 4.0) / n if fixed else math.log(n) / (2.0 * n)
     p = h / n
-    eta_negative = np.zeros(h.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if cfg is None:
-            delta = 4.0 / math.sqrt(n)
-            plogp = np.where(p == 0.0, 0.0, p * np.log(p))
-            g = p - plogp + math.log(n) / (2.0 * n)
-            denom = 1.0 - np.sqrt(g)
-        else:
-            delta = cfg.realized_delta(n)
-            # log in separated form: a2*n/h overflows for subnormal h
-            log_a2n = math.log(cfg.a2) + math.log(n)
-            capacity_term = np.where(h == 0.0, 0.0, h * (log_a2n - np.log(h) + 1.0))
-            eta = cfg.a1 * (capacity_term - math.log(delta / 4.0)) / n
-            eta_negative = eta < 0.0
-            denom = 1.0 - cfg.c * np.sqrt(eta)
+        plogp = np.where(p == 0.0, 0.0, p * np.log(p))
+        eta = cfg.a1 * (p * (math.log(cfg.a2) + 1.0) - plogp + confidence)
+        denom = 1.0 - cfg.c * np.sqrt(eta)
+        eta_negative = eta < 0.0
         clipped = (p >= 1.0) | eta_negative | (denom <= EPS_CLIP)
         bound = np.where(clipped, math.inf, mse / denom)
-    return [
-        RiskReport(m, hh, n, pp, delta, b, clipped=c, eta_negative=e)
-        for m, hh, pp, b, c, e in zip(
-            mse.tolist(), h.tolist(), p.tolist(), bound.tolist(),
-            clipped.tolist(), eta_negative.tolist(),
-        )
-    ]
+    return Bounds(mse, h, bound, clipped, eta_negative, n, delta)
 
 
 def vc_bound_reduced(mse: float, h: float, n: int) -> RiskReport:
     """Reduced guaranteed-risk bound at confidence delta = 4 / sqrt(n)."""
-    return vc_bounds([mse], [h], n)[0]
+    return vc_bounds([mse], [h], n).report(0)
 
 
 def vc_bound_general(mse: float, h: float, n: int, cfg: BoundConfig) -> RiskReport:
@@ -233,7 +241,7 @@ def vc_bound_general(mse: float, h: float, n: int, cfg: BoundConfig) -> RiskRepo
     delta and capacity combinations) the report carries bound = +inf and the
     eta_negative flag instead of raising.
     """
-    return vc_bounds([mse], [h], n, cfg)[0]
+    return vc_bounds([mse], [h], n, cfg).report(0)
 
 
 def realized_confidence(n: int) -> float:

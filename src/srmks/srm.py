@@ -19,18 +19,20 @@ smoother.signal_scale_scores). The decomposition depends on the sample
 times only, so srm_select_batch searches the repetitions of one sampling
 plan together: one decomposition per (plan, base kernel), i.e. one per
 length-scale for the SE grid and one in all for the oscillator grid, serves
-every repetition, and the bounds of each repetition are evaluated as arrays
-(risk.vc_bounds). srm_select is the batch of one. The winner minimises the
-bound; ties go to the smaller capacity (the simplest adequate element),
-then to grid order. If every candidate clips to +infinity the selection
-still returns the smallest-capacity candidate, flagged degenerate, so batch
-runs never abort.
+every repetition; srm_select, which `select` calls, is the batch of one.
+Each set's bounds are one risk.vc_bounds call, kept as arrays: only the
+winner becomes a kernel spec and a RiskReport, and the per-candidate trace
+is built when first read. The winner minimises the bound; ties go to the
+smaller capacity (the simplest adequate element), then to grid order. If
+every candidate clips to +infinity the selection still returns the
+smallest-capacity candidate, flagged degenerate, so batch runs never abort.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .oscillator import OscillatorParams, TrainingSet
 from .risk import (
     RISK_CSV_HEADER,
     BoundConfig,
+    Bounds,
     RiskReport,
     risk_csv_row,
     vc_bounds,
@@ -88,27 +91,41 @@ class StructureGrid:
 
     @property
     def candidates(self) -> tuple[KernelSpec, ...]:
-        return tuple(replace(b, sigma_f=s) for b in self.bases for s in self.sigma_fs)
+        return tuple(map(self.candidate, range(self.size)))
 
     @property
     def size(self) -> int:
         return len(self.bases) * len(self.sigma_fs)
 
+    def candidate(self, i: int) -> KernelSpec:
+        """Candidate i: base i // len(sigma_fs) at signal scale i % len(sigma_fs)."""
+        base, scale = divmod(i, len(self.sigma_fs))
+        return replace(self.bases[base], sigma_f=self.sigma_fs[scale])
+
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Winner of an exhaustive search plus the full per-candidate trace."""
+    """Winner of an exhaustive search plus the scores of every candidate of `grid`."""
 
     family: str
     best_spec: KernelSpec
     best_report: RiskReport
-    trace: tuple[tuple[KernelSpec, RiskReport], ...]
-    degenerate: bool = False
+    degenerate: bool
+    grid: StructureGrid = field(compare=False, repr=False)
+    scores: Bounds = field(compare=False, repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[tuple[KernelSpec, RiskReport], ...]:
+        """(spec, report) of every candidate in grid order."""
+        grid, scores = self.grid, self.scores
+        return tuple((grid.candidate(i), scores.report(i)) for i in range(grid.size))
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):
-        raise InvalidInputError(f"range must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    lo, hi = float(lo), float(hi)
+    # every kernel squares its sigma_f or length-scale
+    if not (np.isfinite(lo) and np.isfinite(hi * hi) and 0 < lo < hi):
+        raise InvalidInputError(f"range must satisfy 0 < lo < hi, hi**2 finite, got ({lo}, {hi})")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
     return tuple(np.geomspace(lo, hi, count).tolist())
@@ -141,11 +158,6 @@ def build_sdof_grid(
     return StructureGrid("sdof", (base,), _log_spaced(*sigma_f_range, n_sigma))
 
 
-def _selection_key(entry: tuple[int, tuple[KernelSpec, RiskReport]]):
-    index, (_, report) = entry
-    return (report.bound, report.h, index)
-
-
 def srm_select(
     grid: StructureGrid,
     data: TrainingSet,
@@ -153,10 +165,9 @@ def srm_select(
 ) -> SelectionResult:
     """Exhaustively score every candidate and return the minimum-bound one.
 
-    Every candidate uses the training set's own noise level. With the
-    default ``bound_config=None`` candidates are scored by the reduced
-    bound; a config scores them by the general bound instead. The trace
-    keeps grid order.
+    Every candidate uses the training set's own noise level and is scored
+    by risk.vc_bounds; ``bound_config=None`` means ``BoundConfig()``, the
+    reduced bound. The trace keeps grid order.
     """
     return srm_select_batch([grid], [data], bound_config)[0]
 
@@ -181,29 +192,16 @@ def srm_select_batch(
     bases = grids[0].bases
     if any(grid.bases != bases for grid in grids[1:]):
         raise InvalidInputError("batched grids must share their base kernels")
-    # scores per set, one row per base kernel and one column per signal scale
-    edfs = [np.empty((len(bases), len(grid.sigma_fs))) for grid in grids]
-    mses = [np.empty((len(bases), len(grid.sigma_fs))) for grid in grids]
-    for b, base in enumerate(bases):
-        scores = signal_scale_scores(base, datasets, [grid.sigma_fs for grid in grids])
-        for edf, mse, (base_edf, base_mse) in zip(edfs, mses, scores):
-            edf[b] = base_edf
-            mse[b] = base_mse
-
+    sigma_fs = [grid.sigma_fs for grid in grids]
+    per_base = [signal_scale_scores(base, datasets, sigma_fs) for base in bases]
     results = []
-    for grid, data, edf, mse in zip(grids, datasets, edfs, mses):
-        reports = vc_bounds(mse.ravel(), edf.ravel(), data.n, bound_config)
-        trace = tuple(zip(grid.candidates, reports))
-        _, (best_spec, best_report) = min(enumerate(trace), key=_selection_key)
-        results.append(
-            SelectionResult(
-                family=grid.family,
-                best_spec=best_spec,
-                best_report=best_report,
-                trace=trace,
-                degenerate=all(report.clipped for _, report in trace),
-            )
-        )
+    for r, (grid, data) in enumerate(zip(grids, datasets)):
+        edf, mse = (np.concatenate([scored[r][k] for scored in per_base]) for k in (0, 1))
+        scores = vc_bounds(mse, edf, data.n, bound_config)
+        # lexsort is stable: the (bound, h, grid index) order
+        best = int(np.lexsort((scores.h, scores.bound))[0])
+        spec, report, degenerate = grid.candidate(best), scores.report(best), scores.clipped.all()
+        results.append(SelectionResult(grid.family, spec, report, bool(degenerate), grid, scores))
     return results
 
 
@@ -214,9 +212,7 @@ def compare_structures(results: list[SelectionResult]) -> SelectionResult:
     """
     if not results:
         raise InvalidInputError("no structures to compare")
-    indexed = [(i, (r.best_spec, r.best_report)) for i, r in enumerate(results)]
-    winner_index = min(indexed, key=_selection_key)[0]
-    return results[winner_index]
+    return min(results, key=lambda r: (r.best_report.bound, r.best_report.h))
 
 
 def selection_to_json(result: SelectionResult) -> str:

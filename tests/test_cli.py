@@ -447,6 +447,12 @@ _INVALID_INPUTS = [
      lambda i, out: [
          "select", "--data", i.data, "--family", "sdof", "--m", "1e160", "--k", "1e140",
          "--out", out]),
+    ("select-amplitude-square-overflows", 2,
+     lambda i, out: ["select", "--data", i.data, "--amp-hi", "1e308", "--out", out]),
+    ("config-amplitude-square-overflows", 2,
+     lambda i, out: [
+         "experiment", "--config",
+         i.config(lambda d: d["grids"].update(amplitude_factors=[0.1, 1e308])), "--out", out]),
     ("fit-kernel-not-an-object", 3,
      lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),
     ("fit-kernel-file-not-utf8", 3,

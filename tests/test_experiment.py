@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from srmks.experiment import (
     summarize,
 )
 from srmks.kernels import SDOFKernel, SEKernel
-from srmks.oscillator import OscillatorParams, SamplingPlan
+from srmks.oscillator import OscillatorParams, SamplingPlan, generate_training_set
+from srmks.srm import srm_select
 
 
 def _one_plan_config(reps=1, seed=5):
@@ -137,6 +139,27 @@ class TestRunExperiment:
         assert len(cell) == len(matching) == 2
         for fresh, stored in zip(cell, matching):
             assert fresh == stored
+
+    def test_select_reproduces_the_study_bit_for_bit(self):
+        # srm_select with its default bound, as `select` calls it, on a
+        # study cell's own training set must score the study's winner with
+        # the very same bits: both go through one bound formula
+        cfg = default_config(repetitions=20)
+        records = iter(run_experiment(cfg))
+        for plan in cfg.plans:
+            for iteration in range(cfg.repetitions):
+                data = generate_training_set(
+                    cfg.params, replace(plan, seed=cfg.iteration_seed(iteration))
+                )
+                for family in ("se", "sdof"):
+                    record = next(records)
+                    assert (record.iteration, record.family) == (iteration, family)
+                    result = srm_select(cfg.grids.family_grid(family, data, cfg.params), data)
+                    report = result.best_report
+                    assert result.best_spec == record.chosen_spec
+                    assert (report.empirical_risk, report.h, report.bound) == (
+                        record.emp_risk, record.h, record.bound
+                    )
 
     def test_bound_dominates_emp_risk(self, small_records):
         for r in small_records:

@@ -1,21 +1,24 @@
 """Static checks on the package sources that stand in for a lint step.
 
 An import is unused when the name it binds never appears as a name in the
-module and is not listed in ``__all__``. ``__init__.py`` re-exports by
-importing, and ``from __future__`` imports bind nothing, so both are skipped.
-An ``__all__`` entry is stale when the module binds no such name at its top
-level, so ``from module import *`` would fail.
+module and is not listed in ``__all__``; this scan covers the test modules
+too. ``__init__.py`` re-exports by importing, and ``from __future__``
+imports bind nothing, so both are skipped. An ``__all__`` entry is stale
+when the module binds no such name at its top level, so ``from module
+import *`` would fail.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
+TESTS_DIR = Path(__file__).resolve().parent
 SOURCES = sorted(
     path
-    for path in (Path(__file__).resolve().parent.parent / "src" / "srmks").glob("*.py")
+    for path in (TESTS_DIR.parent / "src" / "srmks").glob("*.py")
     if path.name != "__init__.py"
 )
+TESTS = sorted(TESTS_DIR.glob("*.py"))
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -68,7 +71,7 @@ def test_scanner_flags_an_unused_import():
     assert _unused_imports(source) == ["line 2: math", "line 4: dumps"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -220,10 +220,11 @@ class TestArrayBound:
     @example(([1.0], [50.0], 100, _ETA_NEGATIVE))  # eta < 0 under DeltaRule.FIXED
     def test_matches_scalar_formula(self, batch):
         mse, h, n, cfg = batch
-        reports = vc_bounds(np.array(mse), np.array(h), n, cfg)
-        assert len(reports) == len(mse)
+        bounds = vc_bounds(np.array(mse), np.array(h), n, cfg)
+        assert len(bounds.bound) == len(mse)
         delta = 4.0 / math.sqrt(n) if cfg is None else cfg.realized_delta(n)
-        for report, m, hh in zip(reports, mse, h):
+        for i, (m, hh) in enumerate(zip(mse, h)):
+            report = bounds.report(i)
             bound, clipped, eta_negative, denom = _scalar_bound(m, hh, n, cfg)
             assert (report.empirical_risk, report.h, report.n) == (m, hh, n)
             assert report.p == hh / n
@@ -241,8 +242,8 @@ class TestArrayBound:
 
     def test_scalar_forms_are_the_array_form(self):
         cfg = BoundConfig(a1=2.0, a2=0.5, c=0.5, delta=0.1, delta_rule=DeltaRule.FIXED)
-        assert vc_bound_reduced(0.3, 12.0, 200) == vc_bounds([0.3], [12.0], 200)[0]
-        assert vc_bound_general(0.3, 12.0, 200, cfg) == vc_bounds([0.3], [12.0], 200, cfg)[0]
+        assert vc_bound_reduced(0.3, 12.0, 200) == vc_bounds([0.3], [12.0], 200).report(0)
+        assert vc_bound_general(0.3, 12.0, 200, cfg) == vc_bounds([0.3], [12.0], 200, cfg).report(0)
 
     def test_array_inputs_validated(self):
         with pytest.raises(InvalidInputError):

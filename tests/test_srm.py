@@ -13,7 +13,7 @@ from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import GridSettings
 from srmks.kernels import SDOFKernel, SEKernel, gram
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
-from srmks.risk import BoundConfig, DeltaRule, RiskReport, vc_bound_general, vc_bound_reduced
+from srmks.risk import BoundConfig, Bounds, DeltaRule, vc_bound_general, vc_bound_reduced
 from srmks.smoother import fit
 from srmks.srm import (
     SelectionResult,
@@ -36,19 +36,19 @@ def _dataset(paper_params, decimation=16, seed=0, snr=10.0):
     return generate_training_set(paper_params, plan)
 
 
-def _report(bound, h, n=100):
-    return RiskReport(
-        empirical_risk=0.1, h=h, n=n, p=h / n, delta=0.4,
-        bound=bound, clipped=math.isinf(bound),
-    )
+def _bounds(h, bound, n=100):
+    """Bounds of candidates with training MSE 0.1, clipped where bound is +inf."""
+    h, bound = np.asarray(h, dtype=float), np.asarray(bound, dtype=float)
+    return Bounds(np.full(h.shape, 0.1), h, bound, np.isinf(bound), np.zeros(h.shape, bool), n, 0.4)
 
 
 def _result(bound, h, family="se"):
     spec = SEKernel(sigma_f=1.0, length_scale=0.05)
-    report = _report(bound, h)
+    scores = _bounds([h], [bound])
     return SelectionResult(
-        family=family, best_spec=spec, best_report=report,
-        trace=((spec, report),),
+        family=family, best_spec=spec, best_report=scores.report(0),
+        degenerate=bool(scores.clipped[0]),
+        grid=StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,)), scores=scores,
     )
 
 
@@ -87,6 +87,13 @@ class TestGridConstruction:
             build_sdof_grid(paper_params, (0.0, 1.0), 3)
         with pytest.raises(InvalidInputError):
             build_sdof_grid(paper_params, (1.0, 2.0), 0)
+
+    def test_candidate_indexes_the_candidates(self, paper_params):
+        for grid in (
+            build_se_grid((0.1, 1.0), (1e-3, 1e-1), 3, 4),
+            build_sdof_grid(paper_params, (0.5, 50.0), 5),
+        ):
+            assert tuple(grid.candidate(i) for i in range(grid.size)) == grid.candidates
 
     def test_structure_rejects_family_mismatch(self, paper_params):
         with pytest.raises(InvalidInputError):
@@ -164,10 +171,7 @@ class TestSelection:
         data = _dataset(paper_params)
 
         def fake_bounds(mse, h, n, cfg=None):
-            return [
-                RiskReport(m, hh, n, hh / n, 0.4, bound=1.0, clipped=False)
-                for m, hh in zip(mse.tolist(), h.tolist())
-            ]
+            return _bounds(h, np.ones_like(h), n)
 
         monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
         grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 4)
@@ -179,15 +183,30 @@ class TestSelection:
         data = _dataset(paper_params)
 
         def fake_bounds(mse, h, n, cfg=None):
-            return [
-                RiskReport(m, 2.0, n, 2.0 / n, 0.4, bound=1.0, clipped=False)
-                for m in mse.tolist()
-            ]
+            return _bounds(np.full_like(h, 2.0), np.ones_like(h), n)
 
         monkeypatch.setattr(srm_module, "vc_bounds", fake_bounds)
         grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 2, 4)
         result = srm_select(grid, data)
         assert result.best_spec == grid.candidates[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.data())
+    def test_winner_is_the_min_of_bound_h_and_index(self, paper_params, values):
+        # scores drawn from a few values force ties in bound and h and grids
+        # whose every bound is +inf
+        data = _dataset(paper_params)
+        grid = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 3, 2)
+        draw = values.draw
+        bound = draw(st.lists(st.sampled_from([0.5, 1.0, math.inf]), min_size=6, max_size=6))
+        h = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=6, max_size=6))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(srm_module, "vc_bounds", lambda mse, _, n, cfg=None: _bounds(h, bound, n))
+            result = srm_select(grid, data)
+        best = min(range(grid.size), key=lambda i: (bound[i], h[i], i))
+        assert result.best_spec == grid.candidates[best]
+        assert result.best_report == result.scores.report(best)
+        assert result.degenerate == all(math.isinf(b) for b in bound)
 
     def test_degenerate_all_clipped(self):
         # tiny sample, near-diagonal gram: every candidate's capacity fills
@@ -358,8 +377,10 @@ class TestBatchSelection:
         grids, datasets, bound_config = problem
         batch = srm_select_batch(grids, datasets, bound_config)
         separate = [srm_select(g, d, bound_config) for g, d in zip(grids, datasets)]
-        # dataclass equality compares every float of winner and trace exactly
+        # dataclass equality compares every float of the winner exactly, and
+        # the trace every float of every candidate
         assert batch == separate
+        assert [r.trace for r in batch] == [r.trace for r in separate]
 
     def test_rejects_sets_with_different_sample_times(self, paper_params):
         first = _dataset(paper_params, decimation=16, seed=0)
