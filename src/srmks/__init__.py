@@ -32,7 +32,7 @@ from .risk import (
     vc_bound_reduced,
     vc_bounds,
 )
-from .smoother import FittedSmoother, fit, fit_predict_batch, predict
+from .smoother import FittedSmoother, fit, predict
 from .srm import (
     SelectionResult,
     StructureGrid,

@@ -4,8 +4,10 @@ Subcommands: simulate (noisy impulse-response training sets), fit (one
 kernel smoother on stored data), select (exhaustive SRM search per kernel
 family), experiment (the full Monte-Carlo study) and plot (SVG figures
 from study records). Every run writes its resolved parameters to a
-config.json inside the output directory, and reruns with identical flags
-rewrite identical bytes.
+config.json inside the output directory (plot_config.json for plot, so that
+plotting into an experiment's directory keeps the config.json that
+plot --kind predictions reads), and reruns with identical flags rewrite
+identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or input-file parse error,
 4 numeric failure. An input file that cannot be read, decoded or parsed
@@ -77,9 +79,9 @@ def _parse(document: str, parse, *sources: Path | str):
         raise _FileError(f"cannot load {document}: {exc}") from exc
 
 
-def _provenance(path: Path, command: str, resolved: dict) -> None:
+def _provenance(path: Path, command: str, resolved: dict, name: str = "config.json") -> None:
     doc = {"command": command, **resolved}
-    _write_text(path / "config.json", json.dumps(doc, indent=2) + "\n")
+    _write_text(path / name, json.dumps(doc, indent=2) + "\n")
 
 
 def _load_training(data_dir: Path):
@@ -263,6 +265,7 @@ def cmd_plot(args) -> int:
             "iteration": args.iteration,
             "output": name,
         },
+        name="plot_config.json",
     )
     print(f"wrote {out / name}")
     return 0

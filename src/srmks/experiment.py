@@ -11,10 +11,11 @@ record exactly.
 The study runs plan by plan. Every iteration of a plan shares its sample
 times, so each family's selections for all the iterations are one
 srm_select_batch call: one eigendecomposition per (plan, base kernel)
-instead of one per (plan, iteration, base kernel). The winners of both
-families are then refit by Cholesky and predicted on the dense grid in one
-fit_predict_batch call, which builds one Gram matrix and one dense
-cross-kernel matrix per (plan, winning base kernel) and computes no edf.
+instead of one per (plan, iteration, base kernel). The same decomposition
+refits each winner: its selection keeps the winning base's spectrum, and
+smoother.spectral_weights turns it into the weights that one dense
+cross-kernel matrix per (plan, winning base kernel) maps onto the dense
+grid. The study makes no Cholesky factorisation.
 
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SrmksError, require_int
 from .ioutil import csv_row, json_float
-from .kernels import KernelSpec, SDOFKernel, SEKernel
+from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_eval
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
@@ -41,9 +42,9 @@ from .oscillator import (
     generate_training_set,
     impulse_response,
 )
-from .risk import BoundConfig, RiskReport, empirical_risk
-from .smoother import fit_predict_batch
-from .srm import StructureGrid, build_sdof_grid, build_se_grid, srm_select_batch
+from .risk import BoundConfig, empirical_risk
+from .smoother import spectral_weights
+from .srm import SelectionResult, StructureGrid, build_sdof_grid, build_se_grid, srm_select_batch
 
 __all__ = [
     "GridSettings",
@@ -153,6 +154,10 @@ class ExperimentConfig:
         SDOFKernel(sigma_f=1.0, params=self.params)  # rejects params the SDOF grid cannot use
         if not self.plans:
             raise InvalidInputError("at least one sampling plan is required")
+        sizes = [plan.n_samples for plan in self.plans]
+        if len(set(sizes)) < len(sizes):
+            # records, summaries and figures are keyed by n alone
+            raise InvalidInputError(f"sampling plans must differ in n_samples, got {sizes}")
         require_int("base_seed", self.base_seed, 0)
 
     def iteration_seed(self, iteration: int) -> int:
@@ -249,14 +254,13 @@ def _select_family(
     family: str,
     iterations: Sequence[int],
     datasets: list[TrainingSet],
-) -> list[tuple[KernelSpec, RiskReport]]:
-    """Winner of one family's search for each iteration, from one batch."""
+) -> list[SelectionResult]:
+    """One family's search for each iteration, from one batch."""
     grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
     # the iterations share sample times and sigma_n, so the one selection
     # failure (a singular zero-noise system) hits every cell or none
     with _tagged(datasets[0].n, iterations[0], family):
-        selections = srm_select_batch(grids, datasets, cfg.bound_config)
-    return [(s.best_spec, s.best_report) for s in selections]
+        return srm_select_batch(grids, datasets, cfg.bound_config)
 
 
 def _run_plan(
@@ -269,36 +273,23 @@ def _run_plan(
     ]
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
-    winners = {
+    selections = {
         family: _select_family(cfg, family, iterations, datasets) for family in FAMILIES
     }
-    cells = [
-        (iteration, family, data, *winners[family][k])
-        for k, (iteration, data) in enumerate(zip(iterations, datasets))
-        for family in FAMILIES
-    ]
-    pairs = [(spec, data) for _, _, data, spec, _ in cells]
-    try:
-        predictions = fit_predict_batch(pairs, dense_t)
-    except SrmksError:
-        # the batch does not say which cell failed: refit each alone to name it
-        for (iteration, family, data, _, _), pair in zip(cells, pairs):
-            with _tagged(data.n, iteration, family):
-                fit_predict_batch([pair], dense_t)
-        raise
-    return [
-        IterationRecord(
-            sample_size=data.n,
-            iteration=iteration,
-            family=family,
-            chosen_spec=spec,
-            emp_risk=report.empirical_risk,
-            bound=report.bound,
-            h=report.h,
-            true_mse=empirical_risk(dense_h, prediction),
-        )
-        for (iteration, family, data, spec, report), prediction in zip(cells, predictions)
-    ]
+    cross: dict[KernelSpec, np.ndarray] = {}  # k*_0 per winning base kernel
+    records = []
+    for k, (iteration, data) in enumerate(zip(iterations, datasets)):
+        for family in FAMILIES:
+            selection = selections[family][k]
+            spec, report, spectrum = selection.best_spec, selection.best_report, selection.spectrum
+            if spectrum.base not in cross:
+                cross[spectrum.base] = kernel_eval(spectrum.base, dense_t[:, None], data.t)
+            prediction = cross[spectrum.base] @ spectral_weights(spectrum, spec.sigma_f, data)
+            records.append(IterationRecord(
+                data.n, iteration, family, spec, report.empirical_risk, report.bound,
+                report.h, empirical_risk(dense_h, prediction),
+            ))
+    return records
 
 
 def records_to_csv(records: list[IterationRecord]) -> str:

@@ -8,9 +8,9 @@ depends on wall-clock time or environment. Three figure kinds:
 * complexity  selected capacity (effective degrees of freedom) boxes
 * predictions true signal, both winners' predictions and the noisy sample
 
-The predictions figure regenerates its training set and refits the two
-winning kernels from the experiment configuration, relying on the study's
-per-iteration seed derivation.
+The predictions figure regenerates its training set from the experiment
+configuration, relying on the study's per-iteration seed derivation, and
+refits each of the two winning kernels alone with smoother.fit.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
 from .oscillator import generate_training_set, impulse_response
-from .smoother import fit_predict_batch
+from .smoother import fit, predict
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]
 
@@ -260,11 +260,10 @@ def predictions_svg(
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
 
-    families = [fam for fam in ("se", "sdof") if fam in cell]
-    predictions = fit_predict_batch([(cell[fam].chosen_spec, data) for fam in families], dense_t)
     curves: list[tuple[str, np.ndarray, str]] = [("true", np.asarray(dense_h), _TRUE_COLOR)]
     curves.extend(
-        (fam, prediction, _FAMILY_COLOR[fam]) for fam, prediction in zip(families, predictions)
+        (fam, predict(fit(cell[fam].chosen_spec, data, data.sigma_n), dense_t), _FAMILY_COLOR[fam])
+        for fam in ("se", "sdof") if fam in cell
     )
 
     width, height = 720, 420

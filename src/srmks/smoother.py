@@ -25,13 +25,13 @@ Friedman, ESL sec. 5.4.1):
 
 Only z depends on the targets, so training sets that share their sample
 times (the repetitions of one sampling plan) share the decomposition too:
-one eigh per (plan, base kernel) scores every repetition.
-
-Predicting the winners of such a selection needs no edf either.
-fit_predict_batch refits each (kernel, training set) pair by Cholesky from
-one Gram matrix K_0 and one cross-kernel matrix k*_0 per base kernel,
-scaled by s^2 (Rasmussen & Williams, GPML eq. 2.25), and computes no
-eigenvalues; fit and fit_predict_batch share one Cholesky solve.
+one eigh per (plan, base kernel), kept as a Spectrum, scores every
+repetition. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
+(z / (s^2 lambda + sigma_n^2)) with k*_0 the base kernel's cross-kernel
+(Rasmussen & Williams, GPML eq. 2.25), so a study needs no Cholesky. One
+kernel on one training set goes through fit, since Cholesky plus an
+eigenvalues-only eigh is faster than one eigh with vectors; many
+candidates on one plan's sample times go through the spectrum.
 
 Without noise the system (K + sigma_n^2 I) is K itself. The scorer and the
 solve treat it as singular when a clamped eigenvalue of K is at most
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +51,10 @@ from .errors import InvalidInputError, SingularSystemError
 from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
-__all__ = ["FittedSmoother", "fit", "fit_predict_batch", "predict", "signal_scale_scores"]
+__all__ = [
+    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "signal_scale_scores",
+    "spectral_weights",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,22 @@ class FittedSmoother:
     weights: np.ndarray
     fitted: np.ndarray  # the smoother at the training inputs, K @ weights
     edf: float
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix over `t`."""
+
+    base: KernelSpec  # the kernel at sigma_f = 1
+    t: np.ndarray
+    eigenvalues: np.ndarray  # ascending, clamped at zero
+    vectors: np.ndarray  # U, one eigenvector per column
+
+
+def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
+    """The decomposition of gram(base, t)."""
+    lam, vectors = scipy.linalg.eigh(gram(base, t))
+    return Spectrum(base, t, np.maximum(lam, 0.0), vectors)
 
 
 def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float):
@@ -148,18 +167,16 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
 
 
 def signal_scale_scores(
-    base: KernelSpec, datasets: Sequence[TrainingSet], sigma_fs: Sequence[np.ndarray]
+    spectrum: Spectrum, datasets: Sequence[TrainingSet], sigma_fs: Sequence[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(edf, training MSE) arrays per training set, one entry per signal scale.
 
-    `base` is the kernel at sigma_f = 1; `sigma_fs[r]` holds the scales to
-    score on `datasets[r]`, each at that set's own noise level. All sets
-    must share their sample times: one eigendecomposition of the base Gram
-    matrix over the first set's times serves every set and scale. Raises
-    SingularSystemError if a set has sigma_n == 0 and K is singular.
+    `sigma_fs[r]` holds the scales of `spectrum.base` to score on
+    `datasets[r]`, each at that set's own noise level. Every set must lie
+    on the sample times `spectrum.t`. Raises SingularSystemError if a set has
+    sigma_n == 0 and K is singular.
     """
-    lam, vectors = scipy.linalg.eigh(gram(base, datasets[0].t))
-    lam = np.maximum(lam, 0.0)
+    lam, vectors = spectrum.eigenvalues, spectrum.vectors
     scores = []
     for data, scales in zip(datasets, sigma_fs):
         noise = data.sigma_n**2
@@ -174,6 +191,18 @@ def signal_scale_scores(
     return scores
 
 
+def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> np.ndarray:
+    """v = s^2 U (z / (s^2 lambda + sigma_n^2)), z = U^T y, for the base at s = sigma_f.
+
+    The smoother fit to `data` predicts kernel_eval(spectrum.base, t*,
+    spectrum.t) @ v at t*. `data` must lie on `spectrum.t` and be solvable,
+    as its selection already checked.
+    """
+    scale, vectors = sigma_f**2, spectrum.vectors
+    z = vectors.T @ data.y
+    return vectors @ (scale * z / (scale * spectrum.eigenvalues + data.sigma_n**2))
+
+
 def predict(model: FittedSmoother, t_star):
     """Evaluate the fitted smoother at `t_star` (scalar or array).
 
@@ -185,37 +214,3 @@ def predict(model: FittedSmoother, t_star):
     values = kernel_eval(model.kernel, arr[..., None], model.t_train) @ model.weights
     return float(values) if arr.ndim == 0 else values
 
-
-def fit_predict_batch(
-    pairs: Sequence[tuple[KernelSpec, TrainingSet]], t_star
-) -> list[np.ndarray]:
-    """Prediction at `t_star` (1-d) of each (kernel, training set) pair.
-
-    Each pair is fit at its set's own noise level, and its prediction equals
-    predict(fit(spec, data, data.sigma_n), t_star) bit for bit. All sets
-    must share their sample times. Since K(s) = s^2 K_0 and k*(s) = s^2 k*_0,
-    the pairs whose kernels share a base kernel (sigma_f = 1) share one Gram
-    matrix K_0 and one cross-kernel matrix k*_0, built once and freed before
-    the next base's. No eigenvalues are computed unless a set has
-    sigma_n == 0. Raises SingularSystemError as fit does.
-    """
-    if not pairs:
-        return []
-    t = pairs[0][1].t
-    if any(not np.array_equal(data.t, t) for _, data in pairs):
-        raise InvalidInputError("fit_predict_batch needs training sets with equal sample times")
-    t_star = np.asarray(t_star, dtype=float)
-    by_base: dict[KernelSpec, list[int]] = {}
-    for k, (spec, _) in enumerate(pairs):
-        by_base.setdefault(replace(spec, sigma_f=1.0), []).append(k)
-    predictions: list[np.ndarray] = [np.empty(0)] * len(pairs)
-    for base, members in by_base.items():
-        K0 = gram(base, t)
-        C0 = kernel_eval(base, t_star[:, None], t)
-        for k in members:
-            spec, data = pairs[k]
-            scale = spec.sigma_f**2
-            weights = _solve(scale * K0, data.sigma_n, data.y)
-            predictions[k] = (scale * C0) @ weights
-        del K0, C0  # before the next base's are built
-    return predictions

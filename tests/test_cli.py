@@ -294,6 +294,19 @@ class TestPlot:
         actual = (figs / "predictions_n63_iter0.svg").read_text()
         assert _sdof_curve(actual) == _sdof_curve(expected)
 
+    def test_readme_sequence_in_one_directory(self, tmp_path):
+        # plot writes plot_config.json, so the experiment's config.json,
+        # which plot --kind predictions reads, survives the earlier plots
+        results = str(tmp_path / "results")
+        records = str(tmp_path / "results" / "records.csv")
+        assert main(["experiment", "--reps", "2", "--seed", "1234", "--out", results]) == 0
+        for kind in ("boxplot", "complexity"):
+            assert main(["plot", "--records", records, "--kind", kind, "--out", results]) == 0
+        assert main([
+            "plot", "--records", records, "--kind", "predictions",
+            "--n", "251", "--iteration", "0", "--out", results,
+        ]) == 0
+
     def test_missing_config_for_predictions(self, tmp_path, golden_dir):
         lonely = tmp_path / "lonely"
         lonely.mkdir()
@@ -453,6 +466,13 @@ _INVALID_INPUTS = [
      lambda i, out: [
          "experiment", "--config",
          i.config(lambda d: d["grids"].update(amplitude_factors=[0.1, 1e308])), "--out", out]),
+    ("config-duplicate-sample-size", 3,
+     lambda i, out: [
+         "experiment", "--config",
+         i.config(lambda d: d["plans"].append({
+             "t_start": 0.0, "t_end": 0.6, "base_points": 2001, "decimation": 32,
+             "snr": 10.0, "seed": 1234})),
+         "--out", out]),
     ("fit-kernel-not-an-object", 3,
      lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),
     ("fit-kernel-file-not-utf8", 3,

@@ -14,7 +14,7 @@ from srmks.experiment import GridSettings
 from srmks.kernels import SDOFKernel, SEKernel, gram
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
 from srmks.risk import BoundConfig, Bounds, DeltaRule, vc_bound_general, vc_bound_reduced
-from srmks.smoother import fit
+from srmks.smoother import decompose, fit
 from srmks.srm import (
     SelectionResult,
     StructureGrid,
@@ -49,6 +49,7 @@ def _result(bound, h, family="se"):
         family=family, best_spec=spec, best_report=scores.report(0),
         degenerate=bool(scores.clipped[0]),
         grid=StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,)), scores=scores,
+        spectrum=decompose(spec, np.array([0.0])),
     )
 
 
