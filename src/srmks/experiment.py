@@ -120,6 +120,10 @@ class GridSettings:
         rms = float(np.sqrt(np.mean(data.y**2)))
         lo, hi = (factor * rms for factor in self.amplitude_factors)
         if family == "se":
+            if data.n < 2:
+                raise InvalidInputError(
+                    "the SE grid needs at least two training points to span its length-scales"
+                )
             l_range = (float(np.min(np.diff(data.t))), float(data.t[-1] - data.t[0]))
             return build_se_grid((lo, hi), l_range, self.se_sigma_count, self.se_length_count)
         SDOFKernel(sigma_f=1.0, params=params)  # rejects params before the scale overflows
@@ -158,6 +162,10 @@ class ExperimentConfig:
         if len(set(sizes)) < len(sizes):
             # records, summaries and figures are keyed by n alone
             raise InvalidInputError(f"sampling plans must differ in n_samples, got {sizes}")
+        if not all(math.isfinite(plan.snr) for plan in self.plans):
+            raise InvalidInputError(
+                "every sampling plan needs a finite snr: the study's SRM needs noisy data"
+            )
         require_int("base_seed", self.base_seed, 0)
 
     def iteration_seed(self, iteration: int) -> int:
@@ -258,7 +266,7 @@ def _select_family(
     """One family's search for each iteration, from one batch."""
     grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
     # the iterations share sample times and sigma_n, so the one selection
-    # failure (a singular zero-noise system) hits every cell or none
+    # failure (noise-free data) hits every cell or none
     with _tagged(datasets[0].n, iterations[0], family):
         return srm_select_batch(grids, datasets, cfg.bound_config)
 

@@ -96,13 +96,14 @@ class BoundConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BoundConfig":
-        delta = d.get("delta")
+        defaults = cls()
+        delta = d.get("delta", defaults.delta)
         return cls(
-            a1=float(d.get("a1", 1.0)),
-            a2=float(d.get("a2", 1.0)),
-            c=float(d.get("c", 1.0)),
+            a1=float(d.get("a1", defaults.a1)),
+            a2=float(d.get("a2", defaults.a2)),
+            c=float(d.get("c", defaults.c)),
             delta=None if delta is None else float(delta),
-            delta_rule=DeltaRule(d.get("delta_rule", "four_over_sqrt_n")),
+            delta_rule=DeltaRule(d.get("delta_rule", defaults.delta_rule)),
         )
 
 

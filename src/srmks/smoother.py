@@ -33,10 +33,11 @@ kernel on one training set goes through fit, since Cholesky plus an
 eigenvalues-only eigh is faster than one eigh with vectors; many
 candidates on one plan's sample times go through the spectrum.
 
-Without noise the system (K + sigma_n^2 I) is K itself. The scorer and the
-solve treat it as singular when a clamped eigenvalue of K is at most
-n * eps * lambda_max, the rounding level of the decomposition, so selection
-and fitting agree on which zero-noise systems can be solved.
+Scoring needs sigma_n > 0, which srm.srm_select_batch checks: without
+noise every smoother interpolates, so each candidate has edf = n and an
+infinite bound. Only fit takes sigma_n = 0, the interpolant; it treats the
+system, then K itself, as singular when a clamped eigenvalue of K is at
+most n * eps * lambda_max, the rounding level of the decomposition.
 """
 from __future__ import annotations
 
@@ -85,84 +86,47 @@ def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
     return Spectrum(base, t, np.maximum(lam, 0.0), vectors)
 
 
-def _edf_from_spectrum(eigenvalues: np.ndarray, sigma_n: float):
-    """Effective degrees of freedom from a nonnegative spectrum (last axis).
-
-    A zero eigenvalue contributes nothing, also when sigma_n == 0 (the
-    component does not exist), which keeps edf == n exactly for full-rank K
-    with zero noise.
-    """
-    denom = eigenvalues + sigma_n**2
-    terms = np.divide(
-        eigenvalues, denom, out=np.zeros_like(eigenvalues), where=denom > 0
-    )
-    return np.sum(terms, axis=-1)
+def _edf_from_spectrum(eigenvalues: np.ndarray, noise: float):
+    """Effective degrees of freedom of a nonnegative spectrum (last axis) at noise variance."""
+    return np.sum(eigenvalues / (eigenvalues + noise), axis=-1)
 
 
-def _require_solvable(lam: np.ndarray, noise: float) -> None:
-    """Raise SingularSystemError if (K + noise I) is singular.
+def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
+    """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
-    `lam` is the clamped spectrum of K. Only a zero noise variance can leave
-    the system singular; then an eigenvalue at or below n * eps * lambda_max
-    counts as zero.
-    """
-    if noise == 0.0 and lam.min() <= lam.size * np.finfo(float).eps * lam.max():
-        raise SingularSystemError(
-            f"the {lam.size}x{lam.size} smoother system is singular at sigma_n = 0"
-        )
-
-
-def _clamped_spectrum(K: np.ndarray) -> np.ndarray:
-    """Eigenvalues of K in descending order, clamped at zero."""
-    return np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
-
-
-def _solve(K: np.ndarray, sigma_n: float, y: np.ndarray) -> np.ndarray:
-    """Weights w of (K + sigma_n^2 I) w = y by Cholesky factorisation.
-
-    Raises InvalidInputError for a negative or non-finite noise level and
+    Solves (K + sigma_n^2 I) w = y by Cholesky factorisation. Raises
+    InvalidInputError for a negative or non-finite noise level, and
     SingularSystemError for a non-finite K, a singular zero-noise system, a
     failed factorisation or non-finite weights.
     """
     if not (math.isfinite(sigma_n) and sigma_n >= 0):
         raise InvalidInputError(f"sigma_n must be nonnegative and finite, got {sigma_n!r}")
-    n = K.shape[0]
+    n, noise = data.n, sigma_n**2
+    K = gram(spec, data.t)
     if not np.all(np.isfinite(K)):
         raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
-    if sigma_n == 0.0:
-        _require_solvable(_clamped_spectrum(K), 0.0)
+    # descending, the order the edf sums in
+    lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
+    # without noise the system is K itself: singular when an eigenvalue is
+    # at the rounding level of the decomposition
+    if noise == 0.0 and lam.min() <= n * np.finfo(float).eps * lam.max():
+        raise SingularSystemError(f"the {n}x{n} smoother system is singular at sigma_n = 0")
     try:
-        factor = scipy.linalg.cho_factor(K + sigma_n**2 * np.eye(n), lower=True)
-        weights = scipy.linalg.cho_solve(factor, y)
+        factor = scipy.linalg.cho_factor(K + noise * np.eye(n), lower=True)
+        weights = scipy.linalg.cho_solve(factor, data.y)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"cannot factorise the {n}x{n} smoother system: {exc}"
         ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
-    return weights
-
-
-def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
-    """Fit the kernel smoother to `data` with noise level `sigma_n`.
-
-    Raises SingularSystemError if (K + sigma_n^2 I) is not numerically
-    positive definite, and InvalidInputError for empty data or a negative
-    or non-finite noise level.
-    """
-    if data.n == 0:
-        raise InvalidInputError("cannot fit a smoother to empty data")
-    K = gram(spec, data.t)
-    weights = _solve(K, sigma_n, data.y)
-    # a solvable zero-noise system has no zero eigenvalue: each term is 1
-    edf = data.n if sigma_n == 0 else _edf_from_spectrum(_clamped_spectrum(K), sigma_n)
     return FittedSmoother(
         kernel=spec,
         t_train=data.t,
         sigma_n=sigma_n,
         weights=weights,
         fitted=K @ weights,
-        edf=float(edf),
+        edf=float(_edf_from_spectrum(lam, noise)),
     )
 
 
@@ -173,21 +137,19 @@ def signal_scale_scores(
 
     `sigma_fs[r]` holds the scales of `spectrum.base` to score on
     `datasets[r]`, each at that set's own noise level. Every set must lie
-    on the sample times `spectrum.t`. Raises SingularSystemError if a set has
-    sigma_n == 0 and K is singular.
+    on the sample times `spectrum.t` and have sigma_n > 0.
     """
     lam, vectors = spectrum.eigenvalues, spectrum.vectors
     scores = []
     for data, scales in zip(datasets, sigma_fs):
         noise = data.sigma_n**2
-        _require_solvable(lam, noise)
         z2 = (vectors.T @ data.y) ** 2
         # squared one by one as Python floats: numpy's square can differ
         # from the scalar pow by one ulp
         scaled = np.array([s**2 for s in scales])[:, None] * lam
         denom = scaled + noise
         mse = np.sum((noise / denom) ** 2 * z2, axis=1) / data.n
-        scores.append((_edf_from_spectrum(scaled, data.sigma_n), mse))
+        scores.append((_edf_from_spectrum(scaled, noise), mse))
     return scores
 
 
@@ -195,8 +157,8 @@ def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> n
     """v = s^2 U (z / (s^2 lambda + sigma_n^2)), z = U^T y, for the base at s = sigma_f.
 
     The smoother fit to `data` predicts kernel_eval(spectrum.base, t*,
-    spectrum.t) @ v at t*. `data` must lie on `spectrum.t` and be solvable,
-    as its selection already checked.
+    spectrum.t) @ v at t*. `data` must lie on `spectrum.t` and have
+    sigma_n > 0, as its selection already checked.
     """
     scale, vectors = sigma_f**2, spectrum.vectors
     z = vectors.T @ data.y

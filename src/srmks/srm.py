@@ -186,12 +186,18 @@ def srm_select_batch(
 
     The training sets must share their sample times and the grids their
     base kernels; each base kernel is decomposed once for every set. Raises
-    InvalidInputError if the counts, the sample times or the bases differ.
+    InvalidInputError if the counts, the sample times or the bases differ,
+    or if a set has no noise.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
     if not grids:
         return []
+    if any(data.sigma_n**2 == 0.0 for data in datasets):
+        raise InvalidInputError(
+            "SRM needs sigma_n > 0: without noise every candidate interpolates, "
+            "so each has h = n and an infinite bound"
+        )
     if any(not np.array_equal(data.t, datasets[0].t) for data in datasets[1:]):
         raise InvalidInputError("batched training sets must share their sample times")
     bases = grids[0].bases

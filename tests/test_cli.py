@@ -339,6 +339,17 @@ class _Inputs:
         edit(doc)
         return self.training_file("training.json", json.dumps(doc).encode())
 
+    def truncated(self, rows):
+        """Copy of the simulated data dir whose training.csv keeps its first `rows` rows."""
+        lines = (self._sim_dir / "training.csv").read_text().splitlines(keepends=True)
+        return self.training_file("training.csv", "".join(lines[: rows + 1]).encode())
+
+    def simulated(self, *flags):
+        """Data dir of a fresh simulate run with `flags`."""
+        data = self._tmp_path / "flagged_sim"
+        assert main(["simulate", *flags, "--out", str(data)]) == 0
+        return str(data)
+
     def training_file(self, name, content):
         """Copy of the simulated data dir with `name` replaced by `content` bytes."""
         data = self._tmp_path / "edited_sim"
@@ -472,6 +483,15 @@ _INVALID_INPUTS = [
          i.config(lambda d: d["plans"].append({
              "t_start": 0.0, "t_end": 0.6, "base_points": 2001, "decimation": 32,
              "snr": 10.0, "seed": 1234})),
+         "--out", out]),
+    ("select-zero-noise", 2,
+     lambda i, out: [
+         "select", "--data", i.simulated("--snr", "inf"), "--family", "sdof", "--out", out]),
+    ("select-one-sample", 2,
+     lambda i, out: ["select", "--data", i.truncated(1), "--out", out]),
+    ("config-infinite-snr", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["plans"][0].update(snr=math.inf)),
          "--out", out]),
     ("fit-kernel-not-an-object", 3,
      lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),

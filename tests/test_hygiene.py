@@ -5,7 +5,9 @@ module and is not listed in ``__all__``; this scan covers the test modules
 too. ``__init__.py`` re-exports by importing, and ``from __future__``
 imports bind nothing, so both are skipped. An ``__all__`` entry is stale
 when the module binds no such name at its top level, so ``from module
-import *`` would fail.
+import *`` would fail. A module-private top-level function, class or
+assignment (a name with one leading underscore) is orphaned when nothing
+in its own module reads it.
 """
 import ast
 from pathlib import Path
@@ -90,3 +92,42 @@ def test_scanner_flags_a_stale_export():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_export_is_bound(path):
     assert _stale_exports(path.read_text()) == []
+
+
+def _orphaned_privates(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_scanner_flags_an_orphaned_private_name():
+    source = (
+        "__all__ = ['f']\n"
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper(): return _USED\n"
+        "def _orphan(): pass\n"
+        "class _Orphan: pass\n"
+        "def f(): return _helper()\n"
+    )
+    assert _orphaned_privates(source) == ["line 3: _UNUSED", "line 5: _orphan", "line 6: _Orphan"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_orphaned_private_names(path):
+    assert _orphaned_privates(path.read_text()) == []

@@ -241,30 +241,41 @@ class TestSelection:
         assert winner.best_report.bound < se.best_report.bound
 
     def test_zero_noise_with_zero_clamped_eigenvalue_raises(self):
-        # l = 100 over a 0.3 s span leaves K numerically rank one; with
-        # sigma_n = 0 a clamped zero eigenvalue makes (K + sigma_n^2 I) singular
+        # l = 100 over a 0.3 s span leaves K numerically rank one; SRM needs
+        # sigma_n > 0, so the selection rejects the set before any scoring
         t = np.linspace(0.0, 0.3, 8)
         data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
         grid = build_se_grid((0.5, 2.0), (50.0, 100.0), 2, 2)
         base = SEKernel(sigma_f=1.0, length_scale=grid.candidates[0].length_scale)
         assert scipy.linalg.eigh(gram(base, t), eigvals_only=True).min() < 0.0
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             srm_select(grid, data)
 
     def test_zero_noise_near_singular_gram_raises_in_selection_and_fit(self):
         # l = 1000 over a 0.3 s span: the decomposition with vectors returns
         # only positive eigenvalues, but six of the eight sit at rounding
-        # level (below 1e-15), so without noise the selection must not score
-        # an exact interpolant that fit cannot solve
+        # level (below 1e-15); the selection rejects the noise-free set and
+        # fit reports the singular interpolation system
         t = np.linspace(0.0, 0.3, 8)
         data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
         spec = SEKernel(sigma_f=1.0, length_scale=1000.0)
         grid = StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             srm_select(grid, data)
         with pytest.raises(SingularSystemError):
             fit(spec, data, 0.0)
 
+    def test_zero_noise_full_rank_set_is_rejected(self, paper_params):
+        # fit interpolates this set, but every SRM candidate would have
+        # h = n and an infinite bound, a selection that picks nothing
+        noisy = _dataset(paper_params, decimation=16, seed=0)
+        data = TrainingSet(t=noisy.t, y=noisy.y, sigma_n=0.0, true_h=noisy.true_h, seed=0)
+        grid = GridSettings().family_grid("sdof", data, paper_params)
+        assert fit(grid.candidate(0), data, 0.0).edf == data.n
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
+            srm_select(grid, data)
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
+            srm_select_batch([grid, grid], [noisy, data])
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
 _GENERAL = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.FIXED)
