@@ -36,7 +36,7 @@ from .experiment import (
     summarize,
 )
 from .figures import boxplot_svg, complexity_svg, predictions_svg
-from .ioutil import csv_row, fmt_float, json_float
+from .ioutil import csv_row, fmt_float, json_float, json_text
 from .kernels import KernelSpec, kernel_from_json_dict, kernel_to_json_dict
 from .oscillator import (
     OscillatorParams,
@@ -81,7 +81,7 @@ def _parse(document: str, parse, *sources: Path | str):
 
 def _provenance(path: Path, command: str, resolved: dict, name: str = "config.json") -> None:
     doc = {"command": command, **resolved}
-    _write_text(path / name, json.dumps(doc, indent=2) + "\n")
+    _write_text(path / name, json_text(doc))
 
 
 def _load_training(data_dir: Path):
@@ -145,7 +145,7 @@ def cmd_fit(args) -> int:
         "train_mse": json_float(mse),
         "n": data.n,
     }
-    _write_text(out / "fit.json", json.dumps(doc, indent=2) + "\n")
+    _write_text(out / "fit.json", json_text(doc))
     _provenance(
         out,
         "fit",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, SrmksError, require_int
-from .ioutil import csv_row, json_float
+from .ioutil import JsonRecord, csv_row, json_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_eval
 from .oscillator import (
     OscillatorParams,
@@ -74,7 +74,7 @@ class ExperimentError(SrmksError):
 
 
 @dataclass(frozen=True)
-class GridSettings:
+class GridSettings(JsonRecord):
     """Grid resolutions and the shared output-amplitude bracket."""
 
     se_sigma_count: int = 10
@@ -95,14 +95,6 @@ class GridSettings:
                 "grids.amplitude_factors must be two finite numbers lo, hi with "
                 f"0 < lo < hi, got {list(factors)!r}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "se_sigma_count": self.se_sigma_count,
-            "se_length_count": self.se_length_count,
-            "sdof_sigma_count": self.sdof_sigma_count,
-            "amplitude_factors": [json_float(f) for f in self.amplitude_factors],
-        }
 
     def family_grid(
         self, family: str, data: TrainingSet, params: OscillatorParams
@@ -130,28 +122,15 @@ class GridSettings:
         scale = np.sqrt(4.0 * params.m**2 * params.zeta * params.omega_n**3)
         return build_sdof_grid(params, (lo * scale, hi * scale), self.sdof_sigma_count)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridSettings":
-        defaults = cls()
-        factors = d.get("amplitude_factors", list(defaults.amplitude_factors))
-        if not isinstance(factors, list):
-            raise InvalidInputError(f"grids.amplitude_factors must be a list, got {factors!r}")
-        return cls(
-            se_sigma_count=d.get("se_sigma_count", defaults.se_sigma_count),
-            se_length_count=d.get("se_length_count", defaults.se_length_count),
-            sdof_sigma_count=d.get("sdof_sigma_count", defaults.sdof_sigma_count),
-            amplitude_factors=tuple(float(f) for f in factors),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    params: OscillatorParams
+class ExperimentConfig(JsonRecord):
+    params: OscillatorParams = field(metadata={"key": "oscillator"})
     plans: tuple[SamplingPlan, ...]
     repetitions: int
     base_seed: int
     grids: GridSettings = field(default_factory=GridSettings)
-    bound_config: BoundConfig = field(default_factory=BoundConfig)
+    bound_config: BoundConfig = field(default_factory=BoundConfig, metadata={"key": "bound"})
 
     def __post_init__(self):
         require_int("repetitions", self.repetitions, 1)
@@ -171,30 +150,8 @@ class ExperimentConfig:
     def iteration_seed(self, iteration: int) -> int:
         return self.base_seed + iteration
 
-    def to_json_dict(self) -> dict:
-        return {
-            "oscillator": self.params.to_json_dict(),
-            "plans": [p.to_json_dict() for p in self.plans],
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "grids": self.grids.to_json_dict(),
-            "bound": self.bound_config.to_json_dict(),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        plans = tuple(SamplingPlan.from_json_dict(p) for p in d["plans"])
-        return cls(
-            params=OscillatorParams.from_json_dict(d["oscillator"]),
-            plans=plans,
-            repetitions=d["repetitions"],
-            base_seed=d["base_seed"],
-            grids=GridSettings.from_json_dict(d.get("grids", {})),
-            bound_config=BoundConfig.from_json_dict(d.get("bound", {})),
-        )
+        return json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -265,8 +222,9 @@ def _select_family(
 ) -> list[SelectionResult]:
     """One family's search for each iteration, from one batch."""
     grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
-    # the iterations share sample times and sigma_n, so the one selection
-    # failure (noise-free data) hits every cell or none
+    # the iterations share sample times and sigma_n, and at a noise level
+    # that fails the selection their RMS(y), hence their grids, agree too:
+    # the failure hits every cell or none
     with _tagged(datasets[0].n, iterations[0], family):
         return srm_select_batch(grids, datasets, cfg.bound_config)
 
@@ -354,7 +312,7 @@ def records_from_csv(text: str, params: OscillatorParams | None = None) -> list[
 
 
 @dataclass(frozen=True)
-class BoxStats:
+class BoxStats(JsonRecord):
     """Five-number summary plus mean; None when no finite values exist.
 
     Quantiles use linear interpolation between order statistics (the median
@@ -362,29 +320,14 @@ class BoxStats:
     values are excluded and counted separately.
     """
 
-    minimum: float | None
+    minimum: float | None = field(metadata={"key": "min"})
     q1: float | None
     median: float | None
     q3: float | None
-    maximum: float | None
+    maximum: float | None = field(metadata={"key": "max"})
     mean: float | None
     count: int
     infinite_count: int
-
-    def to_json_dict(self) -> dict:
-        def opt(v):
-            return None if v is None else json_float(v)
-
-        return {
-            "min": opt(self.minimum),
-            "q1": opt(self.q1),
-            "median": opt(self.median),
-            "q3": opt(self.q3),
-            "max": opt(self.maximum),
-            "mean": opt(self.mean),
-            "count": self.count,
-            "infinite_count": self.infinite_count,
-        }
 
 
 def _box_stats(values: np.ndarray) -> BoxStats:
@@ -423,7 +366,7 @@ class BoxplotSummary:
         doc: dict = {}
         for (n, family, metric), stats in sorted(self.cells.items()):
             doc.setdefault(str(n), {}).setdefault(family, {})[metric] = stats.to_json_dict()
-        return json.dumps(doc, indent=2) + "\n"
+        return json_text(doc)
 
 
 def summarize(records: list[IterationRecord]) -> BoxplotSummary:

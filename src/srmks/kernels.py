@@ -154,7 +154,6 @@ def kernel_from_json_dict(d: dict) -> KernelSpec:
             length_scale=float(d["length_scale"]),
         )
     if family == "sdof":
-        return SDOFKernel(
-            sigma_f=float(d["sigma_f"]), params=OscillatorParams.from_json_dict(d)
-        )
+        params = OscillatorParams.from_json_dict({key: d[key] for key in ("m", "c", "k")})
+        return SDOFKernel(sigma_f=float(d["sigma_f"]), params=params)
     raise InvalidInputError(f"unknown kernel family {family!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, require_int
-from .ioutil import csv_row, json_float
+from .ioutil import JsonRecord, csv_row, json_float, json_text
 
 __all__ = [
     "OscillatorParams",
@@ -43,7 +43,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(JsonRecord):
     """Physical coefficients of the oscillator.
 
     m : mass (kg), c : damping (N s/m), k : stiffness (N/m).
@@ -91,16 +91,9 @@ class OscillatorParams:
         """Damped natural frequency, omega_n sqrt(1 - zeta^2) (rad/s)."""
         return self.omega_n * math.sqrt(1.0 - self.zeta**2)
 
-    def to_json_dict(self) -> dict:
-        return {"m": json_float(self.m), "c": json_float(self.c), "k": json_float(self.k)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OscillatorParams":
-        return cls(m=float(d["m"]), c=float(d["c"]), k=float(d["k"]))
-
 
 @dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(JsonRecord):
     """How to build a training set: grid, decimation, noise level, seed.
 
     A base grid of `base_points` uniform times covers [t_start, t_end]
@@ -132,27 +125,6 @@ class SamplingPlan:
 
     def base_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.base_points)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t_start": json_float(self.t_start),
-            "t_end": json_float(self.t_end),
-            "base_points": self.base_points,
-            "decimation": self.decimation,
-            "snr": json_float(self.snr),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SamplingPlan":
-        return cls(
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            base_points=d["base_points"],
-            decimation=d["decimation"],
-            snr=float(d["snr"]),
-            seed=d["seed"],
-        )
 
 
 @dataclass(frozen=True)
@@ -242,10 +214,10 @@ def training_set_to_json(data: TrainingSet, plan: SamplingPlan) -> str:
         "n": data.n,
         "plan": plan.to_json_dict(),
     }
-    return json.dumps(record, indent=2) + "\n"
+    return json_text(record)
 
 
-def training_set_from_files(csv_text: str, json_text: str) -> tuple[TrainingSet, SamplingPlan]:
+def training_set_from_files(csv_text: str, meta_text: str) -> tuple[TrainingSet, SamplingPlan]:
     """Reconstruct a training set from the CSV/JSON pair written above."""
     lines = [ln for ln in csv_text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "t,y,true_h":
@@ -254,7 +226,7 @@ def training_set_from_files(csv_text: str, json_text: str) -> tuple[TrainingSet,
     if not rows:
         raise InvalidInputError("training CSV contains no data rows")
     cols = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    meta = json.loads(json_text)
+    meta = json.loads(meta_text)
     plan = SamplingPlan.from_json_dict(meta["plan"])
     data = TrainingSet(
         t=cols[:, 0],

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import csv_row, json_float
+from .ioutil import JsonRecord, csv_row
 
 __all__ = [
     "DeltaRule",
@@ -60,7 +60,7 @@ class DeltaRule(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BoundConfig:
+class BoundConfig(JsonRecord):
     """Constants of the general bound. Defaults reproduce the reduced form."""
 
     a1: float = 1.0
@@ -85,30 +85,9 @@ class BoundConfig:
             return float(self.delta)
         return 4.0 / math.sqrt(n)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "a1": json_float(self.a1),
-            "a2": json_float(self.a2),
-            "c": json_float(self.c),
-            "delta": None if self.delta is None else json_float(self.delta),
-            "delta_rule": self.delta_rule.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BoundConfig":
-        defaults = cls()
-        delta = d.get("delta", defaults.delta)
-        return cls(
-            a1=float(d.get("a1", defaults.a1)),
-            a2=float(d.get("a2", defaults.a2)),
-            c=float(d.get("c", defaults.c)),
-            delta=None if delta is None else float(delta),
-            delta_rule=DeltaRule(d.get("delta_rule", defaults.delta_rule)),
-        )
-
 
 @dataclass(frozen=True)
-class RiskReport:
+class RiskReport(JsonRecord):
     """Empirical risk together with its capacity-penalised guarantee."""
 
     empirical_risk: float
@@ -119,31 +98,6 @@ class RiskReport:
     bound: float
     clipped: bool
     eta_negative: bool = False  # eta < 0; at the defaults only for h > e n, never in selection
-
-    def to_json_dict(self) -> dict:
-        return {
-            "empirical_risk": json_float(self.empirical_risk),
-            "h": json_float(self.h),
-            "n": self.n,
-            "p": json_float(self.p),
-            "delta": json_float(self.delta),
-            "bound": json_float(self.bound),
-            "clipped": self.clipped,
-            "eta_negative": self.eta_negative,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RiskReport":
-        return cls(
-            empirical_risk=float(d["empirical_risk"]),
-            h=float(d["h"]),
-            n=int(d["n"]),
-            p=float(d["p"]),
-            delta=float(d["delta"]),
-            bound=float(d["bound"]),
-            clipped=bool(d["clipped"]),
-            eta_negative=bool(d.get("eta_negative", False)),
-        )
 
 
 RISK_CSV_HEADER = "kernel,n,h,p,delta,emp_risk,bound,clipped"

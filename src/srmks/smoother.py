@@ -33,11 +33,11 @@ kernel on one training set goes through fit, since Cholesky plus an
 eigenvalues-only eigh is faster than one eigh with vectors; many
 candidates on one plan's sample times go through the spectrum.
 
-Scoring needs sigma_n > 0, which srm.srm_select_batch checks: without
-noise every smoother interpolates, so each candidate has edf = n and an
-infinite bound. Only fit takes sigma_n = 0, the interpolant; it treats the
-system, then K itself, as singular when a clamped eigenvalue of K is at
-most n * eps * lambda_max, the rounding level of the decomposition.
+Scoring needs sigma_n^2 above rounding_level, n * eps * s_max^2 *
+lambda_max for the largest scale s_max, which srm.srm_select_batch checks:
+at or below it every smoother interpolates, so each candidate has edf = n
+and an infinite bound. Only fit takes sigma_n = 0, the interpolant; it
+treats K as singular when a clamped eigenvalue is at most n * eps * lambda_max.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
 __all__ = [
-    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "signal_scale_scores",
-    "spectral_weights",
+    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "rounding_level",
+    "signal_scale_scores", "spectral_weights",
 ]
 
 
@@ -86,6 +86,11 @@ def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
     return Spectrum(base, t, np.maximum(lam, 0.0), vectors)
 
 
+def rounding_level(n: int, top: float) -> float:
+    """n * eps * top, the rounding level of an n x n decomposition with largest eigenvalue top."""
+    return n * np.finfo(float).eps * top
+
+
 def _edf_from_spectrum(eigenvalues: np.ndarray, noise: float):
     """Effective degrees of freedom of a nonnegative spectrum (last axis) at noise variance."""
     return np.sum(eigenvalues / (eigenvalues + noise), axis=-1)
@@ -109,7 +114,7 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
     # without noise the system is K itself: singular when an eigenvalue is
     # at the rounding level of the decomposition
-    if noise == 0.0 and lam.min() <= n * np.finfo(float).eps * lam.max():
+    if noise == 0.0 and lam.min() <= rounding_level(n, lam.max()):
         raise SingularSystemError(f"the {n}x{n} smoother system is singular at sigma_n = 0")
     try:
         factor = scipy.linalg.cho_factor(K + noise * np.eye(n), lower=True)
@@ -137,7 +142,8 @@ def signal_scale_scores(
 
     `sigma_fs[r]` holds the scales of `spectrum.base` to score on
     `datasets[r]`, each at that set's own noise level. Every set must lie
-    on the sample times `spectrum.t` and have sigma_n > 0.
+    on the sample times `spectrum.t` and have sigma_n^2 above the
+    rounding level, as srm.srm_select_batch checks.
     """
     lam, vectors = spectrum.eigenvalues, spectrum.vectors
     scores = []
@@ -158,7 +164,7 @@ def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> n
 
     The smoother fit to `data` predicts kernel_eval(spectrum.base, t*,
     spectrum.t) @ v at t*. `data` must lie on `spectrum.t` and have
-    sigma_n > 0, as its selection already checked.
+    sigma_n^2 above the rounding level, as its selection already checked.
     """
     scale, vectors = sigma_f**2, spectrum.vectors
     z = vectors.T @ data.y

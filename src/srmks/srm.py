@@ -33,7 +33,6 @@ never abort.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -41,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import csv_row
+from .ioutil import csv_row, json_text
 from .kernels import (
     KernelSpec,
     SDOFKernel,
@@ -57,7 +56,7 @@ from .risk import (
     risk_csv_row,
     vc_bounds,
 )
-from .smoother import Spectrum, decompose, signal_scale_scores
+from .smoother import Spectrum, decompose, rounding_level, signal_scale_scores
 
 __all__ = [
     "StructureGrid",
@@ -187,17 +186,13 @@ def srm_select_batch(
     The training sets must share their sample times and the grids their
     base kernels; each base kernel is decomposed once for every set. Raises
     InvalidInputError if the counts, the sample times or the bases differ,
-    or if a set has no noise.
+    or if a set's noise variance is at most the rounding level of its
+    largest scaled spectrum, where every candidate would interpolate.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
     if not grids:
         return []
-    if any(data.sigma_n**2 == 0.0 for data in datasets):
-        raise InvalidInputError(
-            "SRM needs sigma_n > 0: without noise every candidate interpolates, "
-            "so each has h = n and an infinite bound"
-        )
     if any(not np.array_equal(data.t, datasets[0].t) for data in datasets[1:]):
         raise InvalidInputError("batched training sets must share their sample times")
     bases = grids[0].bases
@@ -205,6 +200,14 @@ def srm_select_batch(
         raise InvalidInputError("batched grids must share their base kernels")
     sigma_fs = [grid.sigma_fs for grid in grids]
     spectra = [decompose(base, datasets[0].t) for base in bases]
+    top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
+    for grid, data in zip(grids, datasets):
+        level = rounding_level(data.n, grid.sigma_fs[-1] ** 2 * top)
+        if data.sigma_n**2 <= level:
+            raise InvalidInputError(
+                f"SRM needs sigma_n > 0, sigma_n^2 above the rounding level {level:.3g}, got "
+                f"{data.sigma_n**2:.3g}: every candidate would interpolate (h = n, bound inf)"
+            )
     per_base = [signal_scale_scores(spectrum, datasets, sigma_fs) for spectrum in spectra]
     results = []
     for r, (grid, data) in enumerate(zip(grids, datasets)):
@@ -242,7 +245,7 @@ def selection_to_json(result: SelectionResult) -> str:
             for spec, report in result.trace
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def trace_to_csv(result: SelectionResult) -> str:

@@ -192,6 +192,27 @@ class TestExperiment:
         stdout = capsys.readouterr().out
         assert stdout.count("se_median_bound=inf sdof_median_bound=inf") == 3
 
+    def test_negligible_noise_names_the_cell(self, tmp_path, golden_dir, capsys):
+        # snr = 1e308 leaves a subnormal sigma_n^2, far below the rounding
+        # level of the scored spectra
+        doc = json.loads((golden_dir / "config_ref.json").read_text())
+        for plan in doc["plans"]:
+            plan["snr"] = 1e308
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "exp")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=63, iteration=0, family=se: ")
+        assert "rounding level" in err
+
+    def test_misspelt_key_is_named(self, tmp_path, golden_dir, capsys):
+        doc = json.loads((golden_dir / "config_ref.json").read_text())
+        doc["grid"] = doc.pop("grids")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "exp")]) == 3
+        assert "unknown ExperimentConfig key 'grid'" in capsys.readouterr().err
+
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert main(["experiment", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 3
 
@@ -492,6 +513,21 @@ _INVALID_INPUTS = [
     ("config-infinite-snr", 3,
      lambda i, out: [
          "experiment", "--config", i.config(lambda d: d["plans"][0].update(snr=math.inf)),
+         "--out", out]),
+    ("select-negligible-noise", 2,
+     lambda i, out: ["select", "--data", i.simulated("--snr", "1e308"), "--out", out]),
+    ("config-negligible-noise", 4,
+     lambda i, out: [
+         "experiment", "--config",
+         i.config(lambda d: [plan.update(snr=1e308) for plan in d["plans"]]), "--out", out]),
+    ("config-misspelt-grids-key", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d.update(grid=d.pop("grids"))),
+         "--out", out]),
+    ("config-misspelt-bound-key", 3,
+     lambda i, out: [
+         "experiment", "--config",
+         i.config(lambda d: d["bound"].update(delta_rul=d["bound"].pop("delta_rule"))),
          "--out", out]),
     ("fit-kernel-not-an-object", 3,
      lambda i, out: ["fit", "--data", i.data, "--kernel", "[1]", "--out", out]),

@@ -75,6 +75,11 @@ class TestConfig:
         cfg = default_config(repetitions=7, base_seed=99)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
+    def test_golden_config_bytes(self, golden_dir):
+        # pins key order, key names and float formatting of config.json
+        text = (golden_dir / "config_ref.json").read_text()
+        assert default_config(repetitions=2, base_seed=1234).to_json() == text
+
     def test_validation(self):
         cfg = default_config()
         with pytest.raises(InvalidInputError):

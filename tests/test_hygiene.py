@@ -7,7 +7,9 @@ imports bind nothing, so both are skipped. An ``__all__`` entry is stale
 when the module binds no such name at its top level, so ``from module
 import *`` would fail. A module-private top-level function, class or
 assignment (a name with one leading underscore) is orphaned when nothing
-in its own module reads it.
+in its own module reads it. JSON has one codec and one writer: no class but
+``ioutil.JsonRecord`` defines ``to_json_dict`` or ``from_json_dict``, and no
+module but ``ioutil`` calls ``json.dumps``.
 """
 import ast
 from pathlib import Path
@@ -131,3 +133,69 @@ def test_scanner_flags_an_orphaned_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_orphaned_private_names(path):
     assert _orphaned_privates(path.read_text()) == []
+
+
+def _json_writers(source: str) -> list[str]:
+    """Every use of json.dumps, by attribute or by import; ioutil.json_text is the one writer."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "dumps"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "json"
+            and any(alias.name == "dumps" for alias in node.names)
+        ):
+            found.append(f"line {node.lineno}: json.dumps")
+    return found
+
+
+def test_scanner_flags_a_json_writer():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "text = json.dumps({}) + json.loads('{}')\n"
+    )
+    assert _json_writers(source) == ["line 2: json.dumps", "line 3: json.dumps"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "ioutil.py"], ids=lambda path: path.name
+)
+def test_json_is_written_only_by_ioutil(path):
+    assert _json_writers(path.read_text()) == []
+
+
+def _own_json_codecs(source: str) -> list[str]:
+    """Methods to_json_dict/from_json_dict of classes other than ioutil.JsonRecord."""
+    tree = ast.parse(source)
+    return [
+        f"line {method.lineno}: {node.name}.{method.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name != "JsonRecord"
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and method.name in ("to_json_dict", "from_json_dict")
+    ]
+
+
+def test_scanner_flags_a_reintroduced_codec():
+    source = (
+        "class JsonRecord:\n"
+        "    def to_json_dict(self): return {}\n"
+        "class Plan(JsonRecord):\n"
+        "    seed: int\n"
+        "class Params(JsonRecord):\n"
+        "    @classmethod\n"
+        "    def from_json_dict(cls, d): return cls()\n"
+    )
+    assert _own_json_codecs(source) == ["line 7: Params.from_json_dict"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_class_has_its_own_json_codec(path):
+    assert _own_json_codecs(path.read_text()) == []

@@ -1,0 +1,138 @@
+"""The JSON codec of the config and report dataclasses (ioutil.JsonRecord)."""
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from srmks.errors import InvalidInputError
+from srmks.experiment import BoxStats, ExperimentConfig, GridSettings, default_config
+from srmks.ioutil import json_text
+from srmks.oscillator import OscillatorParams, SamplingPlan
+from srmks.risk import BoundConfig, DeltaRule, RiskReport
+
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_ANY_FLOAT = st.floats(allow_nan=False)  # NaN != NaN, so equality cannot check it
+_COUNTS = st.integers(min_value=1, max_value=50)
+
+
+@st.composite
+def _oscillators(draw, min_zeta=0.0):
+    m, k = draw(_POSITIVE), draw(_POSITIVE)
+    zeta = draw(st.floats(min_value=min_zeta, max_value=0.99))
+    return OscillatorParams(m=m, c=zeta * 2.0 * math.sqrt(k * m), k=k)
+
+
+@st.composite
+def _plans(draw, snr=st.one_of(_POSITIVE, st.just(math.inf))):
+    t_start = draw(st.floats(min_value=-10.0, max_value=10.0))
+    return SamplingPlan(
+        t_start=t_start,
+        t_end=t_start + draw(_POSITIVE),
+        base_points=draw(st.integers(min_value=2, max_value=5000)),
+        decimation=draw(_COUNTS),
+        snr=draw(snr),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+    )
+
+
+@st.composite
+def _grids(draw):
+    lo = draw(_POSITIVE)
+    return GridSettings(
+        se_sigma_count=draw(_COUNTS),
+        se_length_count=draw(_COUNTS),
+        sdof_sigma_count=draw(_COUNTS),
+        amplitude_factors=(lo, lo * draw(st.floats(min_value=1.5, max_value=1e3))),
+    )
+
+
+_BOUNDS = st.one_of(
+    st.builds(BoundConfig, a1=_POSITIVE, a2=_POSITIVE, c=_POSITIVE),  # delta None, 4/sqrt(n)
+    st.builds(
+        BoundConfig, a1=_POSITIVE, a2=_POSITIVE, c=_POSITIVE,
+        delta=st.floats(min_value=1e-9, max_value=0.999), delta_rule=st.just(DeltaRule.FIXED),
+    ),
+)
+
+
+@st.composite
+def _configs(draw):
+    plans = draw(st.lists(_plans(snr=_POSITIVE), min_size=1, max_size=3))
+    unique = tuple({plan.n_samples: plan for plan in plans}.values())
+    return ExperimentConfig(
+        params=draw(_oscillators(min_zeta=1e-3)),  # the SDOF kernel needs damping
+        plans=unique,
+        repetitions=draw(_COUNTS),
+        base_seed=draw(st.integers(min_value=0, max_value=2**40)),
+        grids=draw(_grids()),
+        bound_config=draw(_BOUNDS),
+    )
+
+
+_REPORTS = st.builds(
+    RiskReport,
+    empirical_risk=_ANY_FLOAT, h=_ANY_FLOAT, n=st.integers(min_value=1),
+    p=_ANY_FLOAT, delta=_ANY_FLOAT, bound=st.one_of(_ANY_FLOAT, st.just(math.inf)),
+    clipped=st.booleans(), eta_negative=st.booleans(),
+)
+_OPTIONAL = st.one_of(st.none(), _ANY_FLOAT)
+_BOX_STATS = st.builds(
+    BoxStats,
+    minimum=_OPTIONAL, q1=_OPTIONAL, median=_OPTIONAL, q3=_OPTIONAL, maximum=_OPTIONAL,
+    mean=_OPTIONAL, count=st.integers(min_value=0), infinite_count=st.integers(min_value=0),
+)
+_RECORDS = st.one_of(
+    _oscillators(), _plans(), _grids(), _BOUNDS, _configs(), _REPORTS, _BOX_STATS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_round_trip(record):
+    doc = json.loads(json_text(record.to_json_dict()))
+    assert type(record).from_json_dict(doc) == record
+
+
+def test_renamed_keys():
+    assert list(default_config().to_json_dict()) == [
+        "oscillator", "plans", "repetitions", "base_seed", "grids", "bound",
+    ]
+    stats = BoxStats(1.0, 2.0, 3.0, 4.0, 5.0, 3.0, 5, 0)
+    assert list(stats.to_json_dict()) == [
+        "min", "q1", "median", "q3", "max", "mean", "count", "infinite_count",
+    ]
+
+
+def test_infinite_floats_are_strings():
+    doc = BoxStats(None, 1.0, 2.0, 3.0, math.inf, 2.0, 4, 1).to_json_dict()
+    assert doc["min"] is None and doc["max"] == "inf"
+
+
+def test_optional_keys_take_the_field_defaults():
+    assert BoundConfig.from_json_dict({}) == BoundConfig()
+    assert GridSettings.from_json_dict({"se_sigma_count": 3}) == GridSettings(se_sigma_count=3)
+
+
+@pytest.mark.parametrize(
+    "cls,doc,match",
+    [
+        (BoundConfig, {"delta_rul": "fixed"}, "unknown BoundConfig key 'delta_rul'"),
+        (OscillatorParams, {"m": 1.0, "c": 2.0, "k": 3.0, "family": "sdof"}, "'family'"),
+        (OscillatorParams, {"m": 1.0, "c": 2.0}, "needs the key 'k'"),
+        (ExperimentConfig, [1], "must be a JSON object"),
+        (GridSettings, {"amplitude_factors": 0.1}, "expected a JSON list"),
+        (GridSettings, {"amplitude_factors": [0.1, "x"]}, "could not convert"),
+    ],
+)
+def test_malformed_documents_are_rejected(cls, doc, match):
+    with pytest.raises(ValueError, match=match):
+        cls.from_json_dict(doc)
+
+
+def test_booleans_must_be_json_booleans():
+    doc = RiskReport(0.1, 2.0, 10, 0.2, 0.5, 0.3, False).to_json_dict()
+    doc["clipped"] = 0
+    with pytest.raises(InvalidInputError, match="boolean"):
+        RiskReport.from_json_dict(doc)

@@ -14,7 +14,7 @@ from srmks.experiment import GridSettings
 from srmks.kernels import SDOFKernel, SEKernel, gram
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
 from srmks.risk import BoundConfig, Bounds, DeltaRule, vc_bound_general, vc_bound_reduced
-from srmks.smoother import decompose, fit
+from srmks.smoother import decompose, fit, rounding_level
 from srmks.srm import (
     SelectionResult,
     StructureGrid,
@@ -276,6 +276,30 @@ class TestSelection:
             srm_select(grid, data)
         with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             srm_select_batch([grid, grid], [noisy, data])
+
+    def test_negligible_noise_is_rejected(self, paper_params):
+        # snr = 1e308 gives a subnormal sigma_n^2; scored against spectra of
+        # order s_max^2 lambda_max it is no noise at all
+        data = _dataset(paper_params, snr=1e308)
+        assert 0.0 < data.sigma_n**2 < 1e-300
+        for family in ("se", "sdof"):
+            grid = GridSettings().family_grid(family, data, paper_params)
+            with pytest.raises(InvalidInputError, match="rounding level"):
+                srm_select(grid, data)
+
+    def test_noise_threshold_is_the_rounding_level_of_the_scaled_spectra(self, paper_params):
+        noisy = _dataset(paper_params)
+        grid = GridSettings().family_grid("se", noisy, paper_params)
+        top = max(decompose(base, noisy.t).eigenvalues[-1] for base in grid.bases)
+        level = rounding_level(noisy.n, grid.sigma_fs[-1] ** 2 * top)
+
+        def at(noise):
+            return TrainingSet(noisy.t, noisy.y, math.sqrt(noise), noisy.true_h, 0)
+
+        srm_select(grid, at(2.0 * level))
+        with pytest.raises(InvalidInputError, match="rounding level"):
+            srm_select(grid, at(0.5 * level))
+
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
 _GENERAL = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.FIXED)
