@@ -10,8 +10,8 @@ plot --kind predictions reads), and reruns with identical flags rewrite
 identical bytes.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or input-file parse error,
-4 numeric failure. An input file that cannot be read, decoded or parsed
-(ValueError, KeyError, TypeError, AttributeError, OverflowError) exits 3.
+4 numeric failure. An input file that cannot be read (OSError) or decoded
+and parsed (ValueError, the only error the readers of ioutil raise) exits 3.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .experiment import (
     summarize,
 )
 from .figures import boxplot_svg, complexity_svg, predictions_svg
-from .ioutil import csv_row, fmt_float, json_float, json_text
+from .ioutil import csv_text, fmt_float, json_float, json_text
 from .kernels import KernelSpec, kernel_from_json_dict, kernel_to_json_dict
 from .oscillator import (
     OscillatorParams,
@@ -75,7 +75,7 @@ def _parse(document: str, parse, *sources: Path | str):
     try:
         texts = [s.read_text(encoding="utf-8") if isinstance(s, Path) else s for s in sources]
         return parse(*texts)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (OSError, ValueError) as exc:
         raise _FileError(f"cannot load {document}: {exc}") from exc
 
 
@@ -134,10 +134,9 @@ def cmd_fit(args) -> int:
     model = fit_smoother(kernel, data, sigma_n)
     mse = empirical_risk(data.y, model.fitted)
     out = Path(args.out)
-    lines = ["t,y,prediction"]
-    for ti, yi, pi in zip(data.t, data.y, model.fitted):
-        lines.append(csv_row([ti, yi, pi]))
-    _write_text(out / "predictions.csv", "\n".join(lines) + "\n")
+    _write_text(
+        out / "predictions.csv", csv_text("t,y,prediction", zip(data.t, data.y, model.fitted))
+    )
     doc = {
         "kernel": kernel_to_json_dict(kernel),
         "sigma_n": json_float(sigma_n),

@@ -19,12 +19,10 @@ grid. The study makes no Cholesky factorisation.
 
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
-config.json (echo of the configuration). Floats carry 17 significant
-digits; infinite bounds are written as "inf".
+config.json (echo of the configuration), all written by ioutil.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, SrmksError, require_int
-from .ioutil import JsonRecord, csv_row, json_text
+from .ioutil import JsonRecord, csv_table, csv_text, json_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_eval
 from .oscillator import (
     OscillatorParams,
@@ -150,13 +148,6 @@ class ExperimentConfig(JsonRecord):
     def iteration_seed(self, iteration: int) -> int:
         return self.base_seed + iteration
 
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text))
-
 
 def default_config(repetitions: int = 100, base_seed: int = 1234) -> ExperimentConfig:
     """Reference study: 100 noise realisations over n = 63, 126, 251 at SNR 10."""
@@ -260,36 +251,22 @@ def _run_plan(
 
 def records_to_csv(records: list[IterationRecord]) -> str:
     """CSV text, one record per row; the length-scale column is empty for sdof."""
-    lines = [RECORDS_CSV_HEADER]
-    for r in records:
-        spec = r.chosen_spec
-        length = spec.length_scale if isinstance(spec, SEKernel) else ""
-        lines.append(
-            csv_row(
-                [r.sample_size, r.iteration, r.family, spec.sigma_f, length,
-                 r.emp_risk, r.h, r.bound, r.true_mse]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(RECORDS_CSV_HEADER, (
+        (r.sample_size, r.iteration, r.family, r.chosen_spec.sigma_f,
+         r.chosen_spec.length_scale if isinstance(r.chosen_spec, SEKernel) else "",
+         r.emp_risk, r.h, r.bound, r.true_mse)
+        for r in records
+    ))
 
 
 def records_from_csv(text: str, params: OscillatorParams | None = None) -> list[IterationRecord]:
     """Parse records.csv; `params` rebuilds sdof specs (defaults to the reference system)."""
     if params is None:
         params = default_config().params
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != RECORDS_CSV_HEADER:
-        raise InvalidInputError(
-            f"records CSV must start with header '{RECORDS_CSV_HEADER}'"
-        )
-    if len(lines) < 2:
-        raise InvalidInputError("records CSV holds zero records")
     records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 9:
-            raise InvalidInputError(f"malformed records row: {ln!r}")
-        n, iteration, family, sigma_f, length, emp, h, bound, tmse = parts
+    for n, iteration, family, sigma_f, length, emp, h, bound, tmse in csv_table(
+        text, RECORDS_CSV_HEADER, "records"
+    ):
         if family == "se":
             spec: KernelSpec = SEKernel(sigma_f=float(sigma_f), length_scale=float(length))
         elif family == "sdof":

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
+from .ioutil import lines_text
 from .oscillator import generate_training_set, impulse_response
 from .smoother import fit, predict
 
@@ -77,7 +78,7 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
         f'width="{width}" height="{height}" font-family="Helvetica, Arial, sans-serif">'
     )
     bg = f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
-    return "\n".join([head, bg, *body, "</svg>"]) + "\n"
+    return lines_text([head, bg, *body, "</svg>"])
 
 
 def _legend(x: float, y: float, entries: list[tuple[str, str]]) -> list[str]:

@@ -1,24 +1,24 @@
-"""Serialization shared by the CSV/JSON writers: float formatting and the JSON codec.
+"""The one place that encodes and decodes files: CSV tables, JSON documents, floats.
 
-All floating-point output uses 17 significant digits, which is enough to
-round-trip IEEE doubles exactly, and infinities are written as the string
-"inf" so CSV and JSON files stay portable. Every JSON document is written
-by json_text: two-space indent, one trailing newline.
+Floats are written with 17 significant digits, enough to round-trip IEEE
+doubles exactly, and the non-finite ones as the strings "inf", "-inf" and
+"nan", so CSV and JSON files stay portable. json_text writes every JSON
+document (two-space indent, one trailing newline) and lines_text every file
+of lines. csv_text writes a CSV table, with bools as true/false; csv_table
+reads one, skipping blank lines and checking the header, that a data row
+follows and that every row has the header's field count.
 
-The config and report dataclasses derive from JsonRecord, whose one codec
-walks the dataclass fields:
-
-- keys come in field order; a field's key is its name unless its
-  metadata names another (``field(metadata={"key": "min"})``);
-- floats go through json_float, enums are written by value, tuples become
-  lists, None stays null, and nested JsonRecords are coded recursively;
-- on read, a key is optional only when its field has a default, and an
-  unknown key is an error, so a misspelt key cannot fall back to a default;
-- floats are read with float(), so "inf" round-trips; ints pass through
-  unchanged to the classes' own require_int checks; bools must be JSON
-  booleans;
-- a non-object where an object is expected, or a non-list where a tuple
-  is expected, raises InvalidInputError.
+The config and report dataclasses and the training.json sidecar derive from
+JsonRecord, whose one codec walks the dataclass fields in order. A field's
+key is its name unless its metadata names another
+(``field(metadata={"key": "min"})``); enums go by value, tuples become
+lists, None stays null and nested JsonRecords recurse. On read, only a
+field with a default may be missing and an unknown key is an error, so a
+misspelt key cannot fall back to a default. Floats are read by
+float_from_json (a JSON number that is not a boolean, or a string that
+json_float writes), bools must be JSON booleans, and ints pass through to
+the classes' own require_int checks. Every reader raises only ValueError:
+InvalidInputError, or the JSONDecodeError of malformed JSON.
 """
 from __future__ import annotations
 
@@ -52,9 +52,48 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def csv_row(fields) -> str:
-    """Comma-separated fields: floats as fmt_float writes them, the rest as str()."""
-    return ",".join([fmt_float(f) if isinstance(f, float) else str(f) for f in fields])
+def float_from_json(value) -> float:
+    """The float of a JSON number or of a string that json_float writes."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidInputError(f"integer {value} is outside the float range") from None
+    if value in ("inf", "-inf", "nan"):
+        return float(value)
+    raise InvalidInputError(f"expected a JSON number, got {value!r}")
+
+
+def lines_text(lines) -> str:
+    """The lines joined into text, each ending in a newline."""
+    return "\n".join(lines) + "\n"
+
+
+def _csv_field(value) -> str:
+    """Floats as fmt_float writes them, bools as true/false, the rest as str()."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt_float(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text: the header line, then one line of comma-separated fields per row."""
+    return lines_text([header, *(",".join(map(_csv_field, row)) for row in rows)])
+
+
+def csv_table(text: str, header: str, name: str) -> list[list[str]]:
+    """The field lists of the data rows of `text`, a CSV table `name` under `header`."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise InvalidInputError(f"{name} CSV must start with header '{header}'")
+    if len(lines) < 2:
+        raise InvalidInputError(f"{name} CSV holds zero records")
+    width = header.count(",") + 1
+    rows = [ln.split(",") for ln in lines[1:]]
+    for ln, row in zip(lines[1:], rows):
+        if len(row) != width:
+            raise InvalidInputError(f"malformed {name} row: {ln!r}")
+    return rows
 
 
 def _same(value):
@@ -70,7 +109,7 @@ def _read_bool(value) -> bool:
 def _codec(tp) -> tuple:
     """(encode, decode) of one field type."""
     if tp is float:
-        return json_float, float
+        return json_float, float_from_json
     if tp is int:
         return _same, _same
     if tp is bool:
@@ -141,3 +180,10 @@ class JsonRecord:
             elif required:
                 raise InvalidInputError(f"{cls.__name__} needs the key {key!r}")
         return cls(**kwargs)
+
+    def to_json(self) -> str:
+        return json_text(self.to_json_dict())
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))

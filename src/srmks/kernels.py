@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import json_float
+from .ioutil import float_from_json, json_float
 from .oscillator import OscillatorParams
 
 __all__ = [
@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _require_finite_variance(sigma_f: float, unit_diagonal: float) -> None:
+    """Reject a sigma_f that is not positive or whose k(0) = sigma_f^2 * unit_diagonal overflows."""
+    if not (sigma_f > 0 and sigma_f * sigma_f * unit_diagonal < math.inf):
+        raise InvalidInputError(
+            f"sigma_f must be positive with a finite kernel variance k(0), got {sigma_f!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SEKernel:
     """Squared-exponential kernel with signal scale sigma_f and length-scale (s)."""
@@ -50,12 +58,12 @@ class SEKernel:
     family = "se"
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_f) and self.sigma_f > 0):
-            raise InvalidInputError("sigma_f must be positive and finite")
-        if not (math.isfinite(self.length_scale) and self.length_scale > 0):
-            raise InvalidInputError("length_scale must be positive and finite")
-        if self.length_scale**2 == 0.0:  # kernel_eval divides by 2 l^2
-            raise InvalidInputError(f"length_scale {self.length_scale!r} squares to 0")
+        _require_finite_variance(self.sigma_f, 1.0)
+        length = self.length_scale  # kernel_eval divides by 2 l^2
+        if not (length > 0 and 0.0 < length * length < math.inf):
+            raise InvalidInputError(
+                f"length_scale must be positive with a positive finite square, got {length!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,6 @@ class SDOFKernel:
     family = "sdof"
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_f) and self.sigma_f > 0):
-            raise InvalidInputError("sigma_f must be positive and finite")
         # params validates the underdamped requirement at construction
         if self.params.zeta == 0.0:
             raise InvalidInputError(
@@ -85,17 +91,13 @@ class SDOFKernel:
                 f"oscillator coefficients {self.params.to_json_dict()} give no positive "
                 "finite kernel variance 1 / (4 m^2 zeta omega_n^3)"
             )
+        _require_finite_variance(self.sigma_f, self.unit_diagonal)
 
     @property
     def unit_diagonal(self) -> float:
         """Kernel value at tau = 0 for sigma_f = 1: 1 / (4 m^2 zeta omega_n^3)."""
         p = self.params
         return 1.0 / (4.0 * p.m**2 * p.zeta * p.omega_n**3)
-
-    @property
-    def diagonal(self) -> float:
-        """Kernel value at tau = 0: sigma_f^2 / (4 m^2 zeta omega_n^3)."""
-        return self.sigma_f**2 * self.unit_diagonal
 
 
 KernelSpec = Union[SEKernel, SDOFKernel]
@@ -130,30 +132,31 @@ def gram(spec: KernelSpec, t) -> np.ndarray:
     return kernel_eval(spec, t[:, None], t[None, :])
 
 
+_KERNEL_KEYS = {"se": ("sigma_f", "length_scale"), "sdof": ("sigma_f", "m", "c", "k")}
+
+
 def kernel_to_json_dict(spec: KernelSpec) -> dict:
     if isinstance(spec, SEKernel):
-        return {
-            "family": "se",
-            "sigma_f": json_float(spec.sigma_f),
-            "length_scale": json_float(spec.length_scale),
-        }
-    if isinstance(spec, SDOFKernel):
-        return {
-            "family": "sdof",
-            "sigma_f": json_float(spec.sigma_f),
-            **spec.params.to_json_dict(),
-        }
-    raise InvalidInputError(f"unknown kernel spec {spec!r}")
+        values = (spec.sigma_f, spec.length_scale)
+    elif isinstance(spec, SDOFKernel):
+        values = (spec.sigma_f, spec.params.m, spec.params.c, spec.params.k)
+    else:
+        raise InvalidInputError(f"unknown kernel spec {spec!r}")
+    return {"family": spec.family, **dict(zip(_KERNEL_KEYS[spec.family], map(json_float, values)))}
 
 
-def kernel_from_json_dict(d: dict) -> KernelSpec:
-    family = d.get("family")
-    if family == "se":
-        return SEKernel(
-            sigma_f=float(d["sigma_f"]),
-            length_scale=float(d["length_scale"]),
+def kernel_from_json_dict(d) -> KernelSpec:
+    """The inverse of kernel_to_json_dict: exactly the family's keys, numbers by float_from_json."""
+    family = d.get("family") if isinstance(d, dict) else None
+    if not (isinstance(family, str) and family in _KERNEL_KEYS):
+        raise InvalidInputError(f"kernel spec needs a family 'se' or 'sdof', got {d!r}")
+    keys = _KERNEL_KEYS[family]
+    if d.keys() != {"family", *keys}:
+        raise InvalidInputError(
+            f"a {family} kernel spec holds exactly the keys family, {', '.join(keys)}; "
+            f"got {', '.join(sorted(d))}"
         )
-    if family == "sdof":
-        params = OscillatorParams.from_json_dict({key: d[key] for key in ("m", "c", "k")})
-        return SDOFKernel(sigma_f=float(d["sigma_f"]), params=params)
-    raise InvalidInputError(f"unknown kernel family {family!r}")
+    sigma_f, *rest = map(float_from_json, (d[key] for key in keys))
+    if family == "se":
+        return SEKernel(sigma_f, *rest)
+    return SDOFKernel(sigma_f, OscillatorParams(*rest))

@@ -21,19 +21,19 @@ a 64-bit integer, so identical inputs give bit-identical outputs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, require_int
-from .ioutil import JsonRecord, csv_row, json_float, json_text
+from .ioutil import JsonRecord, csv_table, csv_text
 
 __all__ = [
     "OscillatorParams",
     "SamplingPlan",
     "TrainingSet",
+    "TrainingMeta",
     "impulse_response",
     "generate_training_set",
     "training_set_to_csv",
@@ -198,41 +198,42 @@ def generate_training_set(params: OscillatorParams, plan: SamplingPlan) -> Train
     return TrainingSet(t=kept, y=y, sigma_n=sigma_n, true_h=true_h, seed=plan.seed)
 
 
+TRAINING_CSV_HEADER = "t,y,true_h"
+
+
+@dataclass(frozen=True)
+class TrainingMeta(JsonRecord):
+    """The training.json sidecar: noise level, seed, sample count and sampling plan."""
+
+    sigma_n: float
+    seed: int
+    n: int
+    plan: SamplingPlan
+
+    def __post_init__(self):
+        require_int("n", self.n, 1)
+
+
 def training_set_to_csv(data: TrainingSet) -> str:
     """CSV text with header ``t,y,true_h``, one row per sample."""
-    lines = ["t,y,true_h"]
-    for ti, yi, hi in zip(data.t, data.y, data.true_h):
-        lines.append(csv_row([ti, yi, hi]))
-    return "\n".join(lines) + "\n"
+    return csv_text(TRAINING_CSV_HEADER, zip(data.t, data.y, data.true_h))
 
 
 def training_set_to_json(data: TrainingSet, plan: SamplingPlan) -> str:
-    """JSON sidecar holding the noise level, seed and the sampling plan."""
-    record = {
-        "sigma_n": json_float(data.sigma_n),
-        "seed": data.seed,
-        "n": data.n,
-        "plan": plan.to_json_dict(),
-    }
-    return json_text(record)
+    """JSON sidecar holding the noise level, seed, sample count and the sampling plan."""
+    return TrainingMeta(data.sigma_n, data.seed, data.n, plan).to_json()
 
 
-def training_set_from_files(csv_text: str, meta_text: str) -> tuple[TrainingSet, SamplingPlan]:
-    """Reconstruct a training set from the CSV/JSON pair written above."""
-    lines = [ln for ln in csv_text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "t,y,true_h":
-        raise InvalidInputError("training CSV must start with header 't,y,true_h'")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
-        raise InvalidInputError("training CSV contains no data rows")
+def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSet, SamplingPlan]:
+    """Reconstruct a training set from the CSV/JSON pair written above; both give its n."""
+    meta = TrainingMeta.from_json(meta_text)
+    rows = csv_table(table_text, TRAINING_CSV_HEADER, "training")
     cols = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    meta = json.loads(meta_text)
-    plan = SamplingPlan.from_json_dict(meta["plan"])
+    if len(cols) != meta.n:
+        raise InvalidInputError(
+            f"training.json gives n = {meta.n}, but training.csv holds {len(cols)} rows"
+        )
     data = TrainingSet(
-        t=cols[:, 0],
-        y=cols[:, 1],
-        sigma_n=float(meta["sigma_n"]),
-        true_h=cols[:, 2],
-        seed=meta["seed"],
+        t=cols[:, 0], y=cols[:, 1], sigma_n=meta.sigma_n, true_h=cols[:, 2], seed=meta.seed
     )
-    return data, plan
+    return data, meta.plan

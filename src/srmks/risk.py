@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import JsonRecord, csv_row
+from .ioutil import JsonRecord
 
 __all__ = [
     "DeltaRule",
@@ -46,8 +46,6 @@ __all__ = [
     "vc_bound_reduced",
     "vc_bound_general",
     "realized_confidence",
-    "RISK_CSV_HEADER",
-    "risk_csv_row",
 ]
 
 # denominators at or below this are treated as effectively zero
@@ -98,25 +96,6 @@ class RiskReport(JsonRecord):
     bound: float
     clipped: bool
     eta_negative: bool = False  # eta < 0; at the defaults only for h > e n, never in selection
-
-
-RISK_CSV_HEADER = "kernel,n,h,p,delta,emp_risk,bound,clipped"
-
-
-def risk_csv_row(kernel_label: str, report: RiskReport) -> str:
-    """One CSV row in the ``kernel,n,h,p,delta,emp_risk,bound,clipped`` format."""
-    return csv_row(
-        [
-            kernel_label,
-            report.n,
-            report.h,
-            report.p,
-            report.delta,
-            report.empirical_risk,
-            report.bound,
-            "true" if report.clipped else "false",
-        ]
-    )
 
 
 def empirical_risk(targets, predictions) -> float:

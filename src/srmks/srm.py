@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import csv_row, json_text
+from .ioutil import csv_text, json_text
 from .kernels import (
     KernelSpec,
     SDOFKernel,
@@ -48,14 +48,7 @@ from .kernels import (
     kernel_to_json_dict,
 )
 from .oscillator import OscillatorParams, TrainingSet
-from .risk import (
-    RISK_CSV_HEADER,
-    BoundConfig,
-    Bounds,
-    RiskReport,
-    risk_csv_row,
-    vc_bounds,
-)
+from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
 from .smoother import Spectrum, decompose, rounding_level, signal_scale_scores
 
 __all__ = [
@@ -249,9 +242,9 @@ def selection_to_json(result: SelectionResult) -> str:
 
 
 def trace_to_csv(result: SelectionResult) -> str:
-    """Trace rows in the risk-report CSV format plus candidate hyperparameters."""
-    lines = [RISK_CSV_HEADER + ",sigma_f,length_scale"]
-    for spec, report in result.trace:
-        length = spec.length_scale if isinstance(spec, SEKernel) else ""
-        lines.append(csv_row([risk_csv_row(result.family, report), spec.sigma_f, length]))
-    return "\n".join(lines) + "\n"
+    """One row per candidate: its risk report, then its sigma_f and SE length-scale."""
+    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", (
+        (result.family, r.n, r.h, r.p, r.delta, r.empirical_risk, r.bound, r.clipped,
+         spec.sigma_f, spec.length_scale if isinstance(spec, SEKernel) else "")
+        for spec, r in result.trace
+    ))

@@ -3,6 +3,7 @@ import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,9 +362,14 @@ class _Inputs:
         return self.training_file("training.json", json.dumps(doc).encode())
 
     def truncated(self, rows):
-        """Copy of the simulated data dir whose training.csv keeps its first `rows` rows."""
+        """Copy of the simulated data dir whose training.csv keeps its first `rows` rows.
+
+        The n of its training.json is rewritten to match.
+        """
         lines = (self._sim_dir / "training.csv").read_text().splitlines(keepends=True)
-        return self.training_file("training.csv", "".join(lines[: rows + 1]).encode())
+        data = self.training(lambda d: d.update(n=rows))
+        (Path(data) / "training.csv").write_text("".join(lines[: rows + 1]))
+        return data
 
     def simulated(self, *flags):
         """Data dir of a fresh simulate run with `flags`."""
@@ -408,7 +414,7 @@ _INVALID_INPUTS = [
     ("fit-infinite-sigma-n", 2,
      lambda i, out: [
          "fit", "--data", i.data, "--kernel", _SE_KERNEL, "--sigma-n", "inf", "--out", out]),
-    ("fit-non-finite-gram", 4,
+    ("fit-se-kernel-variance-overflows", 3,
      lambda i, out: [
          "fit", "--data", i.data, "--kernel",
          '{"family": "se", "sigma_f": 1e200, "length_scale": 0.01}', "--out", out]),
@@ -534,6 +540,31 @@ _INVALID_INPUTS = [
     ("fit-kernel-file-not-utf8", 3,
      lambda i, out: [
          "fit", "--data", i.data, "--kernel", i.file("kernel.json", _NOT_UTF8), "--out", out]),
+    ("config-boolean-mass", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["oscillator"].update(m=True)),
+         "--out", out]),
+    ("training-n-disagrees-with-csv", 3,
+     lambda i, out: ["select", "--data", i.training(lambda d: d.update(n=5)), "--out", out]),
+    ("training-unknown-key", 3,
+     lambda i, out: [
+         "select", "--data", i.training(lambda d: d.update(extra=1)), "--out", out]),
+    ("fit-kernel-boolean-sigma-f", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "se", "sigma_f": true, "length_scale": 0.01}', "--out", out]),
+    ("fit-kernel-unknown-key", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01, "bogus": 1}', "--out", out]),
+    ("fit-kernel-string-number", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "se", "sigma_f": "0.002", "length_scale": 0.01}', "--out", out]),
+    ("fit-sdof-kernel-variance-overflows", 3,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel",
+         '{"family": "sdof", "sigma_f": 1e154, "m": 1, "c": 0.02, "k": 1}', "--out", out]),
 ]
 
 

@@ -9,7 +9,9 @@ import *`` would fail. A module-private top-level function, class or
 assignment (a name with one leading underscore) is orphaned when nothing
 in its own module reads it. JSON has one codec and one writer: no class but
 ``ioutil.JsonRecord`` defines ``to_json_dict`` or ``from_json_dict``, and no
-module but ``ioutil`` calls ``json.dumps``.
+module but ``ioutil`` calls ``json.dumps``. CSV has one reader and one
+writer: no module but ``ioutil`` splits a line into fields (``.split(",")``)
+or joins fields or lines (``",".join``, ``"\\n".join``).
 """
 import ast
 from pathlib import Path
@@ -199,3 +201,37 @@ def test_scanner_flags_a_reintroduced_codec():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_class_has_its_own_json_codec(path):
     assert _own_json_codecs(path.read_text()) == []
+
+
+def _csv_line_handlers(source: str) -> list[str]:
+    """Every .split(","), ",".join and "\\n".join call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func, args = node.func, node.args
+        if func.attr == "split" and [getattr(arg, "value", None) for arg in args] == [","]:
+            found.append(f"line {node.lineno}: .split(',')")
+        elif func.attr == "join" and getattr(func.value, "value", None) in (",", "\n"):
+            found.append(f"line {node.lineno}: {func.value.value!r}.join")
+    return found
+
+
+def test_scanner_flags_csv_line_handling():
+    source = (
+        "fields = line.split(',')\n"
+        "words = line.split()\n"
+        "row = ','.join(fields)\n"
+        "label = ', '.join(fields)\n"
+        "text = '\\n'.join([row, row])\n"
+    )
+    assert _csv_line_handlers(source) == [
+        "line 1: .split(',')", "line 3: ','.join", "line 5: '\\n'.join",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "ioutil.py"], ids=lambda path: path.name
+)
+def test_csv_is_read_and_written_only_by_ioutil(path):
+    assert _csv_line_handlers(path.read_text()) == []

@@ -1,4 +1,4 @@
-"""The JSON codec of the config and report dataclasses (ioutil.JsonRecord)."""
+"""The file codecs of ioutil: the JSON codec of the dataclasses (JsonRecord) and the CSV pair."""
 import json
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from srmks.errors import InvalidInputError
 from srmks.experiment import BoxStats, ExperimentConfig, GridSettings, default_config
-from srmks.ioutil import json_text
-from srmks.oscillator import OscillatorParams, SamplingPlan
+from srmks.ioutil import csv_table, csv_text, float_from_json, json_text
+from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingMeta
 from srmks.risk import BoundConfig, DeltaRule, RiskReport
 
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
@@ -83,8 +83,13 @@ _BOX_STATS = st.builds(
     minimum=_OPTIONAL, q1=_OPTIONAL, median=_OPTIONAL, q3=_OPTIONAL, maximum=_OPTIONAL,
     mean=_OPTIONAL, count=st.integers(min_value=0), infinite_count=st.integers(min_value=0),
 )
+_TRAINING_METAS = st.builds(
+    TrainingMeta, sigma_n=_ANY_FLOAT, seed=st.integers(min_value=0),
+    n=st.integers(min_value=1), plan=_plans(),
+)
 _RECORDS = st.one_of(
-    _oscillators(), _plans(), _grids(), _BOUNDS, _configs(), _REPORTS, _BOX_STATS
+    _oscillators(), _plans(), _grids(), _BOUNDS, _configs(), _REPORTS, _BOX_STATS,
+    _TRAINING_METAS,
 )
 
 
@@ -123,7 +128,10 @@ def test_optional_keys_take_the_field_defaults():
         (OscillatorParams, {"m": 1.0, "c": 2.0}, "needs the key 'k'"),
         (ExperimentConfig, [1], "must be a JSON object"),
         (GridSettings, {"amplitude_factors": 0.1}, "expected a JSON list"),
-        (GridSettings, {"amplitude_factors": [0.1, "x"]}, "could not convert"),
+        (GridSettings, {"amplitude_factors": [0.1, "x"]}, "expected a JSON number"),
+        (OscillatorParams, {"m": True, "c": 2.0, "k": 3.0}, "expected a JSON number, got True"),
+        (OscillatorParams, {"m": "1.0", "c": 2.0, "k": 3.0}, "expected a JSON number"),
+        (OscillatorParams, {"m": 10**400, "c": 2.0, "k": 3.0}, "outside the float range"),
     ],
 )
 def test_malformed_documents_are_rejected(cls, doc, match):
@@ -136,3 +144,36 @@ def test_booleans_must_be_json_booleans():
     doc["clipped"] = 0
     with pytest.raises(InvalidInputError, match="boolean"):
         RiskReport.from_json_dict(doc)
+
+
+def test_floats_are_json_numbers_or_the_strings_json_float_writes():
+    assert [float_from_json(v) for v in (2, 2.5, "inf", "-inf")] == [2.0, 2.5, math.inf, -math.inf]
+    assert math.isnan(float_from_json("nan"))
+    for value in ("Infinity", None, [1.0], {}):
+        with pytest.raises(InvalidInputError, match="expected a JSON number"):
+            float_from_json(value)
+
+
+def test_csv_round_trip():
+    text = csv_text("a,b,c,d", [(1, 0.1, True, ""), ("x", math.inf, False, "y")])
+    assert text == "a,b,c,d\n1,0.10000000000000001,true,\nx,inf,false,y\n"
+    # blank lines anywhere are skipped
+    assert csv_table("\n" + text.replace("\nx", "\n\nx") + "\n", "a,b,c,d", "test") == [
+        ["1", "0.10000000000000001", "true", ""], ["x", "inf", "false", "y"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("", "test CSV must start with header 'a,b'"),
+        ("b,a\n1,2\n", "test CSV must start with header 'a,b'"),
+        ("a,b\n\n", "test CSV holds zero records"),
+        ("a,b\n1,2\n1,2,3\n", "malformed test row: '1,2,3'"),
+        ("a,b\n1\n", "malformed test row: '1'"),
+    ],
+    ids=["empty", "wrong-header", "header-only", "extra-field", "missing-field"],
+)
+def test_malformed_csv_tables_are_rejected(text, match):
+    with pytest.raises(InvalidInputError, match=match):
+        csv_table(text, "a,b", "test")

@@ -44,9 +44,28 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="square"):
             SEKernel(sigma_f=1.0, length_scale=length_scale)
 
+    def test_se_rejects_length_scale_whose_square_overflows(self):
+        with pytest.raises(InvalidInputError, match="square"):
+            SEKernel(sigma_f=1.0, length_scale=1e200)
+
     def test_sdof_rejects_nonpositive_sigma(self):
         with pytest.raises(InvalidInputError):
             _sdof(sigma_f=0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SEKernel(sigma_f=1e200, length_scale=0.01),
+            lambda: SDOFKernel(sigma_f=1e154, params=OscillatorParams(m=1.0, c=0.02, k=1.0)),
+            lambda: SEKernel(sigma_f=float("inf"), length_scale=0.01),
+            lambda: _sdof(sigma_f=float("nan")),
+        ],
+        ids=["se-square-overflows", "sdof-variance-overflows", "se-infinite", "sdof-nan"],
+    )
+    def test_rejects_sigma_whose_variance_is_not_finite(self, make):
+        # k(0) = sigma_f^2 * unit_diagonal would overflow in kernel_eval
+        with pytest.raises(InvalidInputError, match="finite kernel variance"):
+            make()
 
     @pytest.mark.parametrize(
         "m,c,k,match",
@@ -71,7 +90,6 @@ class TestPointwiseValues:
     def test_sdof_diagonal_closed_form(self, paper_params):
         # sigma_f^2 / (4 m^2 zeta omega_n^3) = 2.5e-8 for the reference system
         k = _sdof(sigma_f=1.0, params=paper_params)
-        assert k.diagonal == pytest.approx(2.5e-8, rel=1e-12)
         assert kernel_eval(k, 0.123, 0.123) == pytest.approx(2.5e-8, rel=1e-12)
 
     def test_sdof_off_diagonal_closed_form(self, paper_params):
@@ -91,7 +109,7 @@ class TestPointwiseValues:
         k = _sdof(params=paper_params)
         lags = np.linspace(0.0, 0.3, 400)
         values = kernel_eval(k, lags, np.zeros_like(lags))
-        envelope = k.diagonal * np.exp(
+        envelope = kernel_eval(k, 0.0, 0.0) * np.exp(
             -paper_params.zeta * paper_params.omega_n * lags
         ) * (1 + paper_params.zeta * paper_params.omega_n / paper_params.omega_d)
         assert np.all(np.abs(values) <= envelope * (1 + 1e-12))
@@ -204,3 +222,32 @@ class TestSerialization:
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidInputError):
             kernel_from_json_dict({"family": "matern", "sigma_f": 1.0})
+
+    def test_reads_the_strings_json_float_writes(self):
+        doc = {"family": "se", "sigma_f": "inf", "length_scale": 0.01}
+        with pytest.raises(InvalidInputError, match="finite kernel variance"):
+            kernel_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc,match",
+        [
+            ({"family": "se", "sigma_f": True, "length_scale": 0.01}, "JSON number"),
+            ({"family": "se", "sigma_f": "0.002", "length_scale": 0.01}, "JSON number"),
+            ({"family": "sdof", "sigma_f": 1.0, "m": None, "c": 20.0, "k": 1e6}, "JSON number"),
+            (
+                {"family": "se", "sigma_f": 0.002, "length_scale": 0.01, "bogus": 1},
+                "exactly the keys family, sigma_f, length_scale; got",
+            ),
+            ({"family": "sdof", "sigma_f": 1.0, "m": 1.0, "c": 20.0}, "exactly the keys"),
+            ({"family": ["se"], "sigma_f": 1.0, "length_scale": 0.01}, "family"),
+            ({"sigma_f": 1.0, "length_scale": 0.01}, "family"),
+            ([1], "family"),
+        ],
+        ids=[
+            "boolean", "string-number", "null-number", "unknown-key", "missing-key",
+            "unhashable-family", "no-family", "not-an-object",
+        ],
+    )
+    def test_rejects_malformed_specs(self, doc, match):
+        with pytest.raises(InvalidInputError, match=match):
+            kernel_from_json_dict(doc)

@@ -212,3 +212,20 @@ class TestSerialization:
         doc["seed"] = seed
         with pytest.raises(InvalidInputError, match="seed"):
             training_set_from_files(training_set_to_csv(data), json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            ({"n": 5}, "gives n = 5, but training.csv holds 63 rows"),
+            ({"n": 63.0}, "n must be an integer"),
+            ({"extra": 1}, "unknown TrainingMeta key 'extra'"),
+        ],
+        ids=["n-disagrees", "fractional-n", "unknown-key"],
+    )
+    def test_sidecar_keys_and_n_are_checked(self, paper_params, edit, match):
+        plan = _plan(seed=21)
+        data = generate_training_set(paper_params, plan)
+        doc = json.loads(training_set_to_json(data, plan))
+        doc.update(edit)
+        with pytest.raises(InvalidInputError, match=match):
+            training_set_from_files(training_set_to_csv(data), json.dumps(doc))

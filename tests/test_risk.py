@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from srmks.errors import InvalidInputError
 from srmks.risk import (
     EPS_CLIP,
-    RISK_CSV_HEADER,
     BoundConfig,
     DeltaRule,
     RiskReport,
     empirical_risk,
     realized_confidence,
-    risk_csv_row,
     vc_bound_general,
     vc_bound_reduced,
     vc_bounds,
@@ -281,12 +279,3 @@ class TestReportSerialization:
         back = RiskReport.from_json_dict(doc)
         assert math.isinf(back.bound)
         assert back == report
-
-    def test_csv_row_format(self):
-        report = vc_bound_reduced(0.25, 200.0, 200)
-        row = risk_csv_row("se", report)
-        fields = row.split(",")
-        assert len(fields) == len(RISK_CSV_HEADER.split(","))
-        assert fields[0] == "se"
-        assert fields[-2] == "inf"
-        assert fields[-1] == "true"

@@ -486,3 +486,14 @@ class TestSerialization:
         sdof_lines = trace_to_csv(sdof_result).strip().split("\n")
         # the length-scale column stays empty for the oscillator family
         assert all(line.endswith(",") for line in sdof_lines[1:])
+
+    def test_trace_csv_format(self):
+        header, clipped = trace_to_csv(_result(math.inf, 100.0)).splitlines()
+        _, kept = trace_to_csv(_result(0.3, 2.0)).splitlines()
+        names = header.split(",")
+        assert len(clipped.split(",")) == len(kept.split(",")) == len(names)
+        row = dict(zip(names, clipped.split(",")))
+        assert row["kernel"] == "se"
+        assert row["bound"] == "inf"
+        assert row["clipped"] == "true"
+        assert dict(zip(names, kept.split(",")))["clipped"] == "false"
