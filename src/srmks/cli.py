@@ -249,8 +249,7 @@ def cmd_plot(args) -> int:
         # the oscillator in config.json rebuilds the sdof winners for the refit
         cfg = _parse_config(records_path.parent / "config.json")
         records = _load_records(records_path, cfg.params)
-        sizes = sorted({r.sample_size for r in records})
-        n = args.n if args.n is not None else sizes[-1]
+        n = args.n if args.n is not None else max(r.sample_size for r in records)
         svg = predictions_svg(cfg, records, sample_size=n, iteration=args.iteration)
         name = f"predictions_n{n}_iter{args.iteration}.svg"
     _write_text(out / name, svg)

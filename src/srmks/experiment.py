@@ -148,6 +148,10 @@ class ExperimentConfig(JsonRecord):
     def iteration_seed(self, iteration: int) -> int:
         return self.base_seed + iteration
 
+    def training_set(self, plan: SamplingPlan, iteration: int) -> TrainingSet:
+        """The plan's training set at the iteration's derived seed."""
+        return generate_training_set(self.params, replace(plan, seed=self.iteration_seed(iteration)))
+
 
 def default_config(repetitions: int = 100, base_seed: int = 1234) -> ExperimentConfig:
     """Reference study: 100 noise realisations over n = 63, 126, 251 at SNR 10."""
@@ -224,10 +228,7 @@ def _run_plan(
     cfg: ExperimentConfig, plan: SamplingPlan, iterations: Sequence[int]
 ) -> list[IterationRecord]:
     """Records of the given iterations of one plan, in (iteration, family) order."""
-    datasets = [
-        generate_training_set(cfg.params, replace(plan, seed=cfg.iteration_seed(i)))
-        for i in iterations
-    ]
+    datasets = [cfg.training_set(plan, i) for i in iterations]
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
     selections = {

@@ -1,8 +1,9 @@
 """Self-contained SVG figures for study outputs.
 
 Rendering is hand-rolled so that identical inputs yield identical bytes:
-coordinates round to two decimals, element order is fixed, and nothing
-depends on wall-clock time or environment. Three figure kinds:
+one writer, _tag, writes every element, coordinates round to two decimals,
+element order is fixed, and nothing depends on wall-clock time or
+environment. Three figure kinds:
 
 * boxplot     guaranteed risk and prediction error per sample size and family
 * complexity  selected capacity (effective degrees of freedom) boxes
@@ -15,14 +16,12 @@ refits each of the two winning kernels alone with smoother.fit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
 from .ioutil import lines_text
-from .oscillator import generate_training_set, impulse_response
+from .oscillator import impulse_response
 from .smoother import fit, predict
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]
@@ -72,34 +71,65 @@ class _Scale:
         return [self.lo + f * (self.hi - self.lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
-def _svg_document(width: int, height: int, body: list[str]) -> str:
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" font-family="Helvetica, Arial, sans-serif">'
+def _tag(name: str, content=None, **attrs) -> str:
+    """One SVG element, the only place an element is written.
+
+    Attributes come in call order; a trailing _ is dropped and _ becomes -,
+    so class_ writes class and stroke_width writes stroke-width. Numbers are
+    coordinates and go through _f; strings are written verbatim. Without
+    content the element closes itself.
+    """
+    head = name + "".join(
+        f' {key.rstrip("_").replace("_", "-")}="{value if isinstance(value, str) else _f(value)}"'
+        for key, value in attrs.items()
     )
-    bg = f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
-    return lines_text([head, bg, *body, "</svg>"])
+    return f"<{head}/>" if content is None else f"<{head}>{content}</{name}>"
 
 
-def _legend(x: float, y: float, entries: list[tuple[str, str]]) -> list[str]:
-    parts = ['<g class="legend">']
+def _group(children: list[str], **attrs) -> str:
+    return _tag("g", "\n" + lines_text(children), **attrs)
+
+
+def _text(content: str, x: float, y: float, size: str, **attrs) -> str:
+    return _tag("text", content, x=x, y=y, font_size=size, **attrs, fill=_AXIS_COLOR)
+
+
+def _y_axis(scale: _Scale, x: float, w: float) -> list[str]:
+    """Grid lines across [x, x + w] and tick labels left of x at the scale's ticks."""
+    parts = []
+    for tick in scale.ticks():
+        ty = scale(tick)
+        parts.append(_tag("line", x1=x, y1=ty, x2=x + w, y2=ty, stroke=_GRID_COLOR, stroke_width="1"))
+        parts.append(_text(_tick_label(tick), x - 4, ty + 3, "9", text_anchor="end"))
+    return parts
+
+
+def _frame(x: float, y: float, w: float, h: float) -> str:
+    return _tag("rect", x=x, y=y, width=w, height=h, fill="none", stroke=_AXIS_COLOR, stroke_width="1")
+
+
+def _svg_document(width: int, height: int, body: list[str]) -> str:
+    background = _tag("rect", width=str(width), height=str(height), fill="#ffffff")
+    return lines_text([_tag(
+        "svg", "\n" + lines_text([background, *body]),
+        xmlns="http://www.w3.org/2000/svg", viewBox=f"0 0 {width} {height}",
+        width=str(width), height=str(height), font_family="Helvetica, Arial, sans-serif",
+    )])
+
+
+def _legend(x: float, y: float, entries: list[tuple[str, str]]) -> str:
+    parts = []
     for i, (label, color) in enumerate(entries):
         ly = y + 16 * i
-        parts.append(
-            f'<rect x="{_f(x)}" y="{_f(ly)}" width="10" height="10" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_f(x + 14)}" y="{_f(ly + 9)}" font-size="11" '
-            f'fill="{_AXIS_COLOR}">{label}</text>'
-        )
-    parts.append("</g>")
-    return parts
+        parts.append(_tag("rect", x=x, y=ly, width="10", height="10", fill=color))
+        parts.append(_text(label, x + 14, ly + 9, "11"))
+    return _group(parts, class_="legend")
 
 
 def _box_panel(
     summary, metric: str, sizes: list[int], families: list[str],
     x0: float, y0: float, w: float, h: float, log: bool,
-) -> list[str]:
+) -> str:
     """One panel of grouped boxes: an n-group per sample size, a box per family."""
     plot_x, plot_y = x0 + 52, y0 + 24
     plot_w, plot_h = w - 62, h - 64
@@ -123,75 +153,45 @@ def _box_panel(
         pad = 0.08 * ((hi - lo) or 1.0)
         scale = _Scale(lo - pad, hi + pad, plot_y + plot_h, plot_y, log=False)
 
-    parts = [f'<g class="panel" data-metric="{metric}">']
-    parts.append(
-        f'<text x="{_f(x0 + w / 2)}" y="{_f(y0 + 12)}" font-size="12" text-anchor="middle" '
-        f'fill="{_AXIS_COLOR}">{_METRIC_TITLE[metric]}</text>'
-    )
-    for tick in scale.ticks():
-        ty = scale(tick)
-        parts.append(
-            f'<line x1="{_f(plot_x)}" y1="{_f(ty)}" x2="{_f(plot_x + plot_w)}" '
-            f'y2="{_f(ty)}" stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_f(plot_x - 4)}" y="{_f(ty + 3)}" font-size="9" text-anchor="end" '
-            f'fill="{_AXIS_COLOR}">{_tick_label(tick)}</text>'
-        )
-    parts.append(
-        f'<rect x="{_f(plot_x)}" y="{_f(plot_y)}" width="{_f(plot_w)}" height="{_f(plot_h)}" '
-        f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
-
+    parts = [
+        _text(_METRIC_TITLE[metric], x0 + w / 2, y0 + 12, "12", text_anchor="middle"),
+        *_y_axis(scale, plot_x, plot_w),
+        _frame(plot_x, plot_y, plot_w, plot_h),
+    ]
     n_groups = len(sizes)
     group_w = plot_w / n_groups
     bw = min(26.0, group_w / (len(families) + 1.2))
     for gi, n in enumerate(sizes):
         gx = plot_x + (gi + 0.5) * group_w
-        parts.append(
-            f'<text x="{_f(gx)}" y="{_f(plot_y + plot_h + 16)}" font-size="11" '
-            f'text-anchor="middle" fill="{_AXIS_COLOR}">n={n}</text>'
-        )
+        parts.append(_text(f"n={n}", gx, plot_y + plot_h + 16, "11", text_anchor="middle"))
         offsets = [(fi - (len(families) - 1) / 2) * (bw + 6) for fi in range(len(families))]
         for fam, off in zip(families, offsets):
             stats = summary.cells.get((n, fam, metric))
             if stats is None:
                 continue
             color = _FAMILY_COLOR[fam]
-            head = (
-                f'<g class="box" data-metric="{metric}" data-family="{fam}" data-n="{n}" '
-                f'data-count="{stats.count}" data-infinite="{stats.infinite_count}"'
+            box = dict(
+                class_="box", data_metric=metric, data_family=fam, data_n=str(n),
+                data_count=str(stats.count), data_infinite=str(stats.infinite_count),
             )
             if stats.median is None:
-                parts.append(head + ' data-empty="true"/>')
+                parts.append(_tag("g", **box, data_empty="true"))
                 continue
-            cx = gx + off
+            cx, half = gx + off, bw / 2
             y_min, y_q1 = scale(stats.minimum), scale(stats.q1)
             y_med, y_q3 = scale(stats.median), scale(stats.q3)
             y_max = scale(stats.maximum)
-            half = bw / 2
-            parts.append(head + ">")
-            parts.append(
-                f'<line x1="{_f(cx)}" y1="{_f(y_min)}" x2="{_f(cx)}" y2="{_f(y_max)}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
-            for wy in (y_min, y_max):
-                parts.append(
-                    f'<line x1="{_f(cx - half / 2)}" y1="{_f(wy)}" x2="{_f(cx + half / 2)}" '
-                    f'y2="{_f(wy)}" stroke="{color}" stroke-width="1"/>'
-                )
-            parts.append(
-                f'<rect x="{_f(cx - half)}" y="{_f(y_q3)}" width="{_f(bw)}" '
-                f'height="{_f(max(y_q1 - y_q3, 0.0))}" fill="{color}" fill-opacity="0.25" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<line x1="{_f(cx - half)}" y1="{_f(y_med)}" x2="{_f(cx + half)}" '
-                f'y2="{_f(y_med)}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append("</g>")
-    parts.append("</g>")
-    return parts
+            stroke = dict(stroke=color, stroke_width="1")
+            parts.append(_group([
+                _tag("line", x1=cx, y1=y_min, x2=cx, y2=y_max, **stroke),
+                *(_tag("line", x1=cx - half / 2, y1=wy, x2=cx + half / 2, y2=wy, **stroke)
+                  for wy in (y_min, y_max)),
+                _tag("rect", x=cx - half, y=y_q3, width=bw, height=max(y_q1 - y_q3, 0.0),
+                     fill=color, fill_opacity="0.25", **stroke),
+                _tag("line", x1=cx - half, y1=y_med, x2=cx + half, y2=y_med,
+                     stroke=color, stroke_width="2"),
+            ], **box))
+    return _group(parts, class_="panel", data_metric=metric)
 
 
 def _grouped_box_figure(records: list[IterationRecord], metrics: list[str], log_flags: list[bool]) -> str:
@@ -203,10 +203,11 @@ def _grouped_box_figure(records: list[IterationRecord], metrics: list[str], log_
     panel_w, panel_h = 340, 300
     width = 20 + panel_w * len(metrics) + 20
     height = panel_h + 50
-    body: list[str] = []
-    for i, (metric, log) in enumerate(zip(metrics, log_flags)):
-        body.extend(_box_panel(summary, metric, sizes, families, 20 + i * panel_w, 16, panel_w, panel_h, log))
-    body.extend(_legend(width - 110, height - 40, [(f, _FAMILY_COLOR[f]) for f in families]))
+    body = [
+        _box_panel(summary, metric, sizes, families, 20 + i * panel_w, 16, panel_w, panel_h, log)
+        for i, (metric, log) in enumerate(zip(metrics, log_flags))
+    ]
+    body.append(_legend(width - 110, height - 40, [(f, _FAMILY_COLOR[f]) for f in families]))
     return _svg_document(width, height, body)
 
 
@@ -220,19 +221,8 @@ def complexity_svg(records: list[IterationRecord]) -> str:
     return _grouped_box_figure(records, ["h"], [False])
 
 
-def _polyline(t: np.ndarray, y: np.ndarray, xs: _Scale, ys: _Scale, series: str, color: str) -> str:
-    pts = " ".join(f"{xs(float(a)):.2f},{ys(float(b)):.2f}" for a, b in zip(t, y))
-    return (
-        f'<polyline class="curve" data-series="{series}" points="{pts}" '
-        f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-    )
-
-
 def predictions_svg(
-    cfg: ExperimentConfig,
-    records: list[IterationRecord],
-    sample_size: int | None = None,
-    iteration: int = 0,
+    cfg: ExperimentConfig, records: list[IterationRecord], sample_size: int, iteration: int = 0
 ) -> str:
     """Overlay of the true impulse response, both winners and the noisy sample.
 
@@ -240,15 +230,13 @@ def predictions_svg(
     configuration's seed derivation and each family's recorded winner is
     refit on it, so the figure needs no stored predictions.
     """
-    sizes = sorted({r.sample_size for r in records})
-    if not sizes:
-        raise InvalidInputError("no records to plot")
-    n = sample_size if sample_size is not None else sizes[-1]
+    n = sample_size
     cell = {
         r.family: r for r in records
         if r.sample_size == n and r.iteration == iteration
     }
     if not cell:
+        sizes = sorted({r.sample_size for r in records})
         raise InvalidInputError(
             f"no records for n={n}, iteration={iteration}; available sizes: {sizes}"
         )
@@ -256,8 +244,7 @@ def predictions_svg(
     if plan is None:
         raise InvalidInputError(f"configuration has no sampling plan with n={n}")
 
-    seeded = replace(plan, seed=cfg.iteration_seed(iteration))
-    data = generate_training_set(cfg.params, seeded)
+    data = cfg.training_set(plan, iteration)
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
 
@@ -275,43 +262,26 @@ def predictions_svg(
     xs = _Scale(float(dense_t[0]), float(dense_t[-1]), plot_x, plot_x + plot_w, log=False)
     ys = _Scale(y_lo - pad, y_hi + pad, plot_y + plot_h, plot_y, log=False)
 
+    title = f"impulse response and predictions, n={n}, iteration {iteration}"
     body = [
-        f'<text x="{_f(width / 2)}" y="18" font-size="12" text-anchor="middle" '
-        f'fill="{_AXIS_COLOR}">impulse response and predictions, n={n}, iteration {iteration}</text>'
+        _text(title, width / 2, "18", "12", text_anchor="middle"),
+        *_y_axis(ys, plot_x, plot_w),
+        *(_text(_tick_label(tick), xs(tick), plot_y + plot_h + 16, "9", text_anchor="middle")
+          for tick in xs.ticks()),
+        _frame(plot_x, plot_y, plot_w, plot_h),
+        _group([
+            _tag("circle", cx=xs(float(ti)), cy=ys(float(yi)), r="2",
+                 fill=_SCATTER_COLOR, fill_opacity="0.6")
+            for ti, yi in zip(data.t, data.y)
+        ], class_="scatter"),
     ]
-    for tick in ys.ticks():
-        ty = ys(tick)
-        body.append(
-            f'<line x1="{_f(plot_x)}" y1="{_f(ty)}" x2="{_f(plot_x + plot_w)}" y2="{_f(ty)}" '
-            f'stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        body.append(
-            f'<text x="{_f(plot_x - 4)}" y="{_f(ty + 3)}" font-size="9" text-anchor="end" '
-            f'fill="{_AXIS_COLOR}">{_tick_label(tick)}</text>'
-        )
-    for tick in xs.ticks():
-        tx = xs(tick)
-        body.append(
-            f'<text x="{_f(tx)}" y="{_f(plot_y + plot_h + 16)}" font-size="9" '
-            f'text-anchor="middle" fill="{_AXIS_COLOR}">{_tick_label(tick)}</text>'
-        )
-    body.append(
-        f'<rect x="{_f(plot_x)}" y="{_f(plot_y)}" width="{_f(plot_w)}" height="{_f(plot_h)}" '
-        f'fill="none" stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
-    body.append('<g class="scatter">')
-    for ti, yi in zip(data.t, data.y):
-        body.append(
-            f'<circle cx="{_f(xs(float(ti)))}" cy="{_f(ys(float(yi)))}" r="2" '
-            f'fill="{_SCATTER_COLOR}" fill-opacity="0.6"/>'
-        )
-    body.append("</g>")
     for series, values, color in curves:
-        body.append(_polyline(dense_t, values, xs, ys, series, color))
+        points = " ".join(f"{_f(xs(float(a)))},{_f(ys(float(b)))}" for a, b in zip(dense_t, values))
+        body.append(_tag(
+            "polyline", class_="curve", data_series=series, points=points,
+            fill="none", stroke=color, stroke_width="1.5",
+        ))
     legend_entries = [("sample", _SCATTER_COLOR)] + [(s, c) for s, _, c in curves]
-    body.extend(_legend(width - 90, plot_y + 8, legend_entries))
-    body.append(
-        f'<text x="{_f(plot_x + plot_w / 2)}" y="{_f(height - 12)}" font-size="11" '
-        f'text-anchor="middle" fill="{_AXIS_COLOR}">time (s)</text>'
-    )
+    body.append(_legend(width - 90, plot_y + 8, legend_entries))
+    body.append(_text("time (s)", plot_x + plot_w / 2, height - 12, "11", text_anchor="middle"))
     return _svg_document(width, height, body)

@@ -32,6 +32,10 @@ repetition. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
 kernel on one training set goes through fit, since Cholesky plus an
 eigenvalues-only eigh is faster than one eigh with vectors; many
 candidates on one plan's sample times go through the spectrum.
+decompose asks LAPACK for divide and conquer (driver evd): on a clustered
+spectrum, such as a near-identity K, the default MRRR driver (evr) returns
+eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
+as much; evd keeps them orthogonal to rounding.
 
 Scoring needs sigma_n^2 above rounding_level, n * eps * s_max^2 *
 lambda_max for the largest scale s_max, which srm.srm_select_batch checks:
@@ -64,7 +68,6 @@ class FittedSmoother:
 
     kernel: KernelSpec
     t_train: np.ndarray
-    sigma_n: float
     weights: np.ndarray
     fitted: np.ndarray  # the smoother at the training inputs, K @ weights
     edf: float
@@ -72,18 +75,17 @@ class FittedSmoother:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix over `t`."""
+    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix."""
 
     base: KernelSpec  # the kernel at sigma_f = 1
-    t: np.ndarray
     eigenvalues: np.ndarray  # ascending, clamped at zero
     vectors: np.ndarray  # U, one eigenvector per column
 
 
 def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
     """The decomposition of gram(base, t)."""
-    lam, vectors = scipy.linalg.eigh(gram(base, t))
-    return Spectrum(base, t, np.maximum(lam, 0.0), vectors)
+    lam, vectors = scipy.linalg.eigh(gram(base, t), driver="evd")
+    return Spectrum(base, np.maximum(lam, 0.0), vectors)
 
 
 def rounding_level(n: int, top: float) -> float:
@@ -128,7 +130,6 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     return FittedSmoother(
         kernel=spec,
         t_train=data.t,
-        sigma_n=sigma_n,
         weights=weights,
         fitted=K @ weights,
         edf=float(_edf_from_spectrum(lam, noise)),
@@ -142,8 +143,8 @@ def signal_scale_scores(
 
     `sigma_fs[r]` holds the scales of `spectrum.base` to score on
     `datasets[r]`, each at that set's own noise level. Every set must lie
-    on the sample times `spectrum.t` and have sigma_n^2 above the
-    rounding level, as srm.srm_select_batch checks.
+    on the sample times the spectrum was decomposed over and have sigma_n^2
+    above the rounding level, as srm.srm_select_batch checks.
     """
     lam, vectors = spectrum.eigenvalues, spectrum.vectors
     scores = []
@@ -163,8 +164,9 @@ def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> n
     """v = s^2 U (z / (s^2 lambda + sigma_n^2)), z = U^T y, for the base at s = sigma_f.
 
     The smoother fit to `data` predicts kernel_eval(spectrum.base, t*,
-    spectrum.t) @ v at t*. `data` must lie on `spectrum.t` and have
-    sigma_n^2 above the rounding level, as its selection already checked.
+    data.t) @ v at t*. `data` must lie on the sample times the spectrum was
+    decomposed over and have sigma_n^2 above the rounding level, as its
+    selection already checked.
     """
     scale, vectors = sigma_f**2, spectrum.vectors
     z = vectors.T @ data.y

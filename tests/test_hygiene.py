@@ -1,29 +1,29 @@
 """Static checks on the package sources that stand in for a lint step.
 
-An import is unused when the name it binds never appears as a name in the
-module and is not listed in ``__all__``; this scan covers the test modules
-too. ``__init__.py`` re-exports by importing, and ``from __future__``
-imports bind nothing, so both are skipped. An ``__all__`` entry is stale
-when the module binds no such name at its top level, so ``from module
-import *`` would fail. A module-private top-level function, class or
-assignment (a name with one leading underscore) is orphaned when nothing
-in its own module reads it. JSON has one codec and one writer: no class but
-``ioutil.JsonRecord`` defines ``to_json_dict`` or ``from_json_dict``, and no
-module but ``ioutil`` calls ``json.dumps``. CSV has one reader and one
-writer: no module but ``ioutil`` splits a line into fields (``.split(",")``)
-or joins fields or lines (``",".join``, ``"\\n".join``).
+An import is unused when the name it binds never appears as a name in
+the module and is not listed in ``__all__``; this scan covers the test
+modules too. ``from __future__`` imports bind nothing, so they are
+skipped. An ``__all__`` entry is stale when the module binds no such
+name at its top level, so ``from module import *`` would fail. A
+module-private top-level function, class or assignment (a name with one
+leading underscore) is orphaned when nothing in its own module reads it.
+JSON has one codec and one writer: no class but ``ioutil.JsonRecord``
+defines ``to_json_dict`` or ``from_json_dict``, and no module but
+``ioutil`` calls ``json.dumps``. CSV has one reader and one writer: no
+module but ``ioutil`` splits a line into fields (``.split(",")``) or
+joins fields or lines (``",".join``, ``"\\n".join``). SVG has one
+element writer: no string literal in ``figures`` outside
+``figures._tag`` opens or closes an element (``<`` or ``</`` followed by
+a letter, where an f-string's replacement fields count as letters).
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS_DIR = Path(__file__).resolve().parent
-SOURCES = sorted(
-    path
-    for path in (TESTS_DIR.parent / "src" / "srmks").glob("*.py")
-    if path.name != "__init__.py"
-)
+SOURCES = sorted((TESTS_DIR.parent / "src" / "srmks").glob("*.py"))
 TESTS = sorted(TESTS_DIR.glob("*.py"))
 
 
@@ -235,3 +235,53 @@ def test_scanner_flags_csv_line_handling():
 )
 def test_csv_is_read_and_written_only_by_ioutil(path):
     assert _csv_line_handlers(path.read_text()) == []
+
+
+_ELEMENT_TAG = re.compile(r"</?[A-Za-z]")
+
+
+def _hand_written_elements(source: str) -> list[str]:
+    """String literals outside the writer function _tag that open or close an SVG element."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_tag":
+            skipped.update(map(id, ast.walk(node)))
+        elif isinstance(node, ast.JoinedStr):
+            skipped.update(map(id, node.values))  # read as part of their f-string
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "x" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if _ELEMENT_TAG.search(text):
+            found.append(f"line {node.lineno}: {text!r}")
+    return found
+
+
+def test_scanner_flags_a_hand_written_element():
+    source = (
+        "def _tag(name, content):\n"
+        "    return f'<{name}>{content}</{name}>'\n"
+        "bg = '<rect width=\"1\"/>'\n"
+        "label = f'<text x=\"{x}\">{label}</text>'\n"
+        "head = f'<{name} class=\"g\">'\n"
+        "close = '</g>'\n"
+        "ok = ['a < b', '<', _tag('g', 'x')]\n"
+    )
+    assert _hand_written_elements(source) == [
+        "line 3: '<rect width=\"1\"/>'",
+        "line 4: '<text x=\"x\">x</text>'",
+        "line 5: '<x class=\"g\">'",
+        "line 6: '</g>'",
+    ]
+
+
+def test_svg_elements_are_written_only_by_the_writer():
+    figures = TESTS_DIR.parent / "src" / "srmks" / "figures.py"
+    assert _hand_written_elements(figures.read_text()) == []
