@@ -16,6 +16,7 @@ and parsed (ValueError, the only error the readers of ioutil raise) exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -105,14 +106,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     _write_text(out / "training.csv", training_set_to_csv(data))
     _write_text(out / "training.json", training_set_to_json(data, plan))
-    _provenance(
-        out,
-        "simulate",
-        {
-            "oscillator": params.to_json_dict(),
-            "plan": plan.to_json_dict(),
-        },
-    )
+    _provenance(out, "simulate", {"oscillator": params.to_json_dict(), "plan": plan.to_json_dict()})
     print(f"n={data.n} sigma_n={fmt_float(data.sigma_n)}")
     return 0
 
@@ -145,16 +139,12 @@ def cmd_fit(args) -> int:
         "n": data.n,
     }
     _write_text(out / "fit.json", json_text(doc))
-    _provenance(
-        out,
-        "fit",
-        {
-            "data": str(args.data),
-            "kernel": kernel_to_json_dict(kernel),
-            "sigma_n": json_float(sigma_n),
-            "plan": plan.to_json_dict(),
-        },
-    )
+    _provenance(out, "fit", {
+        "data": str(args.data),
+        "kernel": kernel_to_json_dict(kernel),
+        "sigma_n": json_float(sigma_n),
+        "plan": plan.to_json_dict(),
+    })
     print(f"edf={fmt_float(model.edf)} train_mse={fmt_float(mse)}")
     return 0
 
@@ -170,25 +160,22 @@ def cmd_select(args) -> int:
     )
     families = ["se", "sdof"] if args.family == "both" else [args.family]
     out = Path(args.out)
-    results = []
+    results, selections = [], {}
     for family in families:
         result = srm_select(settings.family_grid(family, data, params), data)
         results.append(result)
-        _write_text(out / f"selection_{family}.json", selection_to_json(result))
+        selections[family] = selection_to_json(result)
+        _write_text(out / f"selection_{family}.json", selections[family])
         _write_text(out / f"trace_{family}.csv", trace_to_csv(result))
     winner = compare_structures(results)
-    _write_text(out / "best.json", selection_to_json(winner))
-    _provenance(
-        out,
-        "select",
-        {
-            "data": str(args.data),
-            "family": args.family,
-            "oscillator": params.to_json_dict(),
-            **settings.to_json_dict(),
-            "plan": plan.to_json_dict(),
-        },
-    )
+    _write_text(out / "best.json", selections[winner.family])
+    _provenance(out, "select", {
+        "data": str(args.data),
+        "family": args.family,
+        "oscillator": params.to_json_dict(),
+        **settings.to_json_dict(),
+        "plan": plan.to_json_dict(),
+    })
     report = winner.best_report
     print(
         f"winner family={winner.family} bound={fmt_float(report.bound)} "
@@ -292,14 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snr", type=float, default=plan.snr, help="signal-to-noise power ratio")
     p_sim.add_argument("--seed", type=int, default=0, help="noise seed")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one kernel smoother on stored training data")
     p_fit.add_argument("--data", required=True, help="directory from a simulate run")
     p_fit.add_argument("--kernel", required=True, help="kernel JSON file or inline JSON")
     p_fit.add_argument("--sigma-n", type=float, default=None, help="override noise level")
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="run the SRM search on stored training data")
     p_sel.add_argument("--data", required=True, help="directory from a simulate run")
@@ -314,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--amp-lo", type=float, default=lo, help="lower amplitude factor")
     p_sel.add_argument("--amp-hi", type=float, default=hi, help="upper amplitude factor")
     p_sel.add_argument("--out", required=True, help="output directory")
-    p_sel.set_defaults(func=cmd_select)
 
     p_exp = sub.add_parser("experiment", help="run the Monte-Carlo study")
     p_exp.add_argument("--config", default=None, help="experiment config JSON")
     p_exp.add_argument("--reps", type=int, default=None, help="override repetition count")
     p_exp.add_argument("--seed", type=int, default=None, help="override base seed")
     p_exp.add_argument("--out", required=True, help="output directory")
-    p_exp.set_defaults(func=cmd_experiment)
 
     p_plot = sub.add_parser("plot", help="render SVG figures from study records")
     p_plot.add_argument("--records", required=True, help="records.csv from an experiment run")
@@ -329,21 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--n", type=int, default=None, help="sample size (predictions)")
     p_plot.add_argument("--iteration", type=int, default=0, help="iteration (predictions)")
     p_plot.add_argument("--out", required=True, help="output directory")
-    p_plot.set_defaults(func=cmd_plot)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built by the first main call, reused by the later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
         return 0 if exc.code is None else 2
     try:
-        return args.func(args)
+        # looked up on every call: the parser, built once, names only the command
+        return globals()[f"cmd_{args.command}"](args)
     except (_FileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

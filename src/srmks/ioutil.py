@@ -3,10 +3,12 @@
 Floats are written with 17 significant digits, enough to round-trip IEEE
 doubles exactly, and the non-finite ones as the strings "inf", "-inf" and
 "nan", so CSV and JSON files stay portable. json_text writes every JSON
-document (two-space indent, one trailing newline) and lines_text every file
-of lines. csv_text writes a CSV table, with bools as true/false; csv_table
-reads one, skipping blank lines and checking the header, that a data row
-follows and that every row has the header's field count.
+document (two-space indent, one trailing newline), json_rows_text its bytes
+for a document with a list of entries drawn from float and bool columns, and
+lines_text every file of lines. csv_text writes a CSV table, with bools as
+true/false; csv_table reads one, skipping blank lines and checking the
+header, that a data row follows and that every row has the header's field
+count.
 
 The config and report dataclasses and the training.json sidecar derive from
 JsonRecord, whose one codec walks the dataclass fields in order. A field's
@@ -30,16 +32,19 @@ import math
 import types
 import typing
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 
 def fmt_float(x: float) -> str:
-    """Format a float with 17 significant digits; infinities become 'inf'."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
+    """Format a float with 17 significant digits; the non-finite ones as 'inf', '-inf', 'nan'."""
     return f"{x:.17g}"
+
+
+def fmt_floats(values) -> list[str]:
+    """fmt_float of every value of a float array, formatted in one call."""
+    return (("%.17g," * values.size) % tuple(values.tolist())).split(",")[:-1]
 
 
 def json_float(x: float):
@@ -50,6 +55,39 @@ def json_float(x: float):
 def json_text(doc) -> str:
     """The JSON document `doc` as the package writes every JSON file."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _json_leaves(column) -> list[str]:
+    """json_text's text of every value of a float or bool array."""
+    if column.dtype.kind == "b":
+        return np.where(column, "true", "false").tolist()
+    texts = repr(column.tolist())[1:-1].split(", ")  # float.__repr__, as json.dumps writes floats
+    for i in np.flatnonzero(~np.isfinite(column)):
+        texts[i] = json.dumps(json_float(column[i]))
+    return texts
+
+
+def json_rows_text(doc: dict, key: str, entry: dict) -> str:
+    """json_text of `doc` with doc[key] the list of `entry` written once per row.
+
+    The numpy-array leaves of `entry` are its columns, one float or bool per
+    row, at least one of each; its other leaves are the same in every row.
+    The document and the entry are written once each, with a hole for every
+    column, and the holes of each row are filled from the formatted columns.
+    """
+    columns, hole = [], "\x00"  # the hole is written as the JSON string "\u0000"
+
+    def punch(node):
+        if isinstance(node, np.ndarray):
+            columns.append(_json_leaves(node))
+            return hole
+        return {k: punch(v) for k, v in node.items()} if isinstance(node, dict) else node
+
+    head, tail = json_text({**doc, key: [hole]}).split(json.dumps(hole))
+    indent = head[head.rindex("\n"):]  # a newline, then the depth of the entries
+    pieces = json_text(punch(entry))[:-1].replace("\n", indent).split(json.dumps(hole))
+    row = "%s".join(piece.replace("%", "%%") for piece in pieces)
+    return head + ("," + indent).join(map(row.__mod__, zip(*columns))) + tail
 
 
 def float_from_json(value) -> float:

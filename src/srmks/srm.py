@@ -21,32 +21,28 @@ plan together: one decomposition per (plan, base kernel), i.e. one per
 length-scale for the SE grid and one in all for the oscillator grid, serves
 every repetition; srm_select, which `select` calls, is the batch of one.
 Each set's bounds are one risk.vc_bounds call, kept as arrays: only the
-winner becomes a kernel spec and a RiskReport, and the per-candidate trace
-is built when first read. Each result keeps the smoother.Spectrum of its
-winner's base, from which the study refits the winner; until the winners
-are known a batch holds bases x n^2 floats of eigenvectors (15.6 MB for
-31 bases at n = 251, 248 MB at n = 1001). The winner minimises the bound;
-ties go to the smaller capacity (the simplest adequate element), then to
-grid order. If every candidate clips to +infinity the selection still
-returns the smallest-capacity candidate, flagged degenerate, so batch runs
-never abort.
+winner becomes a kernel spec and a RiskReport, and the trace files are
+written a column at a time from the arrays. Each result keeps the
+smoother.Spectrum of its winner's base, from which the study refits the
+winner; until the winners are known a batch holds bases x n^2 floats of
+eigenvectors (15.6 MB for 31 bases at n = 251, 248 MB at n = 1001). The
+winner minimises the bound; ties go to the smaller capacity (the simplest
+adequate element), then to grid order. If every candidate clips to
++infinity the selection still returns the smallest-capacity candidate,
+flagged degenerate, so batch runs never abort.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import csv_text, json_text
-from .kernels import (
-    KernelSpec,
-    SDOFKernel,
-    SEKernel,
-    kernel_to_json_dict,
-)
+from .ioutil import csv_text, fmt_float, fmt_floats, json_rows_text
+from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_to_json_dict
 from .oscillator import OscillatorParams, TrainingSet
 from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
 from .smoother import Spectrum, decompose, rounding_level, signal_scale_scores
@@ -113,7 +109,7 @@ class SelectionResult:
 
     @cached_property
     def trace(self) -> tuple[tuple[KernelSpec, RiskReport], ...]:
-        """(spec, report) of every candidate in grid order."""
+        """(spec, report) of every candidate in grid order; nothing in the package reads it."""
         grid, scores = self.grid, self.scores
         return tuple((grid.candidate(i), scores.report(i)) for i in range(grid.size))
 
@@ -226,25 +222,35 @@ def compare_structures(results: list[SelectionResult]) -> SelectionResult:
     return min(results, key=lambda r: (r.best_report.bound, r.best_report.h))
 
 
+def _spec_columns(grid: StructureGrid) -> dict:
+    """kernel_to_json_dict of every candidate in grid order, its numbers as arrays."""
+    bases = [kernel_to_json_dict(base) for base in grid.bases]
+    spec = {key: np.repeat([base[key] for base in bases], len(grid.sigma_fs)) for key in bases[0]}
+    return {**spec, "family": grid.family, "sigma_f": np.tile(grid.sigma_fs, len(bases))}
+
+
 def selection_to_json(result: SelectionResult) -> str:
-    """Winner plus full trace as a JSON document."""
+    """Winner plus full trace as a JSON document, the trace written from the score arrays."""
+    best = result.best_report.to_json_dict()
     doc = {
         "family": result.family,
         "degenerate": result.degenerate,
         "best_spec": kernel_to_json_dict(result.best_spec),
-        "best_report": result.best_report.to_json_dict(),
-        "trace": [
-            {"spec": kernel_to_json_dict(spec), "report": report.to_json_dict()}
-            for spec, report in result.trace
-        ],
+        "best_report": best,
     }
-    return json_text(doc)
+    # a report field is a Bounds array or its shared n or delta; p = h / n, as in Bounds.report
+    fields = {**vars(result.scores), "p": result.scores.h / result.scores.n}
+    entry = {"spec": _spec_columns(result.grid), "report": {key: fields[key] for key in best}}
+    return json_rows_text(doc, "trace", entry)
 
 
 def trace_to_csv(result: SelectionResult) -> str:
     """One row per candidate: its risk report, then its sigma_f and SE length-scale."""
-    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", (
-        (result.family, r.n, r.h, r.p, r.delta, r.empirical_risk, r.bound, r.clipped,
-         spec.sigma_f, spec.length_scale if isinstance(spec, SEKernel) else "")
-        for spec, r in result.trace
+    scores, spec = result.scores, _spec_columns(result.grid)
+    lengths = fmt_floats(spec["length_scale"]) if "length_scale" in spec else repeat("")
+    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", zip(
+        repeat(result.family), repeat(scores.n), fmt_floats(scores.h),
+        fmt_floats(scores.h / scores.n), repeat(fmt_float(scores.delta)),
+        fmt_floats(scores.empirical_risk), fmt_floats(scores.bound), scores.clipped.tolist(),
+        fmt_floats(spec["sigma_f"]), lengths,
     ))

@@ -142,6 +142,21 @@ class TestSelect:
         assert doc["family"] == "sdof"
         assert len(doc["trace"]) == 5
 
+    @pytest.mark.parametrize("family", ["both", "se", "sdof"])
+    def test_best_json_is_the_winners_selection_file(self, sim_dir, tmp_path, capsys, family):
+        out = tmp_path / "sel"
+        code = main([
+            "select", "--data", str(sim_dir), "--family", family,
+            "--se-sigma-count", "3", "--se-length-count", "6",
+            "--sdof-sigma-count", "6", "--out", str(out),
+        ])
+        assert code == 0
+        best = (out / "best.json").read_bytes()
+        winner = json.loads(best)["family"]
+        assert family in ("both", winner)
+        assert f"winner family={winner} " in capsys.readouterr().out
+        assert best == (out / f"selection_{winner}.json").read_bytes()
+
     def test_reversed_amplitude_factors_are_usage_error(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "sel"
         code = main([
@@ -595,6 +610,23 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "cmd_simulate", boom)
         assert main(["simulate", "--out", str(tmp_path / "s")]) == 4
         assert "synthetic numeric failure" in capsys.readouterr().err
+
+    def test_one_parser_serves_repeated_calls(self, sim_dir, tmp_path, capsys):
+        singular = '{"family": "se", "sigma_f": 1.0, "length_scale": 100.0}'
+        fit = ["fit", "--data", str(sim_dir), "--out", str(tmp_path / "o"), "--kernel"]
+        calls = {
+            2: ["simulate", "--bogus"],
+            3: [*fit, "{not json"],
+            4: [*fit, singular, "--sigma-n", "0"],
+        }
+        cli_module._parser.cache_clear()
+        codes = [main(argv) for _ in range(3) for argv in calls.values()]
+        assert codes == [*calls] * 3
+        assert cli_module._parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        check = "import srmks.cli as cli; assert cli._parser.cache_info().currsize == 0"
+        assert subprocess.run([sys.executable, "-c", check]).returncode == 0
 
     def test_module_entry_point(self, tmp_path):
         # end to end through a real interpreter

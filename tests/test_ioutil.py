@@ -2,13 +2,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srmks.errors import InvalidInputError
 from srmks.experiment import BoxStats, ExperimentConfig, GridSettings, default_config
-from srmks.ioutil import csv_table, csv_text, float_from_json, json_text
+from srmks.ioutil import (
+    csv_table,
+    csv_text,
+    float_from_json,
+    fmt_float,
+    fmt_floats,
+    json_float,
+    json_rows_text,
+    json_text,
+)
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingMeta
 from srmks.risk import BoundConfig, DeltaRule, RiskReport
 
@@ -152,6 +162,45 @@ def test_floats_are_json_numbers_or_the_strings_json_float_writes():
     for value in ("Infinity", None, [1.0], {}):
         with pytest.raises(InvalidInputError, match="expected a JSON number"):
             float_from_json(value)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(), max_size=20))
+def test_fmt_floats_formats_like_fmt_float(values):
+    assert fmt_floats(np.array(values, dtype=float)) == [fmt_float(v) for v in values]
+
+
+def test_fmt_float_keeps_its_non_finite_strings():
+    special = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 5e-324, 0.1]
+    expected = ["inf", "-inf", "nan", "nan", "-0", "4.9406564584124654e-324", "0.10000000000000001"]
+    assert [fmt_float(x) for x in special] == expected
+    assert fmt_floats(np.array(special)) == expected
+
+
+def _row(node, i):
+    """The JSON value of row i of an entry whose numpy-array leaves are columns."""
+    if isinstance(node, dict):
+        return {key: _row(value, i) for key, value in node.items()}
+    if isinstance(node, np.ndarray):
+        value = node[i].item()
+        return value if isinstance(value, bool) else json_float(value)
+    return node
+
+
+@settings(max_examples=100)
+@given(rows=st.integers(1, 6), data=st.data())
+def test_json_rows_text_writes_the_bytes_of_json_text(rows, data):
+    def column(elements):
+        return np.array(data.draw(st.lists(elements, min_size=rows, max_size=rows)))
+
+    # "%" in the fixed text must survive the row template
+    doc = {"name": "100% \"quoted\"", "scale": data.draw(st.floats(allow_nan=False)), "n": 3}
+    entry = {
+        "spec": {"family": "s%d", "x": column(st.floats()), "m": 2.5},
+        "report": {"flag": column(st.booleans()), "y": column(st.floats()), "n": 7, "z": None},
+    }
+    expected = json_text({**doc, "rows": [_row(entry, i) for i in range(rows)]})
+    assert json_rows_text(doc, "rows", entry) == expected
 
 
 def test_csv_round_trip():

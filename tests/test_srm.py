@@ -11,9 +11,17 @@ import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import GridSettings
-from srmks.kernels import SDOFKernel, SEKernel, gram
+from srmks.ioutil import csv_text
+from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_to_json_dict
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
-from srmks.risk import BoundConfig, Bounds, DeltaRule, vc_bound_general, vc_bound_reduced
+from srmks.risk import (
+    BoundConfig,
+    Bounds,
+    DeltaRule,
+    vc_bound_general,
+    vc_bound_reduced,
+    vc_bounds,
+)
 from srmks.smoother import decompose, fit, rounding_level
 from srmks.srm import (
     SelectionResult,
@@ -475,6 +483,113 @@ class TestCompareStructures:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             compare_structures([])
+
+
+def _selection_json_oracle(result):
+    """selection_to_json as json.dumps of one spec and report dict per trace entry."""
+    doc = {
+        "family": result.family,
+        "degenerate": result.degenerate,
+        "best_spec": kernel_to_json_dict(result.best_spec),
+        "best_report": result.best_report.to_json_dict(),
+        "trace": [
+            {"spec": kernel_to_json_dict(spec), "report": report.to_json_dict()}
+            for spec, report in result.trace
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _trace_csv_oracle(result):
+    """trace_to_csv as csv_text over one row of report and spec fields per trace entry."""
+    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", (
+        (result.family, r.n, r.h, r.p, r.delta, r.empirical_risk, r.bound, r.clipped,
+         spec.sigma_f, spec.length_scale if isinstance(spec, SEKernel) else "")
+        for spec, r in result.trace
+    ))
+
+
+def _assert_writers_match_the_oracles(result):
+    assert selection_to_json(result) == _selection_json_oracle(result)
+    assert trace_to_csv(result) == _trace_csv_oracle(result)
+
+
+_SINGLE_CANDIDATE = (
+    StructureGrid("se", (SEKernel(1.0, 0.02),), (1.5,)),
+    TrainingSet(
+        t=np.linspace(0.0, 0.3, 6), y=np.array([0.3, -1.0, 0.2, 0.9, -0.4, 0.1]),
+        sigma_n=0.2, true_h=np.zeros(6), seed=0,
+    ),
+    None,
+)
+# tiny sample, near-diagonal gram: every candidate clips, so the selection is degenerate
+_ALL_CLIPPED = (
+    build_se_grid((0.5, 2.0), (1e-5, 1e-4), 3, 2),
+    TrainingSet(
+        t=np.linspace(0.0, 0.3, 8), y=np.sin(40 * np.linspace(0.0, 0.3, 8)),
+        sigma_n=1e-6, true_h=np.zeros(8), seed=0,
+    ),
+    None,
+)
+
+
+@st.composite
+def _scored_grids(draw):
+    """A selection over a grid of either family with drawn scores.
+
+    h reaches 8 n, past where eta turns negative under either bound form,
+    and n starts at 1, so clipped, eta-negative and degenerate candidates
+    all occur.
+    """
+    if draw(st.booleans()):
+        grid = build_se_grid(
+            (0.5, 2.0), (0.01, 0.1), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        )
+    else:
+        grid = build_sdof_grid(_PAPER, (100.0, 1000.0), draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 40))
+    h = draw(st.lists(st.floats(0.0, 8.0 * n), min_size=grid.size, max_size=grid.size))
+    mse = draw(st.lists(st.floats(0.0, 10.0), min_size=grid.size, max_size=grid.size))
+    scores = vc_bounds(mse, h, n, draw(st.sampled_from([None, _GENERAL])))
+    best = int(np.lexsort((scores.h, scores.bound))[0])
+    return SelectionResult(
+        grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
+        grid, scores, decompose(grid.bases[0], np.zeros(1)),
+    )
+
+
+class TestTraceWritersAgainstPerCandidateOracle:
+    """selection_to_json and trace_to_csv write the oracles' bytes from the score arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_selection_problems())
+    def test_searched_selections(self, problem):
+        _assert_writers_match_the_oracles(srm_select(*problem))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scored_grids())
+    def test_drawn_scores(self, result):
+        _assert_writers_match_the_oracles(result)
+
+    def test_single_candidate(self):
+        result = srm_select(*_SINGLE_CANDIDATE)
+        assert len(result.trace) == 1
+        _assert_writers_match_the_oracles(result)
+
+    def test_degenerate_selection_writes_inf_bounds(self):
+        result = srm_select(*_ALL_CLIPPED)
+        assert result.degenerate
+        # every trace entry and the winner's report write the bound as the string "inf"
+        assert selection_to_json(result).count('"bound": "inf"') == result.grid.size + 1
+        _assert_writers_match_the_oracles(result)
+
+    @pytest.mark.parametrize("decimation", [32, 16])
+    @pytest.mark.parametrize("family", ["se", "sdof"])
+    def test_default_grids(self, paper_params, family, decimation):
+        data = _dataset(paper_params, decimation=decimation, seed=3)
+        result = srm_select(GridSettings().family_grid(family, data, paper_params), data)
+        assert result.scores.clipped.any() and not result.degenerate
+        _assert_writers_match_the_oracles(result)
 
 
 class TestSerialization:
