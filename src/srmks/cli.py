@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SrmksError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (SrmksError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,9 +109,10 @@ class GridSettings(JsonRecord):
         rms = float(np.sqrt(np.mean(data.y**2)))
         lo, hi = (factor * rms for factor in self.amplitude_factors)
         if family == "se":
-            if data.n < 2:
+            if data.n < 3:
                 raise InvalidInputError(
-                    "the SE grid needs at least two training points to span its length-scales"
+                    "the SE grid needs at least three training points: its length-scales run "
+                    "from the smallest gap to the span, which coincide at two"
                 )
             l_range = (float(np.min(np.diff(data.t))), float(data.t[-1] - data.t[0]))
             return build_se_grid((lo, hi), l_range, self.se_sigma_count, self.se_length_count)
@@ -200,15 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[IterationRecord]:
     return records
 
 
-@contextmanager
-def _tagged(n: int, iteration: int, family: str):
-    """Re-raise a failure inside one cell as an ExperimentError naming the cell."""
-    try:
-        yield
-    except SrmksError as exc:
-        raise ExperimentError(f"n={n}, iteration={iteration}, family={family}: {exc}") from exc
-
-
 def _select_family(
     cfg: ExperimentConfig,
     family: str,
@@ -219,9 +210,12 @@ def _select_family(
     grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
     # the iterations share sample times and sigma_n, and at a noise level
     # that fails the selection their RMS(y), hence their grids, agree too:
-    # the failure hits every cell or none
-    with _tagged(datasets[0].n, iterations[0], family):
+    # the failure hits every cell or none, so the first names it
+    try:
         return srm_select_batch(grids, datasets, cfg.bound_config)
+    except SrmksError as exc:
+        cell = f"n={datasets[0].n}, iteration={iterations[0]}, family={family}"
+        raise ExperimentError(f"{cell}: {exc}") from exc
 
 
 def _run_plan(

@@ -152,8 +152,10 @@ class TrainingSet:
             raise InvalidInputError("t, y and true_h must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvalidInputError("t must be strictly increasing")
-        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0):
-            raise InvalidInputError("sigma_n must be nonnegative and finite")
+        if not (self.sigma_n >= 0 and self.sigma_n * self.sigma_n < math.inf):
+            raise InvalidInputError(
+                f"sigma_n must be nonnegative with a finite square, got {self.sigma_n!r}"
+            )
         require_int("seed", self.seed, 0)
 
     @property

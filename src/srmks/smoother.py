@@ -26,7 +26,7 @@ Friedman, ESL sec. 5.4.1):
 Only z depends on the targets, so training sets that share their sample
 times (the repetitions of one sampling plan) share the decomposition too:
 one eigh per (plan, base kernel), kept as a Spectrum, scores every
-repetition. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
+repetition at every scale in one array computation. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
 (z / (s^2 lambda + sigma_n^2)) with k*_0 the base kernel's cross-kernel
 (Rasmussen & Williams, GPML eq. 2.25), so a study needs no Cholesky. One
 kernel on one training set goes through fit, since Cholesky plus an
@@ -46,7 +46,6 @@ treats K as singular when a clamped eigenvalue is at most n * eps * lambda_max.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +101,12 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
     Solves (K + sigma_n^2 I) w = y by Cholesky factorisation. Raises
-    InvalidInputError for a negative or non-finite noise level, and
-    SingularSystemError for a non-finite K, a singular zero-noise system, a
-    failed factorisation or non-finite weights.
+    InvalidInputError for a negative noise level or one whose square
+    overflows, and SingularSystemError for a non-finite K, a singular
+    zero-noise system, a failed factorisation or non-finite weights.
     """
-    if not (math.isfinite(sigma_n) and sigma_n >= 0):
-        raise InvalidInputError(f"sigma_n must be nonnegative and finite, got {sigma_n!r}")
+    if not (sigma_n >= 0 and sigma_n * sigma_n < math.inf):
+        raise InvalidInputError(f"sigma_n must be nonnegative with a finite square, got {sigma_n!r}")
     n, noise = data.n, sigma_n**2
     K = gram(spec, data.t)
     if not np.all(np.isfinite(K)):
@@ -137,27 +136,22 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
 
 
 def signal_scale_scores(
-    spectrum: Spectrum, datasets: Sequence[TrainingSet], sigma_fs: Sequence[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(edf, training MSE) arrays per training set, one entry per signal scale.
+    spectrum: Spectrum, y: np.ndarray, scales2: np.ndarray, noise: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(edf, training MSE) of `spectrum.base`, each indexed (set, scale).
 
-    `sigma_fs[r]` holds the scales of `spectrum.base` to score on
-    `datasets[r]`, each at that set's own noise level. Every set must lie
-    on the sample times the spectrum was decomposed over and have sigma_n^2
-    above the rounding level, as srm.srm_select_batch checks.
+    `y` stacks the training sets' targets (sets x n), `scales2` their
+    squared signal scales (sets x scales) and `noise` their sigma_n^2
+    (sets). Every set must lie on the spectrum's sample times, with its
+    noise variance above the rounding level, as srm.srm_select_batch checks.
     """
     lam, vectors = spectrum.eigenvalues, spectrum.vectors
-    scores = []
-    for data, scales in zip(datasets, sigma_fs):
-        noise = data.sigma_n**2
-        z2 = (vectors.T @ data.y) ** 2
-        # squared one by one as Python floats: numpy's square can differ
-        # from the scalar pow by one ulp
-        scaled = np.array([s**2 for s in scales])[:, None] * lam
-        denom = scaled + noise
-        mse = np.sum((noise / denom) ** 2 * z2, axis=1) / data.n
-        scores.append((_edf_from_spectrum(scaled, noise), mse))
-    return scores
+    # stacked, one matrix-vector product per set: bit-identical to U^T y of one set
+    z2 = (vectors.T @ y[:, :, None])[:, :, 0] ** 2
+    scaled = scales2[:, :, None] * lam
+    noise = noise[:, None, None]
+    mse = np.sum((noise / (scaled + noise)) ** 2 * z2[:, None, :], axis=-1) / y.shape[1]
+    return _edf_from_spectrum(scaled, noise), mse
 
 
 def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> np.ndarray:

@@ -14,22 +14,24 @@ experiment.GridSettings.family_grid.
 Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. The
 candidates of one base kernel share one eigendecomposition of its Gram
-matrix, from which each signal scale is scored in O(n) (see
-smoother.signal_scale_scores). The decomposition depends on the sample
-times only, so srm_select_batch searches the repetitions of one sampling
-plan together: one decomposition per (plan, base kernel), i.e. one per
-length-scale for the SE grid and one in all for the oscillator grid, serves
-every repetition; srm_select, which `select` calls, is the batch of one.
-Each set's bounds are one risk.vc_bounds call, kept as arrays: only the
-winner becomes a kernel spec and a RiskReport, and the trace files are
-written a column at a time from the arrays. Each result keeps the
-smoother.Spectrum of its winner's base, from which the study refits the
-winner; until the winners are known a batch holds bases x n^2 floats of
-eigenvectors (15.6 MB for 31 bases at n = 251, 248 MB at n = 1001). The
-winner minimises the bound; ties go to the smaller capacity (the simplest
-adequate element), then to grid order. If every candidate clips to
-+infinity the selection still returns the smallest-capacity candidate,
-flagged degenerate, so batch runs never abort.
+matrix, from which each signal scale is scored in O(n). The decomposition
+depends on the sample times only, so srm_select_batch searches the
+repetitions of one sampling plan together: one decomposition per (plan,
+base kernel), i.e. one per length-scale for the SE grid and one in all for
+the oscillator grid, scores every repetition at every scale as one
+(sets x scales) array (smoother.signal_scale_scores), and the bases'
+arrays, joined base-major, hold every set's candidates in grid order;
+srm_select, which `select` calls, is the batch of one. Each set's bounds
+are one risk.vc_bounds call, kept as arrays: only the winner becomes a
+kernel spec and a RiskReport, and the trace files are written a column at a
+time from the arrays. Each result keeps the smoother.Spectrum of its
+winner's base, from which the study refits the winner; until the winners
+are known a batch holds bases x n^2 floats of eigenvectors (15.6 MB for 31
+bases at n = 251, 248 MB at n = 1001). The winner minimises the bound; ties
+go to the smaller capacity (the simplest adequate element), then to grid
+order. If every candidate clips to +infinity the selection still returns
+the smallest-capacity candidate, flagged degenerate, so batch runs never
+abort.
 """
 from __future__ import annotations
 
@@ -172,11 +174,13 @@ def srm_select_batch(
 ) -> list[SelectionResult]:
     """``srm_select(grids[r], datasets[r], bound_config)`` for every r at once.
 
-    The training sets must share their sample times and the grids their
-    base kernels; each base kernel is decomposed once for every set. Raises
-    InvalidInputError if the counts, the sample times or the bases differ,
-    or if a set's noise variance is at most the rounding level of its
-    largest scaled spectrum, where every candidate would interpolate.
+    The training sets must share their sample times, and the grids their
+    base kernels and number of signal scales; the scales themselves may
+    differ. The sets stack into arrays: targets (sets x n), noise variances
+    (sets) and squared scales (sets x scales). Raises InvalidInputError if
+    the counts, sample times, bases or scale counts differ, or if a set's
+    noise variance is at most the rounding level of its largest scaled
+    spectrum, where every candidate would interpolate.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
@@ -184,31 +188,35 @@ def srm_select_batch(
         return []
     if any(not np.array_equal(data.t, datasets[0].t) for data in datasets[1:]):
         raise InvalidInputError("batched training sets must share their sample times")
-    bases = grids[0].bases
-    if any(grid.bases != bases for grid in grids[1:]):
-        raise InvalidInputError("batched grids must share their base kernels")
-    sigma_fs = [grid.sigma_fs for grid in grids]
+    bases, count = grids[0].bases, len(grids[0].sigma_fs)
+    if any(grid.bases != bases or len(grid.sigma_fs) != count for grid in grids[1:]):
+        raise InvalidInputError("batched grids must share base kernels and number of signal scales")
+    n = datasets[0].n
+    y = np.stack([data.y for data in datasets])
+    noise = np.array([data.sigma_n**2 for data in datasets])
+    # squared one by one as Python floats: numpy's square can differ
+    # from the scalar pow by one ulp
+    scales2 = np.array([[s**2 for s in grid.sigma_fs] for grid in grids])
     spectra = [decompose(base, datasets[0].t) for base in bases]
     top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
-    for grid, data in zip(grids, datasets):
-        level = rounding_level(data.n, grid.sigma_fs[-1] ** 2 * top)
-        if data.sigma_n**2 <= level:
-            raise InvalidInputError(
-                f"SRM needs sigma_n > 0, sigma_n^2 above the rounding level {level:.3g}, got "
-                f"{data.sigma_n**2:.3g}: every candidate would interpolate (h = n, bound inf)"
-            )
-    per_base = [signal_scale_scores(spectrum, datasets, sigma_fs) for spectrum in spectra]
+    level = rounding_level(n, scales2[:, -1] * top)
+    r = int(np.argmax(noise <= level))  # the first set that fails, if any
+    if noise[r] <= level[r]:
+        raise InvalidInputError(
+            f"SRM needs sigma_n > 0, sigma_n^2 above the rounding level {level[r]:.3g}, got "
+            f"{noise[r]:.3g}: every candidate would interpolate (h = n, bound inf)"
+        )
+    scored = [signal_scale_scores(spectrum, y, scales2, noise) for spectrum in spectra]
+    edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
     results = []
-    for r, (grid, data) in enumerate(zip(grids, datasets)):
-        edf, mse = (np.concatenate([scored[r][k] for scored in per_base]) for k in (0, 1))
-        scores = vc_bounds(mse, edf, data.n, bound_config)
+    for grid, edf_r, mse_r in zip(grids, edf, mse):
+        scores = vc_bounds(mse_r, edf_r, n, bound_config)
         # lexsort is stable: the (bound, h, grid index) order
         best = int(np.lexsort((scores.h, scores.bound))[0])
         spec, report, degenerate = grid.candidate(best), scores.report(best), scores.clipped.all()
-        spectrum = spectra[best // len(grid.sigma_fs)]
-        results.append(
-            SelectionResult(grid.family, spec, report, bool(degenerate), grid, scores, spectrum)
-        )
+        results.append(SelectionResult(
+            grid.family, spec, report, bool(degenerate), grid, scores, spectra[best // count]
+        ))
     return results
 
 

@@ -580,7 +580,22 @@ _INVALID_INPUTS = [
      lambda i, out: [
          "fit", "--data", i.data, "--kernel",
          '{"family": "sdof", "sigma_f": 1e154, "m": 1, "c": 0.02, "k": 1}', "--out", out]),
+    ("select-training-sigma-n-square-overflows", 3,
+     lambda i, out: [
+         "select", "--data", i.training(lambda d: d.update(sigma_n=1e160)), "--out", out]),
+    ("fit-training-sigma-n-square-overflows", 3,
+     lambda i, out: [
+         "fit", "--data", i.training(lambda d: d.update(sigma_n=1e160)),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("fit-sigma-n-square-overflows", 2,
+     lambda i, out: [
+         "fit", "--data", i.data, "--kernel", _SE_KERNEL, "--sigma-n", "1e160", "--out", out]),
+    ("select-se-two-samples", 2,
+     lambda i, out: [
+         "select", "--data", i.simulated("--base-points", "2", "--decimation", "1"),
+         "--family", "both", "--out", out]),
 ]
+_ROWS = {row[0]: row[1:] for row in _INVALID_INPUTS}
 
 
 @pytest.mark.parametrize(
@@ -594,6 +609,24 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     assert code == expected
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,cause", [
+    ("select-training-sigma-n-square-overflows", "sigma_n"),
+    ("fit-training-sigma-n-square-overflows", "sigma_n"),
+    ("fit-sigma-n-square-overflows", "sigma_n"),
+    ("select-se-two-samples", "the SE grid needs at least three training points"),
+])
+def test_invalid_input_names_its_cause(sim_dir, tmp_path, golden_dir, capsys, name, cause):
+    expected, argv = _ROWS[name]
+    assert main(argv(_Inputs(sim_dir, tmp_path, golden_dir), str(tmp_path / "o"))) == expected
+    assert cause in capsys.readouterr().err
+
+
+def test_sdof_selects_on_two_samples(sim_dir, tmp_path, golden_dir, capsys):
+    # only the SE grid needs a third point
+    data = _Inputs(sim_dir, tmp_path, golden_dir).simulated("--base-points", "2", "--decimation", "1")
+    assert main(["select", "--data", data, "--family", "sdof", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestExitCodes:
@@ -610,6 +643,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "cmd_simulate", boom)
         assert main(["simulate", "--out", str(tmp_path / "s")]) == 4
         assert "synthetic numeric failure" in capsys.readouterr().err
+
+    def test_memory_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
+        def boom(args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli_module, "cmd_simulate", boom)
+        assert main(["simulate", "--out", str(tmp_path / "s")]) == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
 
     def test_one_parser_serves_repeated_calls(self, sim_dir, tmp_path, capsys):
         singular = '{"family": "se", "sigma_f": 1.0, "length_scale": 100.0}'

@@ -398,8 +398,9 @@ class TestSpectralSelectionAgainstBruteForce:
 def _batch_problems(draw):
     """1-4 training sets on shared sample times, each with its own grid.
 
-    The grids share one family and one set of base kernels, as the grids of
-    one sampling plan do; their signal scales differ from set to set.
+    The grids share one family, one set of base kernels and one number of
+    signal scales, as the grids of one sampling plan do; the scale values
+    differ from set to set.
     """
     n = draw(st.integers(3, 10))
     gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
@@ -408,6 +409,7 @@ def _batch_problems(draw):
     l_lo = draw(st.floats(0.005, 0.05))
     l_range = (l_lo, l_lo * draw(st.floats(2.0, 20.0)))
     n_l = draw(st.integers(1, 4))
+    n_sigma = draw(st.integers(1, 4) if family == "se" else st.integers(1, 6))
     grids, datasets = [], []
     for _ in range(draw(st.integers(1, 4))):
         y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
@@ -417,12 +419,12 @@ def _batch_problems(draw):
         if family == "se":
             sf_lo = draw(st.floats(0.3, 1.0))
             grids.append(build_se_grid(
-                (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))), l_range, draw(st.integers(1, 4)), n_l,
+                (sf_lo, sf_lo * draw(st.floats(2.0, 10.0))), l_range, n_sigma, n_l,
             ))
         else:
             sf_lo = draw(st.floats(100.0, 1000.0))
             grids.append(build_sdof_grid(
-                _PAPER, (sf_lo, sf_lo * draw(st.floats(2.0, 5.0))), draw(st.integers(1, 6))
+                _PAPER, (sf_lo, sf_lo * draw(st.floats(2.0, 5.0))), n_sigma
             ))
     return grids, datasets, draw(st.sampled_from([None, _GENERAL]))
 
@@ -461,6 +463,10 @@ class TestBatchSelection:
         for grids in ([se, sdof], [sdof, se], [se, other_lengths]):
             with pytest.raises(InvalidInputError, match="base kernels"):
                 srm_select_batch(grids, [data, data])
+        # same bases, other scale count: the sets' scores no longer stack
+        more_scales = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 3, 3)
+        with pytest.raises(InvalidInputError, match="number of signal scales"):
+            srm_select_batch([se, more_scales], [data, data])
 
 
 class TestCompareStructures:
