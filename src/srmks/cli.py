@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SrmksError
 from .experiment import (
+    FAMILIES,
     ExperimentConfig,
     GridSettings,
     default_config,
@@ -158,7 +159,7 @@ def cmd_select(args) -> int:
         sdof_sigma_count=args.sdof_sigma_count,
         amplitude_factors=(args.amp_lo, args.amp_hi),
     )
-    families = ["se", "sdof"] if args.family == "both" else [args.family]
+    families = FAMILIES if args.family == "both" else [args.family]
     out = Path(args.out)
     results, selections = [], {}
     for family in families:
@@ -212,10 +213,10 @@ def cmd_experiment(args) -> int:
     _write_text(out / "summary.json", summary.to_json())
     _write_text(out / "config.json", cfg.to_json())
     for n in summary.sample_sizes:
-        print(
-            f"n={n} se_median_bound={fmt_float(_median_bound(summary, n, 'se'))} "
-            f"sdof_median_bound={fmt_float(_median_bound(summary, n, 'sdof'))}"
-        )
+        print(f"n={n}", *(
+            f"{family}_median_bound={fmt_float(_median_bound(summary, n, family))}"
+            for family in FAMILIES
+        ))
     return 0
 
 
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select", help="run the SRM search on stored training data")
     p_sel.add_argument("--data", required=True, help="directory from a simulate run")
-    p_sel.add_argument("--family", choices=["se", "sdof", "both"], default="both")
+    p_sel.add_argument("--family", choices=[*FAMILIES, "both"], default="both")
     p_sel.add_argument("--m", type=float, default=osc.m, help="oscillator mass (sdof grid)")
     p_sel.add_argument("--c", type=float, default=osc.c, help="oscillator damping (sdof grid)")
     p_sel.add_argument("--k", type=float, default=osc.k, help="oscillator stiffness (sdof grid)")

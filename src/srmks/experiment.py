@@ -102,11 +102,13 @@ class GridSettings(JsonRecord):
         amplitude_factors times RMS(y), which keeps their treatment
         symmetric. For SE, sigma_f is that amplitude and the length-scale
         spans the smallest training-point gap up to the full span. For the
-        oscillator family sqrt(k(0)) = sigma_f / sqrt(4 m^2 zeta omega_n^3),
-        so its sigma_f bracket is the amplitude bracket rescaled by
-        sqrt(4 m^2 zeta omega_n^3), with `params` held fixed.
+        oscillator family sqrt(k(0)) = sigma_f / sqrt(variance_scale) of
+        its base kernel, so its sigma_f bracket is the amplitude bracket
+        rescaled by sqrt(variance_scale), with `params` held fixed.
         """
         rms = float(np.sqrt(np.mean(data.y**2)))
+        if rms == 0.0:
+            raise InvalidInputError("the amplitude bracket needs RMS(y) > 0; every y squares to 0")
         lo, hi = (factor * rms for factor in self.amplitude_factors)
         if family == "se":
             if data.n < 3:
@@ -116,8 +118,7 @@ class GridSettings(JsonRecord):
                 )
             l_range = (float(np.min(np.diff(data.t))), float(data.t[-1] - data.t[0]))
             return build_se_grid((lo, hi), l_range, self.se_sigma_count, self.se_length_count)
-        SDOFKernel(sigma_f=1.0, params=params)  # rejects params before the scale overflows
-        scale = np.sqrt(4.0 * params.m**2 * params.zeta * params.omega_n**3)
+        scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
         return build_sdof_grid(params, (lo * scale, hi * scale), self.sdof_sigma_count)
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .experiment import ExperimentConfig, IterationRecord, summarize
+from .experiment import FAMILIES, ExperimentConfig, IterationRecord, summarize
 from .ioutil import lines_text
 from .oscillator import impulse_response
 from .smoother import fit, predict
@@ -199,7 +199,7 @@ def _grouped_box_figure(records: list[IterationRecord], metrics: list[str], log_
         raise InvalidInputError("no records to plot")
     summary = summarize(records)
     sizes = summary.sample_sizes
-    families = [f for f in ("se", "sdof") if any(r.family == f for r in records)]
+    families = [f for f in FAMILIES if any(r.family == f for r in records)]
     panel_w, panel_h = 340, 300
     width = 20 + panel_w * len(metrics) + 20
     height = panel_h + 50
@@ -236,10 +236,12 @@ def predictions_svg(
         if r.sample_size == n and r.iteration == iteration
     }
     if not cell:
-        sizes = sorted({r.sample_size for r in records})
-        raise InvalidInputError(
-            f"no records for n={n}, iteration={iteration}; available sizes: {sizes}"
+        recorded = sorted({r.iteration for r in records if r.sample_size == n})
+        known = (
+            f"iterations recorded at n={n}: {recorded}" if recorded
+            else f"available sizes: {sorted({r.sample_size for r in records})}"
         )
+        raise InvalidInputError(f"no records for n={n}, iteration={iteration}; {known}")
     plan = next((p for p in cfg.plans if p.n_samples == n), None)
     if plan is None:
         raise InvalidInputError(f"configuration has no sampling plan with n={n}")
@@ -251,7 +253,7 @@ def predictions_svg(
     curves: list[tuple[str, np.ndarray, str]] = [("true", np.asarray(dense_h), _TRUE_COLOR)]
     curves.extend(
         (fam, predict(fit(cell[fam].chosen_spec, data, data.sigma_n), dense_t), _FAMILY_COLOR[fam])
-        for fam in ("se", "sdof") if fam in cell
+        for fam in FAMILIES if fam in cell
     )
 
     width, height = 720, 420

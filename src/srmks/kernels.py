@@ -94,10 +94,15 @@ class SDOFKernel:
         _require_finite_variance(self.sigma_f, self.unit_diagonal)
 
     @property
-    def unit_diagonal(self) -> float:
-        """Kernel value at tau = 0 for sigma_f = 1: 1 / (4 m^2 zeta omega_n^3)."""
+    def variance_scale(self) -> float:
+        """4 m^2 zeta omega_n^3, the oscillator's scale of the kernel variance."""
         p = self.params
-        return 1.0 / (4.0 * p.m**2 * p.zeta * p.omega_n**3)
+        return 4.0 * p.m**2 * p.zeta * p.omega_n**3
+
+    @property
+    def unit_diagonal(self) -> float:
+        """Kernel value at tau = 0 for sigma_f = 1: 1 / variance_scale."""
+        return 1.0 / self.variance_scale
 
 
 KernelSpec = Union[SEKernel, SDOFKernel]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_int, require_noise_level
 from .ioutil import JsonRecord, csv_table, csv_text
 
 __all__ = [
@@ -111,10 +111,14 @@ class SamplingPlan(JsonRecord):
     def __post_init__(self):
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise InvalidInputError("time range must be finite")
+        if self.t_start < 0:
+            raise InvalidInputError(f"t_start must be >= 0, the impulse time, got {self.t_start}")
         if self.t_end <= self.t_start:
             raise InvalidInputError("t_end must exceed t_start")
         require_int("base_points", self.base_points, 2)
         require_int("decimation", self.decimation, 1)
+        if self.n_samples < 2:
+            raise InvalidInputError(f"a plan must keep at least 2 samples, got {self.n_samples}")
         if not self.snr > 0:
             raise InvalidInputError("snr must be positive")
         require_int("seed", self.seed, 0)
@@ -152,10 +156,7 @@ class TrainingSet:
             raise InvalidInputError("t, y and true_h must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvalidInputError("t must be strictly increasing")
-        if not (self.sigma_n >= 0 and self.sigma_n * self.sigma_n < math.inf):
-            raise InvalidInputError(
-                f"sigma_n must be nonnegative with a finite square, got {self.sigma_n!r}"
-            )
+        require_noise_level(self.sigma_n)
         require_int("seed", self.seed, 0)
 
     @property
@@ -172,6 +173,8 @@ def impulse_response(params: OscillatorParams, t) -> np.ndarray | float:
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("time values must be finite")
+    if np.any(arr < 0):
+        raise InvalidInputError("time values must be nonnegative: the impulse acts at t = 0")
     zw = params.zeta * params.omega_n
     wd = params.omega_d
     h = np.exp(-zw * arr) * np.sin(wd * arr) / (params.m * wd)
@@ -189,10 +192,6 @@ def generate_training_set(params: OscillatorParams, plan: SamplingPlan) -> Train
     seeded with plan.seed.
     """
     kept = plan.base_grid()[:: plan.decimation]
-    if kept.size < 2:
-        raise InvalidInputError(
-            f"plan keeps only {kept.size} samples; at least 2 are required"
-        )
     true_h = impulse_response(params, kept)
     sigma_n = float(np.sqrt(np.mean(true_h**2) / plan.snr))
     rng = np.random.default_rng(plan.seed)

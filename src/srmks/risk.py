@@ -123,6 +123,7 @@ class Bounds:
 
     empirical_risk: np.ndarray
     h: np.ndarray
+    p: np.ndarray  # h / n, as vc_bounds computed it for the bound
     bound: np.ndarray
     clipped: np.ndarray
     eta_negative: np.ndarray
@@ -131,9 +132,8 @@ class Bounds:
 
     def report(self, i: int) -> RiskReport:
         """The RiskReport of candidate i."""
-        h = float(self.h[i])
         return RiskReport(
-            float(self.empirical_risk[i]), h, self.n, h / self.n, self.delta,
+            float(self.empirical_risk[i]), float(self.h[i]), self.n, float(self.p[i]), self.delta,
             float(self.bound[i]), bool(self.clipped[i]), bool(self.eta_negative[i]),
         )
 
@@ -160,7 +160,7 @@ def vc_bounds(mse, h, n: int, cfg: BoundConfig | None = None) -> Bounds:
         eta_negative = eta < 0.0
         clipped = (p >= 1.0) | eta_negative | (denom <= EPS_CLIP)
         bound = np.where(clipped, math.inf, mse / denom)
-    return Bounds(mse, h, bound, clipped, eta_negative, n, delta)
+    return Bounds(mse, h, p, bound, clipped, eta_negative, n, delta)
 
 
 def vc_bound_reduced(mse: float, h: float, n: int) -> RiskReport:
@@ -184,4 +184,4 @@ def realized_confidence(n: int) -> float:
         raise InvalidInputError(
             f"confidence undefined for n = {n}: 1 - 4/sqrt(n) is nonpositive"
         )
-    return 1.0 - 4.0 / math.sqrt(n)
+    return 1.0 - BoundConfig().realized_delta(n)

@@ -45,13 +45,12 @@ treats K as singular when a clamped eigenvalue is at most n * eps * lambda_max.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, SingularSystemError
+from .errors import SingularSystemError, require_noise_level
 from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
@@ -105,8 +104,7 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     overflows, and SingularSystemError for a non-finite K, a singular
     zero-noise system, a failed factorisation or non-finite weights.
     """
-    if not (sigma_n >= 0 and sigma_n * sigma_n < math.inf):
-        raise InvalidInputError(f"sigma_n must be nonnegative with a finite square, got {sigma_n!r}")
+    require_noise_level(sigma_n)
     n, noise = data.n, sigma_n**2
     K = gram(spec, data.t)
     if not np.all(np.isfinite(K)):

@@ -246,10 +246,9 @@ def selection_to_json(result: SelectionResult) -> str:
         "best_spec": kernel_to_json_dict(result.best_spec),
         "best_report": best,
     }
-    # a report field is a Bounds array or its shared n or delta; p = h / n, as in Bounds.report
-    fields = {**vars(result.scores), "p": result.scores.h / result.scores.n}
-    entry = {"spec": _spec_columns(result.grid), "report": {key: fields[key] for key in best}}
-    return json_rows_text(doc, "trace", entry)
+    # a report field is a Bounds array or its shared n or delta
+    report = {key: getattr(result.scores, key) for key in best}
+    return json_rows_text(doc, "trace", {"spec": _spec_columns(result.grid), "report": report})
 
 
 def trace_to_csv(result: SelectionResult) -> str:
@@ -258,7 +257,7 @@ def trace_to_csv(result: SelectionResult) -> str:
     lengths = fmt_floats(spec["length_scale"]) if "length_scale" in spec else repeat("")
     return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", zip(
         repeat(result.family), repeat(scores.n), fmt_floats(scores.h),
-        fmt_floats(scores.h / scores.n), repeat(fmt_float(scores.delta)),
+        fmt_floats(scores.p), repeat(fmt_float(scores.delta)),
         fmt_floats(scores.empirical_risk), fmt_floats(scores.bound), scores.clipped.tolist(),
         fmt_floats(spec["sigma_f"]), lengths,
     ))

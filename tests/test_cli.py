@@ -392,6 +392,12 @@ class _Inputs:
         assert main(["simulate", *flags, "--out", str(data)]) == 0
         return str(data)
 
+    def zero_targets(self):
+        """Copy of the simulated data dir whose training.csv has every target y set to 0."""
+        header, *rows = (self._sim_dir / "training.csv").read_text().splitlines()
+        text = "".join(f"{t},0,{h}\n" for t, _, h in (row.split(",") for row in rows))
+        return self.training_file("training.csv", f"{header}\n{text}".encode())
+
     def training_file(self, name, content):
         """Copy of the simulated data dir with `name` replaced by `content` bytes."""
         data = self._tmp_path / "edited_sim"
@@ -594,6 +600,20 @@ _INVALID_INPUTS = [
      lambda i, out: [
          "select", "--data", i.simulated("--base-points", "2", "--decimation", "1"),
          "--family", "both", "--out", out]),
+    ("simulate-one-sample", 2,
+     lambda i, out: ["simulate", "--decimation", "2000", "--out", out]),
+    ("config-one-sample-plan", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["plans"][0].update(decimation=5000)),
+         "--out", out]),
+    ("config-negative-start-time", 3,
+     lambda i, out: [
+         "experiment", "--config",
+         i.config(lambda d: [plan.update(t_start=-0.3) for plan in d["plans"]]), "--out", out]),
+    ("select-all-zero-targets", 2,
+     lambda i, out: ["select", "--data", i.zero_targets(), "--family", "both", "--out", out]),
+    ("select-sdof-all-zero-targets", 2,
+     lambda i, out: ["select", "--data", i.zero_targets(), "--family", "sdof", "--out", out]),
 ]
 _ROWS = {row[0]: row[1:] for row in _INVALID_INPUTS}
 
@@ -616,6 +636,11 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     ("fit-training-sigma-n-square-overflows", "sigma_n"),
     ("fit-sigma-n-square-overflows", "sigma_n"),
     ("select-se-two-samples", "the SE grid needs at least three training points"),
+    ("simulate-one-sample", "must keep at least 2 samples, got 1"),
+    ("config-one-sample-plan", "must keep at least 2 samples, got 1"),
+    ("config-negative-start-time", "t_start must be >= 0"),
+    ("select-all-zero-targets", "RMS(y)"),
+    ("select-sdof-all-zero-targets", "RMS(y)"),
 ])
 def test_invalid_input_names_its_cause(sim_dir, tmp_path, golden_dir, capsys, name, cause):
     expected, argv = _ROWS[name]

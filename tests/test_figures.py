@@ -111,7 +111,10 @@ class TestPredictions:
             assert gap < 0.15 * height
 
     def test_unknown_cell_rejected(self, golden_cfg, golden_records):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"available sizes: \[63, 126, 251\]$"):
             predictions_svg(golden_cfg, golden_records, sample_size=999)
-        with pytest.raises(InvalidInputError):
+        # the size is recorded, so the message names its iterations instead
+        recorded = sorted({r.iteration for r in golden_records if r.sample_size == 251})
+        missing = f"no records for n=251, iteration=55; iterations recorded at n=251: {recorded}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(missing)}$"):
             predictions_svg(golden_cfg, golden_records, sample_size=251, iteration=55)

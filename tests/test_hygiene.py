@@ -14,7 +14,10 @@ module but ``ioutil`` splits a line into fields (``.split(",")``) or
 joins fields or lines (``",".join``, ``"\\n".join``). SVG has one
 element writer: no string literal in ``figures`` outside
 ``figures._tag`` opens or closes an element (``<`` or ``</`` followed by
-a letter, where an f-string's replacement fields count as letters).
+a letter, where an f-string's replacement fields count as letters). An
+input rule has one owner module: no ``InvalidInputError`` message text,
+with its f-string replacement fields written ``{}``, is raised from two
+modules.
 """
 import ast
 import re
@@ -285,3 +288,54 @@ def test_scanner_flags_a_hand_written_element():
 def test_svg_elements_are_written_only_by_the_writer():
     figures = TESTS_DIR.parent / "src" / "srmks" / "figures.py"
     assert _hand_written_elements(figures.read_text()) == []
+
+
+def _input_rule_messages(source: str) -> set[str]:
+    """Texts of the InvalidInputError messages a module raises, f-string fields written {}."""
+    texts = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "InvalidInputError"
+            and node.exc.args
+        ):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr):
+            parts = (v.value if isinstance(v, ast.Constant) else "{}" for v in message.values)
+            texts.add("".join(parts))
+        elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+            texts.add(message.value)
+    return texts
+
+
+def _shared_input_rules(sources: dict[str, str]) -> list[str]:
+    """Messages raised from more than one module, each with the modules that raise it."""
+    owners: dict[str, list[str]] = {}
+    for name, source in sources.items():
+        for text in _input_rule_messages(source):
+            owners.setdefault(text, []).append(name)
+    shared = {text: names for text, names in owners.items() if len(names) > 1}
+    return sorted(f"{text!r}: {', '.join(names)}" for text, names in shared.items())
+
+
+def test_scanner_flags_an_input_rule_raised_from_two_modules():
+    sources = {
+        "a.py": (
+            "raise InvalidInputError(f'sigma_n must be nonnegative, got {sigma_n!r}')\n"
+            "raise InvalidInputError('count must be at least 1')\n"
+            "raise ValueError('t must be finite')\n"
+        ),
+        "b.py": (
+            "if bad:\n"
+            "    raise InvalidInputError(f'sigma_n must be nonnegative, got {self.sigma_n:.3g}')\n"
+            "raise InvalidInputError('count must be at least 2')\n"
+            "raise ValueError('t must be finite')\n"
+        ),
+    }
+    assert _shared_input_rules(sources) == ["'sigma_n must be nonnegative, got {}': a.py, b.py"]
+
+
+def test_every_input_rule_has_one_owner_module():
+    assert _shared_input_rules({path.name: path.read_text() for path in SOURCES}) == []

@@ -36,12 +36,14 @@ def _oscillators(draw, min_zeta=0.0):
 
 @st.composite
 def _plans(draw, snr=st.one_of(_POSITIVE, st.just(math.inf))):
-    t_start = draw(st.floats(min_value=-10.0, max_value=10.0))
+    # a valid plan starts at t = 0 or later and keeps at least two samples
+    t_start = draw(st.floats(min_value=0.0, max_value=10.0))
+    decimation = draw(_COUNTS)
     return SamplingPlan(
         t_start=t_start,
         t_end=t_start + draw(_POSITIVE),
-        base_points=draw(st.integers(min_value=2, max_value=5000)),
-        decimation=draw(_COUNTS),
+        base_points=draw(st.integers(min_value=decimation + 1, max_value=5000)),
+        decimation=decimation,
         snr=draw(snr),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
     )

@@ -83,6 +83,12 @@ class TestImpulseResponse:
         with pytest.raises(InvalidInputError):
             impulse_response(paper_params, np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("t", [-0.3, np.array([-1e-300, 0.0, 0.1])])
+    def test_rejects_negative_times(self, paper_params, t):
+        # before the impulse the closed form grows instead of being zero
+        with pytest.raises(InvalidInputError, match="time values must be nonnegative"):
+            impulse_response(paper_params, t)
+
     def test_decay_envelope(self, paper_params):
         # |h(t)| <= exp(-zeta omega_n t) / (m omega_d)
         t = np.linspace(0.0, 0.3, 500)
@@ -104,12 +110,24 @@ class TestSamplingPlan:
     )
     @settings(max_examples=100, deadline=None)
     def test_sample_count_arithmetic(self, base_points, decimation):
-        plan = SamplingPlan(
-            t_start=0.0, t_end=1.0, base_points=base_points,
-            decimation=decimation, snr=10.0, seed=0,
-        )
-        assert plan.n_samples == (base_points - 1) // decimation + 1
+        expected = (base_points - 1) // decimation + 1
+        if expected < 2:
+            with pytest.raises(InvalidInputError, match="must keep at least 2 samples"):
+                _plan(base_points=base_points, decimation=decimation, t_end=1.0)
+            return
+        plan = _plan(base_points=base_points, decimation=decimation, t_end=1.0)
+        assert plan.n_samples == expected
         assert plan.n_samples == plan.base_grid()[::decimation].size
+
+    def test_rejects_a_plan_that_keeps_one_sample(self):
+        with pytest.raises(InvalidInputError, match="must keep at least 2 samples, got 1"):
+            _plan(decimation=5000)
+
+    def test_rejects_a_negative_start_time(self):
+        # the closed form grows as exp(zeta omega_n |t|) before the impulse
+        with pytest.raises(InvalidInputError, match="t_start must be >= 0"):
+            SamplingPlan(t_start=-0.3, t_end=0.3, base_points=1001,
+                         decimation=16, snr=10.0, seed=0)
 
     def test_base_grid_endpoints(self):
         grid = _plan().base_grid()

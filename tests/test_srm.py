@@ -47,7 +47,9 @@ def _dataset(paper_params, decimation=16, seed=0, snr=10.0):
 def _bounds(h, bound, n=100):
     """Bounds of candidates with training MSE 0.1, clipped where bound is +inf."""
     h, bound = np.asarray(h, dtype=float), np.asarray(bound, dtype=float)
-    return Bounds(np.full(h.shape, 0.1), h, bound, np.isinf(bound), np.zeros(h.shape, bool), n, 0.4)
+    return Bounds(
+        np.full(h.shape, 0.1), h, h / n, bound, np.isinf(bound), np.zeros(h.shape, bool), n, 0.4
+    )
 
 
 def _result(bound, h, family="se"):
