@@ -106,20 +106,39 @@ class GridSettings(JsonRecord):
         its base kernel, so its sigma_f bracket is the amplitude bracket
         rescaled by sqrt(variance_scale), with `params` held fixed.
         """
-        rms = float(np.sqrt(np.mean(data.y**2)))
-        if rms == 0.0:
-            raise InvalidInputError("the amplitude bracket needs RMS(y) > 0; every y squares to 0")
-        lo, hi = (factor * rms for factor in self.amplitude_factors)
+        return self.family_grids(family, [data], params)[0]
+
+    def family_grids(
+        self, family: str, datasets: Sequence[TrainingSet], params: OscillatorParams
+    ) -> list[StructureGrid]:
+        """family_grid of each of `datasets`, which must share their sample times.
+
+        The base kernels depend on the sample times (SE) or on `params`
+        (SDOF) only, so they are built once; each set adds its own sigma_f
+        bracket from its RMS(y).
+        """
+        brackets = []
+        for data in datasets:
+            rms = float(np.sqrt(np.mean(data.y**2)))
+            if rms == 0.0:
+                raise InvalidInputError(
+                    "the amplitude bracket needs RMS(y) > 0; every y squares to 0"
+                )
+            brackets.append(tuple(factor * rms for factor in self.amplitude_factors))
+        t = datasets[0].t
         if family == "se":
-            if data.n < 3:
+            if t.size < 3:
                 raise InvalidInputError(
                     "the SE grid needs at least three training points: its length-scales run "
                     "from the smallest gap to the span, which coincide at two"
                 )
-            l_range = (float(np.min(np.diff(data.t))), float(data.t[-1] - data.t[0]))
-            return build_se_grid((lo, hi), l_range, self.se_sigma_count, self.se_length_count)
-        scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
-        return build_sdof_grid(params, (lo * scale, hi * scale), self.sdof_sigma_count)
+            l_range = (float(np.min(np.diff(t))), float(t[-1] - t[0]))
+            first = build_se_grid(brackets[0], l_range, self.se_sigma_count, self.se_length_count)
+        else:
+            scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
+            brackets = [(lo * scale, hi * scale) for lo, hi in brackets]
+            first = build_sdof_grid(params, brackets[0], self.sdof_sigma_count)
+        return [first, *(first.rescaled(bracket) for bracket in brackets[1:])]
 
 
 @dataclass(frozen=True)
@@ -208,7 +227,7 @@ def _select_family(
     datasets: list[TrainingSet],
 ) -> list[SelectionResult]:
     """One family's search for each iteration, from one batch."""
-    grids = [cfg.grids.family_grid(family, data, cfg.params) for data in datasets]
+    grids = cfg.grids.family_grids(family, datasets, cfg.params)
     # the iterations share sample times and sigma_n, and at a noise level
     # that fails the selection their RMS(y), hence their grids, agree too:
     # the failure hits every cell or none, so the first names it

@@ -226,7 +226,12 @@ def training_set_to_json(data: TrainingSet, plan: SamplingPlan) -> str:
 
 
 def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSet, SamplingPlan]:
-    """Reconstruct a training set from the CSV/JSON pair written above; both give its n."""
+    """Reconstruct a training set from the CSV/JSON pair written above.
+
+    training.csv must hold the n rows training.json gives, at exactly the
+    sample times of its plan: the times are written with 17 significant
+    digits, so they read back bit for bit.
+    """
     meta = TrainingMeta.from_json(meta_text)
     rows = csv_table(table_text, TRAINING_CSV_HEADER, "training")
     cols = np.array([[float(v) for v in row] for row in rows], dtype=float)
@@ -234,7 +239,14 @@ def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSe
         raise InvalidInputError(
             f"training.json gives n = {meta.n}, but training.csv holds {len(cols)} rows"
         )
+    plan = meta.plan
+    times = plan.base_grid()[:: plan.decimation]
+    if not np.array_equal(cols[:, 0], times):
+        raise InvalidInputError(
+            f"training.csv's {len(cols)} times are not the {times.size} sample times of the plan "
+            f"in training.json ({plan.base_points} base points, decimation {plan.decimation})"
+        )
     data = TrainingSet(
         t=cols[:, 0], y=cols[:, 1], sigma_n=meta.sigma_n, true_h=cols[:, 2], seed=meta.seed
     )
-    return data, meta.plan
+    return data, plan

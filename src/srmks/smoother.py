@@ -5,14 +5,18 @@ The smoother is linear in the training targets:
     f(t*) = k(t*)^T (K + sigma_n^2 I)^{-1} y
 
 where K is the Gram matrix over the training inputs and k(t*) the vector of
-kernel evaluations against them. Fitting solves the system once by Cholesky
-factorisation and takes the eigenvalues of K (clamped at zero) for the
-capacity of the fitted smoother, its effective degrees of freedom:
+kernel evaluations against them. The capacity of the fitted smoother is
+its effective degrees of freedom, with lambda_i the eigenvalues of K:
 
-    edf = sum_i lambda_i / (lambda_i + sigma_n^2)
+    edf = tr(K (K + sigma_n^2 I)^-1) = sum_i lambda_i / (lambda_i + sigma_n^2)
 
 The edf counts the prevalent spectral components of K and serves as a
-real-valued capacity estimate downstream; it is never rounded.
+real-valued capacity estimate downstream; it is never rounded. fit takes
+both from one Cholesky factorisation K + sigma_n^2 I = L L^T: the weights
+by two triangular solves, and the edf by the trace identity
+n - sigma_n^2 tr((K + sigma_n^2 I)^-1) with tr((L L^T)^-1) = ||L^-1||_F^2
+(Rasmussen & Williams, GPML Alg. 2.1), at the cost of one triangular
+inverse instead of an eigendecomposition.
 
 Scoring a family of kernels that differ only in their signal scale sigma_f
 needs no fit at all. Scaling the kernel by sigma_f scales K by sigma_f^2, so
@@ -28,10 +32,10 @@ times (the repetitions of one sampling plan) share the decomposition too:
 one eigh per (plan, base kernel), kept as a Spectrum, scores every
 repetition at every scale in one array computation. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
 (z / (s^2 lambda + sigma_n^2)) with k*_0 the base kernel's cross-kernel
-(Rasmussen & Williams, GPML eq. 2.25), so a study needs no Cholesky. One
-kernel on one training set goes through fit, since Cholesky plus an
-eigenvalues-only eigh is faster than one eigh with vectors; many
-candidates on one plan's sample times go through the spectrum.
+(GPML eq. 2.25), so a study needs no Cholesky. One kernel on one training
+set goes through fit, whose Cholesky factor and triangular inverse cost
+less than one eigh with vectors; many candidates on one plan's sample
+times go through the spectrum.
 decompose asks LAPACK for divide and conquer (driver evd): on a clustered
 spectrum, such as a near-identity K, the default MRRR driver (evr) returns
 eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
@@ -40,8 +44,9 @@ as much; evd keeps them orthogonal to rounding.
 Scoring needs sigma_n^2 above rounding_level, n * eps * s_max^2 *
 lambda_max for the largest scale s_max, which srm.srm_select_batch checks:
 at or below it every smoother interpolates, so each candidate has edf = n
-and an infinite bound. Only fit takes sigma_n = 0, the interpolant; it
-treats K as singular when a clamped eigenvalue is at most n * eps * lambda_max.
+and an infinite bound. Only fit takes sigma_n = 0, the interpolant, with
+edf = n; there an eigenvalues-only eigh treats K as singular when a clamped
+eigenvalue is at most n * eps * lambda_max.
 """
 from __future__ import annotations
 
@@ -91,33 +96,30 @@ def rounding_level(n: int, top: float) -> float:
     return n * np.finfo(float).eps * top
 
 
-def _edf_from_spectrum(eigenvalues: np.ndarray, noise: float):
-    """Effective degrees of freedom of a nonnegative spectrum (last axis) at noise variance."""
-    return np.sum(eigenvalues / (eigenvalues + noise), axis=-1)
-
-
 def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
-    Solves (K + sigma_n^2 I) w = y by Cholesky factorisation. Raises
+    Solves (K + sigma_n^2 I) w = y by Cholesky factorisation, and takes
+    the edf from the same factor (edf = n at sigma_n = 0). Raises
     InvalidInputError for a negative noise level or one whose square
     overflows, and SingularSystemError for a non-finite K, a singular
-    zero-noise system, a failed factorisation or non-finite weights.
+    zero-noise system, a failed factorisation or triangular inverse, or a
+    non-finite weight or edf.
     """
     require_noise_level(sigma_n)
     n, noise = data.n, sigma_n**2
     K = gram(spec, data.t)
     if not np.all(np.isfinite(K)):
         raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
-    # descending, the order the edf sums in
-    lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True)[::-1], 0.0)
-    # without noise the system is K itself: singular when an eigenvalue is
-    # at the rounding level of the decomposition
-    if noise == 0.0 and lam.min() <= rounding_level(n, lam.max()):
-        raise SingularSystemError(f"the {n}x{n} smoother system is singular at sigma_n = 0")
+    if noise == 0.0:
+        # without noise the system is K itself: singular when an eigenvalue is
+        # at the rounding level of the decomposition
+        lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True), 0.0)
+        if lam[0] <= rounding_level(n, lam[-1]):
+            raise SingularSystemError(f"the {n}x{n} smoother system is singular at sigma_n = 0")
     try:
-        factor = scipy.linalg.cho_factor(K + noise * np.eye(n), lower=True)
-        weights = scipy.linalg.cho_solve(factor, data.y)
+        factor = scipy.linalg.cholesky(K + noise * np.eye(n), lower=True)
+        weights = scipy.linalg.cho_solve((factor, True), data.y)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"cannot factorise the {n}x{n} smoother system: {exc}"
@@ -129,8 +131,26 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
         t_train=data.t,
         weights=weights,
         fitted=K @ weights,
-        edf=float(_edf_from_spectrum(lam, noise)),
+        edf=float(n) if noise == 0.0 else _edf_from_factor(factor, noise),
     )
+
+
+def _edf_from_factor(factor: np.ndarray, noise: float) -> float:
+    """n - sigma_n^2 tr((K + sigma_n^2 I)^-1) from the clean lower Cholesky factor L.
+
+    tr((L L^T)^-1) = ||L^-1||_F^2 (GPML Alg. 2.1). Overwrites `factor` with
+    L^-1. The difference loses about n * eps to cancellation, so a value
+    that rounds below zero is clamped there; it cannot exceed n.
+    """
+    n = factor.shape[0]
+    inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    flat = inverse.ravel(order="K")  # a view in memory order: vdot copies nothing
+    edf = n - noise * float(np.vdot(flat, flat))
+    if info != 0 or not np.isfinite(edf):
+        raise SingularSystemError(
+            f"the inverse of the {n}x{n} Cholesky factor gave no finite edf (dtrtri info {info})"
+        )
+    return max(edf, 0.0)
 
 
 def signal_scale_scores(
@@ -149,7 +169,7 @@ def signal_scale_scores(
     scaled = scales2[:, :, None] * lam
     noise = noise[:, None, None]
     mse = np.sum((noise / (scaled + noise)) ** 2 * z2[:, None, :], axis=-1) / y.shape[1]
-    return _edf_from_spectrum(scaled, noise), mse
+    return np.sum(scaled / (scaled + noise), axis=-1), mse
 
 
 def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> np.ndarray:

@@ -96,6 +96,10 @@ class StructureGrid:
         base, scale = divmod(i, len(self.sigma_fs))
         return replace(self.bases[base], sigma_f=self.sigma_fs[scale])
 
+    def rescaled(self, sigma_f_range: tuple[float, float]) -> StructureGrid:
+        """The same bases at as many log-spaced signal scales over `sigma_f_range`."""
+        return replace(self, sigma_fs=_log_spaced(*sigma_f_range, len(self.sigma_fs)))
+
 
 @dataclass(frozen=True)
 class SelectionResult:

@@ -386,6 +386,13 @@ class _Inputs:
         (Path(data) / "training.csv").write_text("".join(lines[: rows + 1]))
         return data
 
+    def retimed(self, row, change):
+        """Copy of the simulated data dir whose training.csv data row `row` has time change(t)."""
+        header, *rows = (self._sim_dir / "training.csv").read_text().splitlines()
+        t, rest = rows[row].split(",", 1)
+        rows[row] = f"{change(float(t))!r},{rest}"
+        return self.training_file("training.csv", "\n".join([header, *rows, ""]).encode())
+
     def simulated(self, *flags):
         """Data dir of a fresh simulate run with `flags`."""
         data = self._tmp_path / "flagged_sim"
@@ -535,7 +542,7 @@ _INVALID_INPUTS = [
     ("select-zero-noise", 2,
      lambda i, out: [
          "select", "--data", i.simulated("--snr", "inf"), "--family", "sdof", "--out", out]),
-    ("select-one-sample", 2,
+    ("select-one-sample", 3,
      lambda i, out: ["select", "--data", i.truncated(1), "--out", out]),
     ("config-infinite-snr", 3,
      lambda i, out: [
@@ -614,6 +621,22 @@ _INVALID_INPUTS = [
      lambda i, out: ["select", "--data", i.zero_targets(), "--family", "both", "--out", out]),
     ("select-sdof-all-zero-targets", 2,
      lambda i, out: ["select", "--data", i.zero_targets(), "--family", "sdof", "--out", out]),
+    ("select-training-plan-decimation-edited", 3,
+     lambda i, out: [
+         "select", "--data", i.training(lambda d: d["plan"].update(decimation=4)),
+         "--family", "sdof", "--out", out]),
+    ("fit-training-plan-decimation-edited", 3,
+     lambda i, out: [
+         "fit", "--data", i.training(lambda d: d["plan"].update(decimation=4)),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("select-training-time-one-ulp-off", 3,
+     lambda i, out: [
+         "select", "--data", i.retimed(5, lambda t: math.nextafter(t, math.inf)),
+         "--out", out]),
+    ("fit-training-negative-time", 3,
+     lambda i, out: [
+         "fit", "--data", i.retimed(0, lambda t: -0.001), "--kernel", _SE_KERNEL,
+         "--out", out]),
 ]
 _ROWS = {row[0]: row[1:] for row in _INVALID_INPUTS}
 
@@ -641,6 +664,14 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     ("config-negative-start-time", "t_start must be >= 0"),
     ("select-all-zero-targets", "RMS(y)"),
     ("select-sdof-all-zero-targets", "RMS(y)"),
+    ("select-one-sample", "1 times are not the 63 sample times of the plan in training.json"),
+    ("select-training-plan-decimation-edited",
+     "63 times are not the 251 sample times of the plan in training.json"),
+    ("fit-training-plan-decimation-edited",
+     "63 times are not the 251 sample times of the plan in training.json"),
+    ("select-training-time-one-ulp-off",
+     "63 times are not the 63 sample times of the plan in training.json"),
+    ("fit-training-negative-time", "63 times are not the 63 sample times of the plan"),
 ])
 def test_invalid_input_names_its_cause(sim_dir, tmp_path, golden_dir, capsys, name, cause):
     expected, argv = _ROWS[name]

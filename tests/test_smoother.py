@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import edf_trace, solve_dense
@@ -9,7 +11,7 @@ from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_eval
 from srmks.oscillator import OscillatorParams, TrainingSet
 from srmks import smoother
-from srmks.smoother import decompose, fit, predict, spectral_weights
+from srmks.smoother import decompose, fit, predict, rounding_level, spectral_weights
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
 
@@ -106,7 +108,7 @@ class TestEdfBehaviour:
         y = np.sin(40 * t)
         kernel = SEKernel(sigma_f=1.0, length_scale=0.01)
         model = fit(kernel, _make_data(t, y, 0.0), 0.0)
-        assert model.edf == pytest.approx(6.0, abs=1e-9)
+        assert model.edf == 6.0
 
 
 class TestPredictionBehaviour:
@@ -174,10 +176,22 @@ class TestRobustness:
             calls["count"] += 1
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", broken)
+        monkeypatch.setattr(scipy.linalg, "cholesky", broken)
         with pytest.raises(SingularSystemError):
             fit(SEKernel(1.0, 0.05), data, 0.1)
         assert calls["count"] == 1
+
+    @pytest.mark.parametrize("fill,info", [(1.0, 3), (np.inf, 0)], ids=["info", "overflow"])
+    def test_failed_triangular_inverse_raises(self, monkeypatch, fill, info):
+        # LAPACK's dtrtri reports a zero diagonal of the factor through info;
+        # an inverse too large to square gives a non-finite edf
+        t = np.linspace(0.0, 0.3, 10)
+        data = _make_data(t, np.sin(30 * t), 0.1)
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dtrtri", lambda c, **kw: (np.full_like(c, fill), info)
+        )
+        with pytest.raises(SingularSystemError, match=f"dtrtri info {info}"):
+            fit(SEKernel(1.0, 0.05), data, 0.1)
 
     def test_zero_noise_rank_deficient_gram_raises(self):
         # l = 100 over a 0.3 s span makes K numerically rank one; without
@@ -227,3 +241,60 @@ class TestSpectralRefit:
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
             want = (scale * cross) @ np.array(solve_dense(A.tolist(), data.y.tolist()))
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _edf_tolerance(lam: np.ndarray, noise: float) -> float:
+    """rel 1e-9 of the spectral edf plus the rounding the edf itself carries.
+
+    Each eigenvalue is known only to about eps * lambda_max, which moves
+    lambda / (lambda + noise) by noise / (lambda + noise)^2 times as much:
+    at sigma_n^2 near the rounding level that is of order one per
+    eigenvalue, and the eigenvalues-only and trace-identity references
+    disagree by up to rel 6e-8 at sigma_n / sigma_f = 1e-4. The trace
+    identity n - sigma_n^2 tr(A^-1) also loses about n * eps to
+    cancellation, which dominates when sigma_n >> sigma_f.
+    """
+    edf = float(np.sum(lam / (lam + noise)))
+    perturbation = _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
+    return 1e-9 * edf + perturbation + 4 * lam.size * _EPS
+
+
+@st.composite
+def _noise_ratio_fits(draw):
+    """An SE or SDOF kernel on 2-16 times, with sigma_n / sqrt(k(0)) from 1e-4 to 1e3."""
+    n = draw(st.integers(2, 16))
+    gaps = draw(st.lists(st.floats(0.002, 0.05), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    se = SEKernel(draw(st.floats(0.3, 3.0)), 10 ** draw(st.floats(-2.5, 1.0)))
+    spec = draw(st.sampled_from([se, SDOFKernel(draw(st.floats(100.0, 5000.0)), _PAPER)]))
+    amplitude = math.sqrt(kernel_eval(spec, 0.0, 0.0))
+    return spec, t, amplitude * 10 ** draw(st.floats(-4.0, 3.0))
+
+
+# l = 100 s over 0.3 s: K is numerically rank one, and sigma_n^2 sits just
+# above the rounding level n * eps * lambda_max
+_RANK_ONE_T = np.linspace(0.0, 0.3, 20)
+_RANK_ONE_TOP = scipy.linalg.eigh(gram(SEKernel(1.0, 100.0), _RANK_ONE_T), eigvals_only=True)[-1]
+_RANK_ONE = (SEKernel(1.0, 100.0), _RANK_ONE_T, math.sqrt(1.5 * rounding_level(20, _RANK_ONE_TOP)))
+# sigma_n = 1e8 sigma_f: n - sigma_n^2 tr(A^-1) rounds to -1.8e-15 before the clamp
+_NOISE_DOMINATED = (SEKernel(1.0, 0.05), np.linspace(0.0, 0.3, 12), 1e8)
+
+
+class TestEdfFromCholeskyFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(_noise_ratio_fits())
+    @example(_RANK_ONE)
+    @example(_NOISE_DOMINATED)
+    def test_matches_spectral_and_trace_oracles(self, problem):
+        spec, t, sigma_n = problem
+        n, noise = t.size, sigma_n**2
+        edf = fit(spec, _make_data(t, np.sin(30 * t), sigma_n), sigma_n).edf
+        assert 0.0 <= edf <= n
+        K = gram(spec, t)
+        lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True), 0.0)
+        tolerance = _edf_tolerance(lam, noise)
+        assert abs(edf - float(np.sum(lam / (lam + noise)))) <= tolerance
+        assert abs(edf - edf_trace(K.tolist(), sigma_n)) <= tolerance
