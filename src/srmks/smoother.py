@@ -29,14 +29,28 @@ Friedman, ESL sec. 5.4.1):
 
 Only z depends on the targets, so training sets that share their sample
 times (the repetitions of one sampling plan) share the decomposition too:
-one eigh per (plan, base kernel), kept as a Spectrum, scores every
-repetition at every scale in one array computation. The same eigenpairs refit a winner, f(t*) = s^2 k*_0(t*) U
-(z / (s^2 lambda + sigma_n^2)) with k*_0 the base kernel's cross-kernel
-(GPML eq. 2.25), so a study needs no Cholesky. One kernel on one training
-set goes through fit, whose Cholesky factor and triangular inverse cost
-less than one eigh with vectors; many candidates on one plan's sample
-times go through the spectrum.
-decompose asks LAPACK for divide and conquer (driver evd): on a clustered
+one decomposition per (plan, base kernel), kept as a Spectrum, scores every
+repetition at every scale in one array computation. The same eigenpairs
+refit a winner, f(t*) = s^2 k*_0(t*) U (z / (s^2 lambda + sigma_n^2)) with
+k*_0 the base kernel's cross-kernel (GPML eq. 2.25), so a study needs no
+Cholesky. One kernel on one training set goes through fit, whose Cholesky
+factor and triangular inverse cost less than one eigh with vectors; many
+candidates on one plan's sample times go through the spectrum.
+
+decompose folds the Gram matrix of a uniform time grid. Both kernels are
+stationary, so on such a grid K is symmetric Toeplitz and hence
+centrosymmetric, K = JKJ with J the reversal. The orthogonal change of
+basis to even and odd vectors (x; Jx)/sqrt(2) and (x; -Jx)/sqrt(2) splits
+K exactly into two blocks of orders ceil(n/2) and floor(n/2), whose
+eigenpairs together are K's (Cantoni & Butler, Linear Algebra Appl. 13,
+1976); two half-size eigh take about a quarter of the flops of one full
+one. Every plan and every training.csv lies on a decimated uniform grid,
+but the computed times and Gram entries are centrosymmetric only to
+rounding, so decompose folds only when max|K - JKJ|, the coupling the
+blocks drop, is at most rounding_level(n, lambda_max), no larger than the
+backward error of eigh itself. Any other K, such as one on irregular
+times, takes one full eigh.
+Both paths ask LAPACK for divide and conquer (driver evd): on a clustered
 spectrum, such as a near-identity K, the default MRRR driver (evr) returns
 eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
 as much; evd keeps them orthogonal to rounding.
@@ -64,6 +78,8 @@ __all__ = [
     "signal_scale_scores", "spectral_weights",
 ]
 
+_HALF = np.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class FittedSmoother:
@@ -86,9 +102,62 @@ class Spectrum:
 
 
 def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
-    """The decomposition of gram(base, t)."""
-    lam, vectors = scipy.linalg.eigh(gram(base, t), driver="evd")
+    """The decomposition of gram(base, t), folded in two when K is centrosymmetric.
+
+    A K with max|K - JKJ| <= rounding_level(n, lambda_max), J the reversal
+    and lambda_max the largest eigenvalue of its blocks, is decomposed as
+    two half-size eigh of its even and odd blocks; any other K as one full
+    eigh. Both use LAPACK divide and conquer (driver evd), which keeps the
+    eigenvectors of a clustered spectrum orthogonal to rounding. The
+    eigenvalues come ascending and clamped at zero either way; on the fold
+    every eigenvector is exactly even or exactly odd.
+    """
+    K = gram(base, t)
+    lam, vectors = _folded_eigh(K) or scipy.linalg.eigh(K, driver="evd")
     return Spectrum(base, np.maximum(lam, 0.0), vectors)
+
+
+def _folded_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(ascending eigenvalues, U) of a centrosymmetric K, or None if K is not one.
+
+    With m = n // 2 and c = n - m, the orthogonal basis (x; Jx)/sqrt(2),
+    (x; -Jx)/sqrt(2) (plus the unit middle vector for odd n) turns K into
+    the even block K[:c, :c] + (KJ)[:c, :c], whose middle row and column are
+    scaled by sqrt(1/2) for odd n, and the odd block K[:m, :m] - (KJ)[:m, :m]
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976). The coupling the
+    blocks drop is at most max|K - JKJ|, which must not exceed the rounding
+    level of the blocks' largest eigenvalue. On the fold, U overwrites K;
+    otherwise K is left as it was.
+    """
+    n = K.shape[0]
+    m = n // 2
+    c = n - m
+    flipped = K[:, ::-1]
+    even = K[:c, :c] + flipped[:c, :c]
+    if c > m:
+        even[m] *= _HALF
+        even[:, m] *= _HALF
+        even[m, m] = K[m, m]  # 2 K_mm / 2, without the rounding of two scalings
+    lam_even, v = scipy.linalg.eigh(even, driver="evd", overwrite_a=True)
+    lam_odd, w = scipy.linalg.eigh(K[:m, :m] - flipped[:m, :m], driver="evd", overwrite_a=True)
+    lam = np.concatenate([lam_even, lam_odd])
+    # K - JKJ changes sign under the reversal, so its first c rows hold its largest entry
+    if not np.max(np.abs(K[:c] - flipped[::-1][:c])) <= rounding_level(n, lam.max()):
+        return None
+    order = np.argsort(lam, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)  # where each block eigenvector lands in sorted U
+    vectors = K.T  # K is spent: its buffer, in the Fortran layout eigh returns, takes U
+    even_cols, odd_cols = column[:c], column[c:]
+    upper_even, upper_odd = _HALF * v[:m], _HALF * w
+    vectors[:m, even_cols] = upper_even
+    vectors[c:, even_cols] = upper_even[::-1]
+    vectors[:m, odd_cols] = upper_odd
+    vectors[c:, odd_cols] = -upper_odd[::-1]
+    if c > m:
+        vectors[m, even_cols] = v[m]
+        vectors[m, odd_cols] = 0.0
+    return lam[order], vectors
 
 
 def rounding_level(n: int, top: float) -> float:

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import edf_trace, solve_dense
+from strategies import sample_times
 from srmks.errors import InvalidInputError, SingularSystemError
+from srmks.experiment import default_config
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_eval
-from srmks.oscillator import OscillatorParams, TrainingSet
+from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet
 from srmks import smoother
 from srmks.smoother import decompose, fit, predict, rounding_level, spectral_weights
 
@@ -211,9 +213,8 @@ _TARGETS = st.one_of(st.just(0.0), _NONZERO, _NONZERO.map(lambda v: -v))
 @st.composite
 def _spectral_refits(draw):
     """1-4 training sets on shared times, each with a winner of an SE or the SDOF base."""
-    n = draw(st.integers(2, 10))
-    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
-    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    t = draw(sample_times(2))
+    n = t.size
     bases = [SEKernel(1.0, draw(st.floats(0.005, 0.2))), SDOFKernel(1.0, _PAPER)]
     cells = []
     for _ in range(draw(st.integers(1, 4))):
@@ -241,6 +242,68 @@ class TestSpectralRefit:
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
             want = (scale * cross) @ np.array(solve_dense(A.tolist(), data.y.tolist()))
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _plan_times() -> dict[str, np.ndarray]:
+    """The sample times of the default plans and of a simulated set like select's."""
+    plans = {f"plan{plan.n_samples}": plan for plan in default_config().plans}
+    # a base grid that runs 11 points past the last sample kept by decimation 16
+    plans["extra"] = SamplingPlan(
+        t_start=0.0, t_end=0.27, base_points=62 * 16 + 12, decimation=16, snr=10.0, seed=0
+    )
+    return {name: plan.base_grid()[:: plan.decimation] for name, plan in plans.items()}
+
+
+_PLAN_TIMES = _plan_times()
+_BASES = {
+    "se-shortest": lambda t: SEKernel(1.0, float(np.min(np.diff(t)))),
+    "se-longest": lambda t: SEKernel(1.0, float(t[-1] - t[0])),
+    "sdof": lambda t: SDOFKernel(1.0, _PAPER),
+}
+
+
+def _decompose_counting_eigh(monkeypatch, base, t):
+    """decompose(base, t) and the order of each eigh it made."""
+    sizes, eigh = [], scipy.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return decompose(base, t), sizes
+
+
+def _assert_spectrum_of(spectrum, K):
+    n, lam, vectors = K.shape[0], spectrum.eigenvalues, spectrum.vectors
+    assert np.all(np.diff(lam) >= 0.0) and lam[0] >= 0.0
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= rounding_level(n, 1.0)
+    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= rounding_level(n, lam[-1])
+
+
+class TestFoldedDecomposition:
+    @pytest.mark.parametrize("base_name", sorted(_BASES))
+    @pytest.mark.parametrize("plan_name", sorted(_PLAN_TIMES))
+    def test_plan_grams_take_the_fold(self, monkeypatch, plan_name, base_name):
+        t = _PLAN_TIMES[plan_name]
+        n = t.size
+        base = _BASES[base_name](t)
+        spectrum, sizes = _decompose_counting_eigh(monkeypatch, base, t)
+        assert sizes == [n - n // 2, n // 2]
+        vectors = spectrum.vectors
+        for j in range(n):
+            column, mirrored = vectors[:, j], vectors[::-1, j]
+            assert np.array_equal(mirrored, column) or np.array_equal(mirrored, -column)
+        _assert_spectrum_of(spectrum, gram(base, t))
+
+    @pytest.mark.parametrize("base_name", sorted(_BASES))
+    def test_a_nudged_grid_takes_the_full_eigh(self, monkeypatch, base_name):
+        t = _PLAN_TIMES["plan63"].copy()
+        t[20] *= 1.0 + 1e-6
+        base = _BASES[base_name](t)
+        spectrum, sizes = _decompose_counting_eigh(monkeypatch, base, t)
+        assert sizes == [32, 31, 63]
+        _assert_spectrum_of(spectrum, gram(base, t))
 
 
 _EPS = np.finfo(float).eps

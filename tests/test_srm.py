@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
+from strategies import sample_times
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import GridSettings
 from srmks.ioutil import csv_text
@@ -318,9 +319,8 @@ _GENERAL = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.F
 @st.composite
 def _selection_problems(draw):
     """Small random training set, a grid of either family and a bound form."""
-    n = draw(st.integers(3, 10))
-    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
-    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    t = draw(sample_times(3))
+    n = t.size
     y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
     data = TrainingSet(
         t=t, y=y, sigma_n=draw(st.floats(0.05, 0.5)), true_h=np.zeros(n), seed=0
@@ -369,12 +369,22 @@ _CLUSTERED_SPECTRUM = (
     ),
     None,
 )
+# the same near-identity K on a uniform grid, where decompose takes the fold
+_CLUSTERED_UNIFORM = (
+    _CLUSTERED_SPECTRUM[0],
+    TrainingSet(
+        t=0.0341796875 * np.arange(5), y=_CLUSTERED_SPECTRUM[1].y, sigma_n=0.5,
+        true_h=np.zeros(5), seed=0,
+    ),
+    None,
+)
 
 
 class TestSpectralSelectionAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(_selection_problems())
     @example(_CLUSTERED_SPECTRUM)
+    @example(_CLUSTERED_UNIFORM)
     def test_matches_per_candidate_dense_solve(self, problem):
         grid, data, bound_config = problem
         result = srm_select(grid, data, bound_config)
@@ -404,9 +414,8 @@ def _batch_problems(draw):
     signal scales, as the grids of one sampling plan do; the scale values
     differ from set to set.
     """
-    n = draw(st.integers(3, 10))
-    gaps = draw(st.lists(st.floats(0.005, 0.05), min_size=n - 1, max_size=n - 1))
-    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    t = draw(sample_times(3))
+    n = t.size
     family = draw(st.sampled_from(["se", "sdof"]))
     l_lo = draw(st.floats(0.005, 0.05))
     l_range = (l_lo, l_lo * draw(st.floats(2.0, 20.0)))
