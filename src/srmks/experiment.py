@@ -228,13 +228,12 @@ def _select_family(
 ) -> list[SelectionResult]:
     """One family's search for each iteration, from one batch."""
     grids = cfg.grids.family_grids(family, datasets, cfg.params)
-    # the iterations share sample times and sigma_n, and at a noise level
-    # that fails the selection their RMS(y), hence their grids, agree too:
-    # the failure hits every cell or none, so the first names it
     try:
         return srm_select_batch(grids, datasets, cfg.bound_config)
     except SrmksError as exc:
-        cell = f"n={datasets[0].n}, iteration={iterations[0]}, family={family}"
+        # the noise rule names its failing set; any other failure hits every set
+        iteration = iterations[getattr(exc, "set_index", 0)]
+        cell = f"n={datasets[0].n}, iteration={iteration}, family={family}"
         raise ExperimentError(f"{cell}: {exc}") from exc
 
 

@@ -55,12 +55,10 @@ spectrum, such as a near-identity K, the default MRRR driver (evr) returns
 eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
 as much; evd keeps them orthogonal to rounding.
 
-Scoring needs sigma_n^2 above rounding_level, n * eps * s_max^2 *
-lambda_max for the largest scale s_max, which srm.srm_select_batch checks:
-at or below it every smoother interpolates, so each candidate has edf = n
-and an infinite bound. Only fit takes sigma_n = 0, the interpolant, with
-edf = n; there an eigenvalues-only eigh treats K as singular when a clamped
-eigenvalue is at most n * eps * lambda_max.
+fit and srm.srm_select_batch share one noise rule, require_determined_noise:
+sigma_n^2 above rounding_level(n, top) for a top >= lambda_max, n * k(0) =
+tr K for fit and s_max^2 * lambda_max for a search with largest scale s_max.
+At or below it the smoother interpolates, and K does not determine its edf.
 """
 from __future__ import annotations
 
@@ -69,13 +67,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularSystemError, require_noise_level
+from .errors import InvalidInputError, SingularSystemError
 from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
 __all__ = [
-    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "rounding_level",
-    "signal_scale_scores", "spectral_weights",
+    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "require_determined_noise",
+    "rounding_level", "signal_scale_scores", "spectral_weights",
 ]
 
 _HALF = np.sqrt(0.5)
@@ -107,10 +105,9 @@ def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
     A K with max|K - JKJ| <= rounding_level(n, lambda_max), J the reversal
     and lambda_max the largest eigenvalue of its blocks, is decomposed as
     two half-size eigh of its even and odd blocks; any other K as one full
-    eigh. Both use LAPACK divide and conquer (driver evd), which keeps the
-    eigenvectors of a clustered spectrum orthogonal to rounding. The
-    eigenvalues come ascending and clamped at zero either way; on the fold
-    every eigenvector is exactly even or exactly odd.
+    eigh, both with driver evd. The eigenvalues come ascending and clamped
+    at zero either way; on the fold every eigenvector is exactly even or
+    exactly odd.
     """
     K = gram(base, t)
     lam, vectors = _folded_eigh(K) or scipy.linalg.eigh(K, driver="evd")
@@ -165,27 +162,31 @@ def rounding_level(n: int, top: float) -> float:
     return n * np.finfo(float).eps * top
 
 
+def require_determined_noise(sigma_n: float, n: int, top: float) -> None:
+    """Raise InvalidInputError unless sigma_n > 0 and rounding_level(n, top) < sigma_n^2 < inf."""
+    level = rounding_level(n, top)
+    # sigma_n**2, as the smoothers square it, once the product shows it cannot overflow
+    if not (sigma_n > 0 and sigma_n * sigma_n < np.inf and sigma_n**2 > level):
+        raise InvalidInputError(
+            f"need sigma_n > 0 with sigma_n^2 finite and above the rounding level {level:.3g}, "
+            f"got sigma_n = {sigma_n:.3g}: the smoother interpolates (h = n, edf undetermined)"
+        )
+
+
 def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
     Solves (K + sigma_n^2 I) w = y by Cholesky factorisation, and takes
-    the edf from the same factor (edf = n at sigma_n = 0). Raises
-    InvalidInputError for a negative noise level or one whose square
-    overflows, and SingularSystemError for a non-finite K, a singular
-    zero-noise system, a failed factorisation or triangular inverse, or a
-    non-finite weight or edf.
+    the edf from the same factor. Raises InvalidInputError for a sigma_n
+    that fails require_determined_noise at top = n * k(0) = tr K (both
+    kernels are stationary), and SingularSystemError for a non-finite K, a
+    failed factorisation or triangular inverse, or a non-finite weight or edf.
     """
-    require_noise_level(sigma_n)
+    require_determined_noise(sigma_n, data.n, data.n * float(kernel_eval(spec, 0.0, 0.0)))
     n, noise = data.n, sigma_n**2
     K = gram(spec, data.t)
     if not np.all(np.isfinite(K)):
         raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
-    if noise == 0.0:
-        # without noise the system is K itself: singular when an eigenvalue is
-        # at the rounding level of the decomposition
-        lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True), 0.0)
-        if lam[0] <= rounding_level(n, lam[-1]):
-            raise SingularSystemError(f"the {n}x{n} smoother system is singular at sigma_n = 0")
     try:
         factor = scipy.linalg.cholesky(K + noise * np.eye(n), lower=True)
         weights = scipy.linalg.cho_solve((factor, True), data.y)
@@ -200,7 +201,7 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
         t_train=data.t,
         weights=weights,
         fitted=K @ weights,
-        edf=float(n) if noise == 0.0 else _edf_from_factor(factor, noise),
+        edf=_edf_from_factor(factor, noise),
     )
 
 

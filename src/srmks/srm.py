@@ -47,7 +47,7 @@ from .ioutil import csv_text, fmt_float, fmt_floats, json_rows_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_to_json_dict
 from .oscillator import OscillatorParams, TrainingSet
 from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
-from .smoother import Spectrum, decompose, rounding_level, signal_scale_scores
+from .smoother import Spectrum, decompose, require_determined_noise, signal_scale_scores
 
 __all__ = [
     "StructureGrid",
@@ -67,8 +67,8 @@ class StructureGrid:
     """One nested structure: every base kernel at every signal scale.
 
     `bases` are the sigma_f = 1 kernels in capacity order and `sigma_fs`
-    the ascending signal scales; the candidates are their product,
-    base-major.
+    the signal scales, in any order (the builders make them ascending);
+    the candidates are their product, base-major.
     """
 
     family: str
@@ -183,8 +183,8 @@ def srm_select_batch(
     differ. The sets stack into arrays: targets (sets x n), noise variances
     (sets) and squared scales (sets x scales). Raises InvalidInputError if
     the counts, sample times, bases or scale counts differ, or if a set's
-    noise variance is at most the rounding level of its largest scaled
-    spectrum, where every candidate would interpolate.
+    sigma_n fails smoother.require_determined_noise at top = (its largest
+    sigma_f)^2 * lambda_max; that error's `set_index` is the set's position.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
@@ -203,13 +203,12 @@ def srm_select_batch(
     scales2 = np.array([[s**2 for s in grid.sigma_fs] for grid in grids])
     spectra = [decompose(base, datasets[0].t) for base in bases]
     top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
-    level = rounding_level(n, scales2[:, -1] * top)
-    r = int(np.argmax(noise <= level))  # the first set that fails, if any
-    if noise[r] <= level[r]:
-        raise InvalidInputError(
-            f"SRM needs sigma_n > 0, sigma_n^2 above the rounding level {level[r]:.3g}, got "
-            f"{noise[r]:.3g}: every candidate would interpolate (h = n, bound inf)"
-        )
+    for r, data in enumerate(datasets):
+        try:
+            require_determined_noise(data.sigma_n, n, scales2[r].max() * top)
+        except InvalidInputError as exc:
+            exc.set_index = r
+            raise
     scored = [signal_scale_scores(spectrum, y, scales2, noise) for spectrum in spectra]
     edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
     results = []

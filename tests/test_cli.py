@@ -102,14 +102,18 @@ class TestFit:
         code = main(["fit", "--data", str(sim_dir), "--kernel", "{not json", "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_zero_noise_singular_system_is_numeric_failure(self, sim_dir, tmp_path, capsys):
+    def test_zero_sigma_n_is_invalid_input(self, sim_dir, tmp_path, capsys):
+        # the noise rule fit shares with select, whatever the rank of K
         kernel = '{"family": "se", "sigma_f": 1.0, "length_scale": 100.0}'
+        out = tmp_path / "o"
         code = main([
-            "fit", "--data", str(sim_dir), "--kernel", kernel,
-            "--sigma-n", "0", "--out", str(tmp_path / "o"),
+            "fit", "--data", str(sim_dir), "--kernel", kernel, "--sigma-n", "0", "--out", str(out),
         ])
-        assert code == 4
-        assert "smoother system" in capsys.readouterr().err
+        assert code == 2
+        assert "sigma_n > 0 with sigma_n^2 finite and above the rounding level" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestSelect:
@@ -550,6 +554,15 @@ _INVALID_INPUTS = [
          "--out", out]),
     ("select-negligible-noise", 2,
      lambda i, out: ["select", "--data", i.simulated("--snr", "1e308"), "--out", out]),
+    ("fit-zero-noise", 2,
+     lambda i, out: [
+         "fit", "--data", i.training(lambda d: d.update(sigma_n=0.0)),
+         "--kernel", _SE_KERNEL, "--out", out]),
+    ("fit-negligible-noise", 2,
+     lambda i, out: [
+         "fit", "--data", i.simulated("--seed", "5", "--decimation", "2"), "--kernel",
+         '{"family": "se", "sigma_f": 0.002, "length_scale": 0.05}', "--sigma-n", "1e-9",
+         "--out", out]),
     ("config-negligible-noise", 4,
      lambda i, out: [
          "experiment", "--config",
@@ -658,6 +671,8 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     ("select-training-sigma-n-square-overflows", "sigma_n"),
     ("fit-training-sigma-n-square-overflows", "sigma_n"),
     ("fit-sigma-n-square-overflows", "sigma_n"),
+    ("fit-zero-noise", "rounding level"),
+    ("fit-negligible-noise", "rounding level"),
     ("select-se-two-samples", "the SE grid needs at least three training points"),
     ("simulate-one-sample", "must keep at least 2 samples, got 1"),
     ("config-one-sample-plan", "must keep at least 2 samples, got 1"),
@@ -708,13 +723,13 @@ class TestExitCodes:
         assert main(["simulate", "--out", str(tmp_path / "s")]) == 4
         assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
 
-    def test_one_parser_serves_repeated_calls(self, sim_dir, tmp_path, capsys):
-        singular = '{"family": "se", "sigma_f": 1.0, "length_scale": 100.0}'
+    def test_one_parser_serves_repeated_calls(self, sim_dir, tmp_path, golden_dir, capsys):
         fit = ["fit", "--data", str(sim_dir), "--out", str(tmp_path / "o"), "--kernel"]
+        negligible_noise = _ROWS["config-negligible-noise"][1]
         calls = {
             2: ["simulate", "--bogus"],
             3: [*fit, "{not json"],
-            4: [*fit, singular, "--sigma-n", "0"],
+            4: negligible_noise(_Inputs(sim_dir, tmp_path, golden_dir), str(tmp_path / "o")),
         }
         cli_module._parser.cache_clear()
         codes = [main(argv) for _ in range(3) for argv in calls.values()]

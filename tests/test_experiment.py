@@ -186,6 +186,15 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match=r"n=63, iteration=0, family=se"):
             run_iteration(cfg, cfg.plans[0], 0)
 
+    def test_failure_names_the_failing_iteration(self):
+        # at this snr sigma_n^2 sits rel 2.2e-6 and 2.3e-6 above the rounding
+        # level in iterations 0 and 1, and rel 1.9e-6 below it in iteration 2,
+        # whose larger RMS(y) raises its largest signal scale
+        cfg = default_config(repetitions=3)
+        cfg = replace(cfg, plans=(replace(cfg.plans[0], snr=12290547725.790928),))
+        with pytest.raises(ExperimentError, match=r"^n=63, iteration=2, family=se: .*rounding level"):
+            run_experiment(cfg)
+
     def test_study_makes_no_cholesky_factorisation(self, monkeypatch):
         # selection and the winners' refit both read each base kernel's eigenpairs
         def broken(*args, **kw):

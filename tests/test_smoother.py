@@ -105,12 +105,16 @@ class TestEdfBehaviour:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(edfs, edfs[1:]))
 
-    def test_zero_noise_full_rank_edf_is_n(self):
+    def test_zero_noise_full_rank_is_rejected(self):
+        # K is the identity to 1.5e-8: at sigma_n = 0 the edf would be n, and
+        # just above fit's rounding level it is n to rounding
         t = np.linspace(0.0, 0.3, 6)
-        y = np.sin(40 * t)
+        data = _make_data(t, np.sin(40 * t), 0.0)
         kernel = SEKernel(sigma_f=1.0, length_scale=0.01)
-        model = fit(kernel, _make_data(t, y, 0.0), 0.0)
-        assert model.edf == 6.0
+        with pytest.raises(InvalidInputError, match="rounding level"):
+            fit(kernel, data, 0.0)
+        sigma_n = math.sqrt(2.0 * rounding_level(6, 6 * kernel_eval(kernel, 0.0, 0.0)))
+        assert fit(kernel, data, sigma_n).edf == pytest.approx(6.0, rel=0.0, abs=1e-12)
 
 
 class TestPredictionBehaviour:
@@ -138,10 +142,10 @@ class TestPredictionBehaviour:
             model = fit(kernel, data, sigma_n)
             assert np.array_equal(model.fitted, predict(model, data.t))
 
-    def test_near_interpolation_at_zero_noise(self):
+    def test_near_interpolation_at_small_noise(self):
         t = np.linspace(0.0, 0.3, 8)
         y = np.cos(20 * t)
-        model = fit(SEKernel(1.0, 0.03), _make_data(t, y, 0.0), 0.0)
+        model = fit(SEKernel(1.0, 0.03), _make_data(t, y, 1e-6), 1e-6)
         pred = np.asarray(predict(model, t))
         assert np.max(np.abs(pred - y)) < 1e-6
 
@@ -197,11 +201,25 @@ class TestRobustness:
 
     def test_zero_noise_rank_deficient_gram_raises(self):
         # l = 100 over a 0.3 s span makes K numerically rank one; without
-        # noise (K + sigma_n^2 I) is singular, and fit reports it instead of
-        # returning weights of order 1e12
+        # noise (K + sigma_n^2 I) is singular, and fit rejects the noise level
+        # instead of returning weights of order 1e12
         t = np.linspace(0.0, 0.3, 8)
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(InvalidInputError, match="rounding level"):
             fit(SEKernel(1.0, 100.0), _make_data(t, np.sin(30 * t), 0.0), 0.0)
+
+    def test_noise_threshold_is_the_rounding_level_of_the_trace(self):
+        # fit's level takes tr K = n * k(0) as its bound on lambda_max
+        t = np.linspace(0.0, 0.3, 20)
+        kernel = SEKernel(2.0, 0.05)
+        level = rounding_level(20, 20 * kernel_eval(kernel, 0.0, 0.0))
+
+        def at(noise):
+            sigma_n = math.sqrt(noise)
+            return fit(kernel, _make_data(t, np.sin(30 * t), sigma_n), sigma_n)
+
+        at(2.0 * level)
+        with pytest.raises(InvalidInputError, match="rounding level"):
+            at(0.5 * level)
 
 
 # targets are 0 or at least 1e-3 in magnitude: the check is relative to each

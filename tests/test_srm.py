@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from strategies import sample_times
-from srmks.errors import InvalidInputError, SingularSystemError
+from srmks.errors import InvalidInputError
 from srmks.experiment import GridSettings
 from srmks.ioutil import csv_text
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_to_json_dict
@@ -265,24 +265,25 @@ class TestSelection:
     def test_zero_noise_near_singular_gram_raises_in_selection_and_fit(self):
         # l = 1000 over a 0.3 s span: the decomposition with vectors returns
         # only positive eigenvalues, but six of the eight sit at rounding
-        # level (below 1e-15); the selection rejects the noise-free set and
-        # fit reports the singular interpolation system
+        # level (below 1e-15); the selection and fit reject the noise-free
+        # set by the same rule
         t = np.linspace(0.0, 0.3, 8)
         data = TrainingSet(t=t, y=np.sin(30 * t), sigma_n=0.0, true_h=np.zeros(8), seed=0)
         spec = SEKernel(sigma_f=1.0, length_scale=1000.0)
         grid = StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,))
         with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             srm_select(grid, data)
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             fit(spec, data, 0.0)
 
     def test_zero_noise_full_rank_set_is_rejected(self, paper_params):
-        # fit interpolates this set, but every SRM candidate would have
-        # h = n and an infinite bound, a selection that picks nothing
+        # K is full rank, but every candidate would interpolate the set, with
+        # h = n and an infinite bound: fit and the selection reject it alike
         noisy = _dataset(paper_params, decimation=16, seed=0)
         data = TrainingSet(t=noisy.t, y=noisy.y, sigma_n=0.0, true_h=noisy.true_h, seed=0)
         grid = GridSettings().family_grid("sdof", data, paper_params)
-        assert fit(grid.candidate(0), data, 0.0).edf == data.n
+        with pytest.raises(InvalidInputError, match="sigma_n > 0"):
+            fit(grid.candidate(0), data, 0.0)
         with pytest.raises(InvalidInputError, match="sigma_n > 0"):
             srm_select(grid, data)
         with pytest.raises(InvalidInputError, match="sigma_n > 0"):
@@ -310,6 +311,22 @@ class TestSelection:
         srm_select(grid, at(2.0 * level))
         with pytest.raises(InvalidInputError, match="rounding level"):
             srm_select(grid, at(0.5 * level))
+
+    @pytest.mark.parametrize("ratio,accepted", [(10.0, False), (1000.0, True)])
+    def test_noise_verdict_reads_the_largest_scale_in_any_order(self, ratio, accepted):
+        # sigma_n^2 is `ratio` times the level at s = 1, hence 1/10 or 10 times
+        # the level at s = 10; the order of sigma_fs must not change the verdict
+        t = np.linspace(0.0, 0.3, 40)
+        base = SEKernel(sigma_f=1.0, length_scale=0.05)
+        level = rounding_level(40, decompose(base, t).eigenvalues[-1])
+        data = TrainingSet(t, np.sin(30 * t), math.sqrt(ratio * level), np.zeros(40), 0)
+        for sigma_fs in [(1.0, 10.0), (10.0, 1.0)]:
+            grid = StructureGrid(family="se", bases=(base,), sigma_fs=sigma_fs)
+            if accepted:
+                assert srm_select(grid, data).best_report.h < 40
+            else:
+                with pytest.raises(InvalidInputError, match="rounding level"):
+                    srm_select(grid, data)
 
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
