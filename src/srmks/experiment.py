@@ -11,11 +11,10 @@ record exactly.
 The study runs plan by plan. Every iteration of a plan shares its sample
 times, so each family's selections for all the iterations are one
 srm_select_batch call: one eigendecomposition per (plan, base kernel)
-instead of one per (plan, iteration, base kernel). The same decomposition
-refits each winner: its selection keeps the winning base's spectrum, and
-smoother.spectral_weights turns it into the weights that one dense
-cross-kernel matrix per (plan, winning base kernel) maps onto the dense
-grid. The study makes no Cholesky factorisation.
+instead of one per (plan, iteration, base kernel). The same batch refits
+each winner from that decomposition and returns its weights, which one
+dense cross-kernel matrix per (plan, winning base kernel) maps onto the
+dense grid. The study makes no Cholesky factorisation.
 
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
@@ -40,7 +39,6 @@ from .oscillator import (
     impulse_response,
 )
 from .risk import BoundConfig, empirical_risk
-from .smoother import spectral_weights
 from .srm import SelectionResult, StructureGrid, build_sdof_grid, build_se_grid, srm_select_batch
 
 __all__ = [
@@ -252,10 +250,11 @@ def _run_plan(
     for k, (iteration, data) in enumerate(zip(iterations, datasets)):
         for family in FAMILIES:
             selection = selections[family][k]
-            spec, report, spectrum = selection.best_spec, selection.best_report, selection.spectrum
-            if spectrum.base not in cross:
-                cross[spectrum.base] = kernel_eval(spectrum.base, dense_t[:, None], data.t)
-            prediction = cross[spectrum.base] @ spectral_weights(spectrum, spec.sigma_f, data)
+            spec, report = selection.best_spec, selection.best_report
+            base = replace(spec, sigma_f=1.0)  # the grid's base: StructureGrid requires sigma_f = 1
+            if base not in cross:
+                cross[base] = kernel_eval(base, dense_t[:, None], data.t)
+            prediction = cross[base] @ selection.weights
             records.append(IterationRecord(
                 data.n, iteration, family, spec, report.empirical_risk, report.bound,
                 report.h, empirical_risk(dense_h, prediction),

@@ -130,6 +130,9 @@ class SamplingPlan(JsonRecord):
     def base_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.base_points)
 
+    def sample_times(self) -> np.ndarray:
+        return self.base_grid()[:: self.decimation]
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -191,7 +194,7 @@ def generate_training_set(params: OscillatorParams, plan: SamplingPlan) -> Train
     draws come from numpy's PCG64 generator (ziggurat normal transform)
     seeded with plan.seed.
     """
-    kept = plan.base_grid()[:: plan.decimation]
+    kept = plan.sample_times()
     true_h = impulse_response(params, kept)
     sigma_n = float(np.sqrt(np.mean(true_h**2) / plan.snr))
     rng = np.random.default_rng(plan.seed)
@@ -240,7 +243,7 @@ def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSe
             f"training.json gives n = {meta.n}, but training.csv holds {len(cols)} rows"
         )
     plan = meta.plan
-    times = plan.base_grid()[:: plan.decimation]
+    times = plan.sample_times()
     if not np.array_equal(cols[:, 0], times):
         raise InvalidInputError(
             f"training.csv's {len(cols)} times are not the {times.size} sample times of the plan "

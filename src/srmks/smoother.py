@@ -19,23 +19,23 @@ n - sigma_n^2 tr((K + sigma_n^2 I)^-1) with tr((L L^T)^-1) = ||L^-1||_F^2
 inverse instead of an eigendecomposition.
 
 Scoring a family of kernels that differ only in their signal scale sigma_f
-needs no fit at all. Scaling the kernel by sigma_f scales K by sigma_f^2, so
-one eigendecomposition K_0 = U diag(lambda) U^T of the sigma_f = 1 kernel
-gives, for every scale s, the edf above with lambda -> s^2 lambda and the
-training MSE of the eigen-form of the linear smoother (Hastie, Tibshirani &
-Friedman, ESL sec. 5.4.1):
+needs no fit at all. With K_0 = U diag(lambda) U^T the eigendecomposition
+of the sigma_f = 1 kernel, every shrinkage factor sigma_n^2 / (sigma_f^2
+lambda + sigma_n^2) is r = 1 / (g + 1), g = rho lambda, with rho =
+sigma_f^2 / sigma_n^2. So the edf above, the training MSE of the eigen-form
+of the linear smoother (Hastie, Tibshirani & Friedman, ESL sec. 5.4.1) and
+the refit f(t*) = k*_0(t*) U (rho r z), with k*_0 the base kernel's
+cross-kernel (GPML eq. 2.25), depend on rho alone:
 
-    mse = sum_i (sigma_n^2 / (s^2 lambda_i + sigma_n^2))^2 z_i^2 / n,  z = U^T y
+    edf = sum_i g_i r_i,   mse = sum_i r_i^2 z_i^2 / n,   z = U^T y
 
 Only z depends on the targets, so training sets that share their sample
 times (the repetitions of one sampling plan) share the decomposition too:
-one decomposition per (plan, base kernel), kept as a Spectrum, scores every
-repetition at every scale in one array computation. The same eigenpairs
-refit a winner, f(t*) = s^2 k*_0(t*) U (z / (s^2 lambda + sigma_n^2)) with
-k*_0 the base kernel's cross-kernel (GPML eq. 2.25), so a study needs no
-Cholesky. One kernel on one training set goes through fit, whose Cholesky
-factor and triangular inverse cost less than one eigh with vectors; many
-candidates on one plan's sample times go through the spectrum.
+one Spectrum per (plan, base kernel), which only srm's search holds, scores
+every repetition at every rho in one array computation and refits the
+winners, so a study needs no Cholesky. One kernel on one training set goes
+through fit, whose Cholesky factor and triangular inverse cost less than
+one eigh with vectors.
 
 decompose folds the Gram matrix of a uniform time grid. Both kernels are
 stationary, so on such a grid K is symmetric Toeplitz and hence
@@ -94,7 +94,6 @@ class FittedSmoother:
 class Spectrum:
     """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix."""
 
-    base: KernelSpec  # the kernel at sigma_f = 1
     eigenvalues: np.ndarray  # ascending, clamped at zero
     vectors: np.ndarray  # U, one eigenvector per column
 
@@ -111,7 +110,7 @@ def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
     """
     K = gram(base, t)
     lam, vectors = _folded_eigh(K) or scipy.linalg.eigh(K, driver="evd")
-    return Spectrum(base, np.maximum(lam, 0.0), vectors)
+    return Spectrum(np.maximum(lam, 0.0), vectors)
 
 
 def _folded_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -224,35 +223,32 @@ def _edf_from_factor(factor: np.ndarray, noise: float) -> float:
 
 
 def signal_scale_scores(
-    spectrum: Spectrum, y: np.ndarray, scales2: np.ndarray, noise: np.ndarray
+    spectrum: Spectrum, y: np.ndarray, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(edf, training MSE) of `spectrum.base`, each indexed (set, scale).
+    """(edf, training MSE) of the spectrum's base kernel, each indexed (set, scale).
 
-    `y` stacks the training sets' targets (sets x n), `scales2` their
-    squared signal scales (sets x scales) and `noise` their sigma_n^2
-    (sets). Every set must lie on the spectrum's sample times, with its
-    noise variance above the rounding level, as srm.srm_select_batch checks.
+    `y` stacks the training sets' targets (sets x n) and `rho` their
+    sigma_f^2 / sigma_n^2 (sets x scales). Every set must lie on the
+    spectrum's sample times, with its noise variance above the rounding
+    level, as srm.srm_select_batch checks.
     """
     lam, vectors = spectrum.eigenvalues, spectrum.vectors
     # stacked, one matrix-vector product per set: bit-identical to U^T y of one set
     z2 = (vectors.T @ y[:, :, None])[:, :, 0] ** 2
-    scaled = scales2[:, :, None] * lam
-    noise = noise[:, None, None]
-    mse = np.sum((noise / (scaled + noise)) ** 2 * z2[:, None, :], axis=-1) / y.shape[1]
-    return np.sum(scaled / (scaled + noise), axis=-1), mse
+    g = rho[:, :, None] * lam
+    r = 1.0 / (g + 1.0)
+    mse = np.sum(r**2 * z2[:, None, :], axis=-1) / y.shape[1]
+    return np.sum(g * r, axis=-1), mse
 
 
-def spectral_weights(spectrum: Spectrum, sigma_f: float, data: TrainingSet) -> np.ndarray:
-    """v = s^2 U (z / (s^2 lambda + sigma_n^2)), z = U^T y, for the base at s = sigma_f.
+def spectral_weights(spectrum: Spectrum, rho: float, y: np.ndarray) -> np.ndarray:
+    """v = U (rho r z) = U (z / (lambda + 1 / rho)), r = 1 / (rho lambda + 1), z = U^T y.
 
-    The smoother fit to `data` predicts kernel_eval(spectrum.base, t*,
-    data.t) @ v at t*. `data` must lie on the sample times the spectrum was
-    decomposed over and have sigma_n^2 above the rounding level, as its
-    selection already checked.
+    Fit to `y` at sigma_f^2 / sigma_n^2 = rho, the smoother predicts kernel_eval(base,
+    t*, t) @ v, with base the spectrum's kernel and t the times it was decomposed over.
     """
-    scale, vectors = sigma_f**2, spectrum.vectors
-    z = vectors.T @ data.y
-    return vectors @ (scale * z / (scale * spectrum.eigenvalues + data.sigma_n**2))
+    vectors = spectrum.vectors
+    return vectors @ (rho * (vectors.T @ y) / (rho * spectrum.eigenvalues + 1.0))
 
 
 def predict(model: FittedSmoother, t_star):

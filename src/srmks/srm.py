@@ -14,24 +14,23 @@ experiment.GridSettings.family_grid.
 Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. The
 candidates of one base kernel share one eigendecomposition of its Gram
-matrix, from which each signal scale is scored in O(n). The decomposition
-depends on the sample times only, so srm_select_batch searches the
-repetitions of one sampling plan together: one decomposition per (plan,
-base kernel), i.e. one per length-scale for the SE grid and one in all for
-the oscillator grid, scores every repetition at every scale as one
-(sets x scales) array (smoother.signal_scale_scores), and the bases'
-arrays, joined base-major, hold every set's candidates in grid order;
-srm_select, which `select` calls, is the batch of one. Each set's bounds
-are one risk.vc_bounds call, kept as arrays: only the winner becomes a
-kernel spec and a RiskReport, and the trace files are written a column at a
-time from the arrays. Each result keeps the smoother.Spectrum of its
-winner's base, from which the study refits the winner; until the winners
-are known a batch holds bases x n^2 floats of eigenvectors (15.6 MB for 31
-bases at n = 251, 248 MB at n = 1001). The winner minimises the bound; ties
-go to the smaller capacity (the simplest adequate element), then to grid
-order. If every candidate clips to +infinity the selection still returns
-the smallest-capacity candidate, flagged degenerate, so batch runs never
-abort.
+matrix, from which each signal scale is scored in O(n) from its rho =
+sigma_f^2 / sigma_n^2. The decomposition depends on the sample times only,
+so srm_select_batch searches the repetitions of one sampling plan together:
+one decomposition per (plan, base kernel), i.e. one per length-scale for
+the SE grid and one in all for the oscillator grid, scores every
+repetition at every scale as one (sets x scales) array
+(smoother.signal_scale_scores), and the bases' arrays, joined base-major,
+hold every set's candidates in grid order; srm_select, which `select`
+calls, is the batch of one. Each set's bounds are one risk.vc_bounds call,
+kept as arrays, from which the trace files are written a column at a time:
+only the winner becomes a kernel spec, a RiskReport and refit weights. No
+decomposition outlives its batch of bases x n^2 floats of eigenvectors
+(15.6 MB for 31 bases at n = 251, 248 MB at n = 1001). The winner
+minimises the bound; ties go to the smaller capacity (the simplest
+adequate element), then to grid order. If every candidate clips to
++infinity the selection still returns the smallest-capacity candidate,
+flagged degenerate, so batch runs never abort.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from .ioutil import csv_text, fmt_float, fmt_floats, json_rows_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_to_json_dict
 from .oscillator import OscillatorParams, TrainingSet
 from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
-from .smoother import Spectrum, decompose, require_determined_noise, signal_scale_scores
+from .smoother import decompose, require_determined_noise, signal_scale_scores, spectral_weights
 
 __all__ = [
     "StructureGrid",
@@ -67,8 +66,8 @@ class StructureGrid:
     """One nested structure: every base kernel at every signal scale.
 
     `bases` are the sigma_f = 1 kernels in capacity order and `sigma_fs`
-    the signal scales, in any order (the builders make them ascending);
-    the candidates are their product, base-major.
+    the signal scales, in any order (the builders make them ascending),
+    each a sigma_f the bases accept; the candidates are their product, base-major.
     """
 
     family: str
@@ -82,6 +81,10 @@ class StructureGrid:
             raise InvalidInputError(
                 "base kernels must share the structure's family and have sigma_f = 1"
             )
+        # a positive scale fails the kernels' rule only if the largest does; SE bases share k(0)
+        for scale in (max(self.sigma_fs), *(s for s in self.sigma_fs if not s > 0)):
+            for base in self.bases if self.family == "sdof" else self.bases[:1]:
+                replace(base, sigma_f=scale)
 
     @property
     def candidates(self) -> tuple[KernelSpec, ...]:
@@ -103,7 +106,10 @@ class StructureGrid:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Winner of an exhaustive search plus the scores of every candidate of `grid`."""
+    """Winner of an exhaustive search plus the scores of every candidate of `grid`.
+
+    kernel_eval(base, t*, data.t) @ weights predicts the winner, base its sigma_f = 1 kernel.
+    """
 
     family: str
     best_spec: KernelSpec
@@ -111,7 +117,7 @@ class SelectionResult:
     degenerate: bool
     grid: StructureGrid = field(compare=False, repr=False)
     scores: Bounds = field(compare=False, repr=False)
-    spectrum: Spectrum = field(compare=False, repr=False)  # of the winner's base kernel
+    weights: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def trace(self) -> tuple[tuple[KernelSpec, RiskReport], ...]:
@@ -122,9 +128,8 @@ class SelectionResult:
 
 def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
     lo, hi = float(lo), float(hi)
-    # every kernel squares its sigma_f or length-scale
-    if not (np.isfinite(lo) and np.isfinite(hi * hi) and 0 < lo < hi):
-        raise InvalidInputError(f"range must satisfy 0 < lo < hi, hi**2 finite, got ({lo}, {hi})")
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):  # the kernels judge the values
+        raise InvalidInputError(f"range must satisfy 0 < lo < hi, both finite, got ({lo}, {hi})")
     if count < 1:
         raise InvalidInputError("count must be at least 1")
     return tuple(np.geomspace(lo, hi, count).tolist())
@@ -180,11 +185,11 @@ def srm_select_batch(
 
     The training sets must share their sample times, and the grids their
     base kernels and number of signal scales; the scales themselves may
-    differ. The sets stack into arrays: targets (sets x n), noise variances
-    (sets) and squared scales (sets x scales). Raises InvalidInputError if
-    the counts, sample times, bases or scale counts differ, or if a set's
-    sigma_n fails smoother.require_determined_noise at top = (its largest
-    sigma_f)^2 * lambda_max; that error's `set_index` is the set's position.
+    differ. The sets stack into arrays, targets (sets x n) and rho =
+    sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights read too.
+    Raises InvalidInputError if the counts, sample times, bases or scale
+    counts differ, or if a set's sigma_n fails require_determined_noise at
+    top = (its largest sigma_f)^2 * lambda_max; its `set_index` is the set's position.
     """
     if len(grids) != len(datasets):
         raise InvalidInputError("srm_select_batch needs one grid per training set")
@@ -196,29 +201,26 @@ def srm_select_batch(
     if any(grid.bases != bases or len(grid.sigma_fs) != count for grid in grids[1:]):
         raise InvalidInputError("batched grids must share base kernels and number of signal scales")
     n = datasets[0].n
-    y = np.stack([data.y for data in datasets])
-    noise = np.array([data.sigma_n**2 for data in datasets])
-    # squared one by one as Python floats: numpy's square can differ
-    # from the scalar pow by one ulp
-    scales2 = np.array([[s**2 for s in grid.sigma_fs] for grid in grids])
     spectra = [decompose(base, datasets[0].t) for base in bases]
     top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
-    for r, data in enumerate(datasets):
+    for r, (grid, data) in enumerate(zip(grids, datasets)):
         try:
-            require_determined_noise(data.sigma_n, n, scales2[r].max() * top)
+            require_determined_noise(data.sigma_n, n, max(grid.sigma_fs) ** 2 * top)
         except InvalidInputError as exc:
             exc.set_index = r
             raise
-    scored = [signal_scale_scores(spectrum, y, scales2, noise) for spectrum in spectra]
+    y = np.stack([data.y for data in datasets])
+    rho = np.array([np.divide(g.sigma_fs, d.sigma_n) for g, d in zip(grids, datasets)]) ** 2
+    scored = [signal_scale_scores(spectrum, y, rho) for spectrum in spectra]
     edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
     results = []
-    for grid, edf_r, mse_r in zip(grids, edf, mse):
-        scores = vc_bounds(mse_r, edf_r, n, bound_config)
+    for r, grid in enumerate(grids):
+        scores = vc_bounds(mse[r], edf[r], n, bound_config)
         # lexsort is stable: the (bound, h, grid index) order
         best = int(np.lexsort((scores.h, scores.bound))[0])
-        spec, report, degenerate = grid.candidate(best), scores.report(best), scores.clipped.all()
         results.append(SelectionResult(
-            grid.family, spec, report, bool(degenerate), grid, scores, spectra[best // count]
+            grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
+            grid, scores, spectral_weights(spectra[best // count], rho[r, best % count], y[r]),
         ))
     return results
 

@@ -17,7 +17,9 @@ element writer: no string literal in ``figures`` outside
 a letter, where an f-string's replacement fields count as letters). An
 input rule has one owner module: no ``InvalidInputError`` message text,
 with its f-string replacement fields written ``{}``, is raised from two
-modules.
+modules. The eigen-form belongs to the search: no module but ``smoother``
+and ``srm`` names ``Spectrum``, ``decompose``, ``signal_scale_scores`` or
+``spectral_weights``, as a name, an attribute or an import.
 """
 import ast
 import re
@@ -339,3 +341,37 @@ def test_scanner_flags_an_input_rule_raised_from_two_modules():
 
 def test_every_input_rule_has_one_owner_module():
     assert _shared_input_rules({path.name: path.read_text() for path in SOURCES}) == []
+
+
+_EIGEN_FORM = {"Spectrum", "decompose", "signal_scale_scores", "spectral_weights"}
+
+
+def _eigen_form_names(source: str) -> list[str]:
+    """Every name, attribute or imported name of the eigen-form API."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found.extend(f"line {node.lineno}: {name}" for name in names if name in _EIGEN_FORM)
+    return found
+
+
+def test_scanner_flags_the_eigen_form_outside_the_search():
+    source = (
+        "from .smoother import spectral_weights\n"
+        "from . import smoother\n"
+        "lam = smoother.decompose(base, t).eigenvalues\n"
+        "doc = 'weights from a Spectrum'\n"
+        "def refit(spectrum: 'Spectrum', decomposed): return spectrum\n"
+    )
+    assert _eigen_form_names(source) == ["line 1: spectral_weights", "line 3: decompose"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("smoother.py", "srm.py")],
+    ids=lambda path: path.name,
+)
+def test_only_the_search_names_the_eigen_form(path):
+    assert _eigen_form_names(path.read_text()) == []

@@ -255,7 +255,7 @@ class TestSpectralRefit:
         spectra = {base: decompose(base, t) for base, _, _ in cells}
         for base, sigma_f, data in cells:
             cross = kernel_eval(base, t_star[:, None], t)
-            got = cross @ spectral_weights(spectra[base], sigma_f, data)
+            got = cross @ spectral_weights(spectra[base], (sigma_f / data.sigma_n) ** 2, data.y)
             scale = sigma_f**2
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
             want = (scale * cross) @ np.array(solve_dense(A.tolist(), data.y.tolist()))
@@ -269,7 +269,7 @@ def _plan_times() -> dict[str, np.ndarray]:
     plans["extra"] = SamplingPlan(
         t_start=0.0, t_end=0.27, base_points=62 * 16 + 12, decimation=16, snr=10.0, seed=0
     )
-    return {name: plan.base_grid()[:: plan.decimation] for name, plan in plans.items()}
+    return {name: plan.sample_times() for name, plan in plans.items()}
 
 
 _PLAN_TIMES = _plan_times()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from strategies import sample_times
 from srmks.errors import InvalidInputError
-from srmks.experiment import GridSettings
+from srmks.experiment import GridSettings, default_config
 from srmks.ioutil import csv_text
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_to_json_dict
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
@@ -60,7 +61,7 @@ def _result(bound, h, family="se"):
         family=family, best_spec=spec, best_report=scores.report(0),
         degenerate=bool(scores.clipped[0]),
         grid=StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,)), scores=scores,
-        spectrum=decompose(spec, np.array([0.0])),
+        weights=np.zeros(1),
     )
 
 
@@ -114,6 +115,21 @@ class TestGridConstruction:
                 bases=(SDOFKernel(sigma_f=1.0, params=paper_params),),
                 sigma_fs=(1.0,),
             )
+
+    @pytest.mark.parametrize("family, sigma_fs", [
+        ("se", (1e-3, 0.05, -0.05)),
+        ("se", (1e-3, math.nan, 0.05)),
+        ("se", (1e-3, 0.0, 0.05)),
+        ("se", (1e-3, 0.05, 1e200)),  # sigma_f^2 overflows
+        ("sdof", (1.0, 1e154)),  # sigma_f^2 is finite, k(0) = 2.5 sigma_f^2 is not
+    ], ids=["negative", "nan", "zero", "se-square-overflows", "sdof-variance-overflows"])
+    def test_structure_rejects_a_scale_the_kernels_reject(self, family, sigma_fs):
+        if family == "se":
+            base = SEKernel(sigma_f=1.0, length_scale=0.02)
+        else:
+            base = SDOFKernel(sigma_f=1.0, params=OscillatorParams(m=1.0, c=0.2, k=1.0))
+        with pytest.raises(InvalidInputError, match="sigma_f must be positive"):
+            StructureGrid(family=family, bases=(base,), sigma_fs=sigma_fs)
 
     def test_default_grids_bracket_data_amplitude(self, paper_params):
         data = _dataset(paper_params)
@@ -468,6 +484,7 @@ class TestBatchSelection:
         # the trace every float of every candidate
         assert batch == separate
         assert [r.trace for r in batch] == [r.trace for r in separate]
+        assert all(np.array_equal(b.weights, s.weights) for b, s in zip(batch, separate))
 
     def test_rejects_sets_with_different_sample_times(self, paper_params):
         first = _dataset(paper_params, decimation=16, seed=0)
@@ -495,6 +512,41 @@ class TestBatchSelection:
         more_scales = build_se_grid((1e-4, 1e-3), (0.02, 0.3), 3, 3)
         with pytest.raises(InvalidInputError, match="number of signal scales"):
             srm_select_batch([se, more_scales], [data, data])
+
+
+_RHO_CONFIG = default_config(repetitions=3)
+
+
+def _selections_scaled_by(c, plan, family):
+    """A family's selections on the plan's first sets, with sigma_n and every sigma_f times c."""
+    cfg = _RHO_CONFIG
+    datasets = [cfg.training_set(plan, i) for i in range(cfg.repetitions)]
+    grids = cfg.grids.family_grids(family, datasets, cfg.params)
+    return srm_select_batch(
+        [replace(grid, sigma_fs=tuple(c * s for s in grid.sigma_fs)) for grid in grids],
+        [replace(data, sigma_n=c * data.sigma_n) for data in datasets],
+        cfg.bound_config,
+    )
+
+
+class TestRhoInvariance:
+    """The search reads sigma_f and sigma_n only through rho = sigma_f^2 / sigma_n^2."""
+
+    @pytest.mark.parametrize("family", ["se", "sdof"])
+    @pytest.mark.parametrize("plan", _RHO_CONFIG.plans, ids=lambda plan: f"n{plan.n_samples}")
+    def test_scaling_both_keeps_the_selection(self, plan, family):
+        reference = _selections_scaled_by(1.0, plan, family)
+        for c in (2.0, 0.25, 3.0):
+            for got, want in zip(_selections_scaled_by(c, plan, family), reference):
+                assert got.best_spec == replace(want.best_spec, sigma_f=c * want.best_spec.sigma_f)
+                if c == 3.0:  # rho rounds differently
+                    np.testing.assert_allclose(got.scores.bound, want.scores.bound, rtol=1e-12)
+                    continue
+                # a power of two leaves every rho, and so every score, bit-identical
+                for f in fields(Bounds):
+                    bits = [np.asarray(getattr(r.scores, f.name)).tobytes() for r in (got, want)]
+                    assert bits[0] == bits[1], f.name
+                assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestCompareStructures:
@@ -588,7 +640,7 @@ def _scored_grids(draw):
     best = int(np.lexsort((scores.h, scores.bound))[0])
     return SelectionResult(
         grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
-        grid, scores, decompose(grid.bases[0], np.zeros(1)),
+        grid, scores, np.zeros(1),
     )
 
 
