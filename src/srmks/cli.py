@@ -28,9 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SrmksError
 from .experiment import (
-    FAMILIES,
     ExperimentConfig,
-    GridSettings,
     default_config,
     records_from_csv,
     records_to_csv,
@@ -51,6 +49,8 @@ from .oscillator import (
 from .risk import empirical_risk
 from .smoother import fit as fit_smoother
 from .srm import (
+    FAMILIES,
+    GridSettings,
     compare_structures,
     selection_to_json,
     srm_select,

@@ -1,5 +1,4 @@
 """Exception types, and the input rules that more than one module checks."""
-import math
 
 
 class SrmksError(Exception):
@@ -18,9 +17,3 @@ def require_int(name: str, value, minimum: int) -> None:
     """Raise InvalidInputError unless `value` is an int (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def require_noise_level(sigma_n) -> None:
-    """Raise InvalidInputError unless sigma_n >= 0 with a finite square."""
-    if not (sigma_n >= 0 and sigma_n * sigma_n < math.inf):
-        raise InvalidInputError(f"sigma_n must be nonnegative with a finite square, got {sigma_n!r}")

@@ -39,10 +39,9 @@ from .oscillator import (
     impulse_response,
 )
 from .risk import BoundConfig, empirical_risk
-from .srm import SelectionResult, StructureGrid, build_sdof_grid, build_se_grid, srm_select_batch
+from .srm import FAMILIES, GridSettings, SelectionResult, srm_select_batch
 
 __all__ = [
-    "GridSettings",
     "ExperimentConfig",
     "IterationRecord",
     "BoxStats",
@@ -58,7 +57,6 @@ __all__ = [
     "capacity_spread",
 ]
 
-FAMILIES = ("se", "sdof")
 METRICS = ("bound", "true_mse", "h")
 
 RECORDS_CSV_HEADER = "n,iteration,family,sigma_f,length_scale,emp_risk,h,bound,true_mse"
@@ -66,77 +64,6 @@ RECORDS_CSV_HEADER = "n,iteration,family,sigma_f,length_scale,emp_risk,h,bound,t
 
 class ExperimentError(SrmksError):
     """A unit of the study failed; the message names the failing cell."""
-
-
-@dataclass(frozen=True)
-class GridSettings(JsonRecord):
-    """Grid resolutions and the shared output-amplitude bracket."""
-
-    se_sigma_count: int = 10
-    se_length_count: int = 30
-    sdof_sigma_count: int = 30
-    amplitude_factors: tuple[float, float] = (0.1, 10.0)
-
-    def __post_init__(self):
-        for name in ("se_sigma_count", "se_length_count", "sdof_sigma_count"):
-            require_int(f"grids.{name}", getattr(self, name), 1)
-        factors = self.amplitude_factors
-        if not (
-            len(factors) == 2
-            and all(math.isfinite(f) for f in factors)
-            and 0 < factors[0] < factors[1]
-        ):
-            raise InvalidInputError(
-                "grids.amplitude_factors must be two finite numbers lo, hi with "
-                f"0 < lo < hi, got {list(factors)!r}"
-            )
-
-    def family_grid(
-        self, family: str, data: TrainingSet, params: OscillatorParams
-    ) -> StructureGrid:
-        """The data-driven grid of `family` ("se" or "sdof") for `data`.
-
-        Both families sweep the same output amplitudes sqrt(k(0)),
-        amplitude_factors times RMS(y), which keeps their treatment
-        symmetric. For SE, sigma_f is that amplitude and the length-scale
-        spans the smallest training-point gap up to the full span. For the
-        oscillator family sqrt(k(0)) = sigma_f / sqrt(variance_scale) of
-        its base kernel, so its sigma_f bracket is the amplitude bracket
-        rescaled by sqrt(variance_scale), with `params` held fixed.
-        """
-        return self.family_grids(family, [data], params)[0]
-
-    def family_grids(
-        self, family: str, datasets: Sequence[TrainingSet], params: OscillatorParams
-    ) -> list[StructureGrid]:
-        """family_grid of each of `datasets`, which must share their sample times.
-
-        The base kernels depend on the sample times (SE) or on `params`
-        (SDOF) only, so they are built once; each set adds its own sigma_f
-        bracket from its RMS(y).
-        """
-        brackets = []
-        for data in datasets:
-            rms = float(np.sqrt(np.mean(data.y**2)))
-            if rms == 0.0:
-                raise InvalidInputError(
-                    "the amplitude bracket needs RMS(y) > 0; every y squares to 0"
-                )
-            brackets.append(tuple(factor * rms for factor in self.amplitude_factors))
-        t = datasets[0].t
-        if family == "se":
-            if t.size < 3:
-                raise InvalidInputError(
-                    "the SE grid needs at least three training points: its length-scales run "
-                    "from the smallest gap to the span, which coincide at two"
-                )
-            l_range = (float(np.min(np.diff(t))), float(t[-1] - t[0]))
-            first = build_se_grid(brackets[0], l_range, self.se_sigma_count, self.se_length_count)
-        else:
-            scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
-            brackets = [(lo * scale, hi * scale) for lo, hi in brackets]
-            first = build_sdof_grid(params, brackets[0], self.sdof_sigma_count)
-        return [first, *(first.rescaled(bracket) for bracket in brackets[1:])]
 
 
 @dataclass(frozen=True)
@@ -386,16 +313,15 @@ class CapacitySpread:
 
 
 def capacity_spread(records: list[IterationRecord], family: str) -> CapacitySpread:
-    """Median h per sample size for one family; spread = (max - min) / min."""
-    by_n: dict[int, list[float]] = {}
-    for r in records:
-        if r.family == family:
-            by_n.setdefault(r.sample_size, []).append(r.h)
-    if len(by_n) < 2:
+    """summarize's median h per sample size for one family; spread = (max - min) / min."""
+    medians = {
+        n: stats.median for (n, fam, metric), stats in summarize(records).cells.items()
+        if (fam, metric) == (family, "h")
+    }
+    if len(medians) < 2:
         raise InvalidInputError(
-            f"capacity spread needs records for >= 2 sample sizes, got {len(by_n)}"
+            f"capacity spread needs records for >= 2 sample sizes, got {len(medians)}"
         )
-    medians = {n: float(np.median(vals)) for n, vals in sorted(by_n.items())}
     lo = min(medians.values())
     hi = max(medians.values())
     if hi == lo:

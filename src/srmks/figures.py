@@ -19,10 +19,11 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .experiment import FAMILIES, ExperimentConfig, IterationRecord, summarize
+from .experiment import ExperimentConfig, IterationRecord, summarize
 from .ioutil import lines_text
 from .oscillator import impulse_response
 from .smoother import fit, predict
+from .srm import FAMILIES
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]
 

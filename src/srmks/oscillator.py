@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int, require_noise_level
+from .errors import InvalidInputError, require_int
 from .ioutil import JsonRecord, csv_table, csv_text
 
 __all__ = [
@@ -159,7 +159,10 @@ class TrainingSet:
             raise InvalidInputError("t, y and true_h must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise InvalidInputError("t must be strictly increasing")
-        require_noise_level(self.sigma_n)
+        if not (self.sigma_n >= 0 and self.sigma_n * self.sigma_n < math.inf):
+            raise InvalidInputError(
+                f"sigma_n must be nonnegative with a finite square, got {self.sigma_n!r}"
+            )
         require_int("seed", self.seed, 0)
 
     @property

@@ -8,8 +8,7 @@ admitting smaller length-scales produces wigglier smoothers with slower
 eigenvalue decay and hence a higher effective-degrees-of-freedom capacity.
 For the oscillator family the physical coefficients are fixed (assumed
 known), so there is one base kernel and only sigma_f varies. The builders
-here take explicit ranges; the data-driven brackets of the study live in
-experiment.GridSettings.family_grid.
+take explicit ranges; GridSettings.family_grid derives them from the data.
 
 Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. The
@@ -41,14 +40,16 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .ioutil import csv_text, fmt_float, fmt_floats, json_rows_text
+from .errors import InvalidInputError, require_int
+from .ioutil import JsonRecord, csv_text, fmt_float, fmt_floats, json_rows_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_to_json_dict
 from .oscillator import OscillatorParams, TrainingSet
 from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
 from .smoother import decompose, require_determined_noise, signal_scale_scores, spectral_weights
 
 __all__ = [
+    "FAMILIES",
+    "GridSettings",
     "StructureGrid",
     "SelectionResult",
     "build_se_grid",
@@ -59,6 +60,8 @@ __all__ = [
     "selection_to_json",
     "trace_to_csv",
 ]
+
+FAMILIES = ("se", "sdof")
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,6 @@ class StructureGrid:
         base, scale = divmod(i, len(self.sigma_fs))
         return replace(self.bases[base], sigma_f=self.sigma_fs[scale])
 
-    def rescaled(self, sigma_f_range: tuple[float, float]) -> StructureGrid:
-        """The same bases at as many log-spaced signal scales over `sigma_f_range`."""
-        return replace(self, sigma_fs=_log_spaced(*sigma_f_range, len(self.sigma_fs)))
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -126,13 +125,19 @@ class SelectionResult:
         return tuple((grid.candidate(i), scores.report(i)) for i in range(grid.size))
 
 
-def _log_spaced(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    lo, hi = float(lo), float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo < hi):  # the kernels judge the values
-        raise InvalidInputError(f"range must satisfy 0 < lo < hi, both finite, got ({lo}, {hi})")
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
-    return tuple(np.geomspace(lo, hi, count).tolist())
+def _require_bracket(name: str, bracket) -> None:
+    """Raise InvalidInputError unless `bracket` is two finite numbers lo, hi with 0 < lo < hi."""
+    if not (len(bracket) == 2 and np.isfinite(bracket).all() and 0 < bracket[0] < bracket[1]):
+        raise InvalidInputError(
+            f"{name} must be two finite numbers lo, hi with 0 < lo < hi, got {list(bracket)!r}"
+        )
+
+
+def _log_spaced(name: str, bracket: tuple[float, float], count: int) -> tuple[float, ...]:
+    """`count` log-spaced values over `bracket`; the kernels judge the values themselves."""
+    _require_bracket(f"the {name} range", bracket)
+    require_int(f"the {name} count", count, 1)
+    return tuple(np.geomspace(*bracket, count).tolist())
 
 
 def build_se_grid(
@@ -146,10 +151,9 @@ def build_se_grid(
     The primary ordering key is the descending length-scale, so capacity is
     nondecreasing along the candidate list.
     """
-    bases = tuple(
-        SEKernel(sigma_f=1.0, length_scale=l) for l in _log_spaced(*l_range, n_l)[::-1]
-    )
-    return StructureGrid("se", bases, _log_spaced(*sigma_f_range, n_sigma))
+    lengths = _log_spaced("length_scale", l_range, n_l)[::-1]
+    bases = tuple(SEKernel(sigma_f=1.0, length_scale=l) for l in lengths)
+    return StructureGrid("se", bases, _log_spaced("sigma_f", sigma_f_range, n_sigma))
 
 
 def build_sdof_grid(
@@ -159,7 +163,75 @@ def build_sdof_grid(
 ) -> StructureGrid:
     """Oscillator structure: sigma_f grid with the coefficients held fixed."""
     base = SDOFKernel(sigma_f=1.0, params=params)
-    return StructureGrid("sdof", (base,), _log_spaced(*sigma_f_range, n_sigma))
+    return StructureGrid("sdof", (base,), _log_spaced("sigma_f", sigma_f_range, n_sigma))
+
+
+@dataclass(frozen=True)
+class GridSettings(JsonRecord):
+    """Grid resolutions and the shared output-amplitude bracket."""
+
+    se_sigma_count: int = 10
+    se_length_count: int = 30
+    sdof_sigma_count: int = 30
+    amplitude_factors: tuple[float, float] = (0.1, 10.0)
+
+    def __post_init__(self):
+        for name in ("se_sigma_count", "se_length_count", "sdof_sigma_count"):
+            require_int(f"grids.{name}", getattr(self, name), 1)
+        _require_bracket("grids.amplitude_factors", self.amplitude_factors)
+
+    def family_grid(
+        self, family: str, data: TrainingSet, params: OscillatorParams
+    ) -> StructureGrid:
+        """The data-driven grid of `family` ("se" or "sdof") for `data`.
+
+        Both families sweep the same output amplitudes sqrt(k(0)),
+        amplitude_factors times RMS(y), which keeps their treatment
+        symmetric. For SE, sigma_f is that amplitude and the length-scale
+        spans the smallest training-point gap up to the full span. For the
+        oscillator family sqrt(k(0)) = sigma_f / sqrt(variance_scale) of
+        its base kernel, so its sigma_f bracket is the amplitude bracket
+        rescaled by sqrt(variance_scale), with `params` held fixed.
+        """
+        return self.family_grids(family, [data], params)[0]
+
+    def family_grids(
+        self, family: str, datasets: Sequence[TrainingSet], params: OscillatorParams
+    ) -> list[StructureGrid]:
+        """family_grid of each of `datasets`, which must share their sample times.
+
+        The base kernels depend on the sample times (SE) or on `params`
+        (SDOF) only, so they are built once; each set adds its own sigma_f
+        bracket from its RMS(y). A family not in FAMILIES raises InvalidInputError.
+        """
+        if family not in FAMILIES:
+            raise InvalidInputError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        brackets = []
+        for data in datasets:
+            rms = float(np.sqrt(np.mean(data.y**2)))
+            if rms == 0.0:
+                raise InvalidInputError(
+                    "the amplitude bracket needs RMS(y) > 0; every y squares to 0"
+                )
+            brackets.append(tuple(factor * rms for factor in self.amplitude_factors))
+        t = datasets[0].t
+        if family == "se":
+            if t.size < 3:
+                raise InvalidInputError(
+                    "the SE grid needs at least three training points: its length-scales run "
+                    "from the smallest gap to the span, which coincide at two"
+                )
+            l_range = (float(np.min(np.diff(t))), float(t[-1] - t[0]))
+            first = build_se_grid(brackets[0], l_range, self.se_sigma_count, self.se_length_count)
+        else:
+            scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
+            brackets = [(lo * scale, hi * scale) for lo, hi in brackets]
+            first = build_sdof_grid(params, brackets[0], self.sdof_sigma_count)
+        count = len(first.sigma_fs)
+        return [first, *(
+            replace(first, sigma_fs=_log_spaced("sigma_f", bracket, count))
+            for bracket in brackets[1:]
+        )]
 
 
 def srm_select(

@@ -11,9 +11,10 @@ import pytest
 import srmks.cli as cli_module
 from srmks.cli import main
 from srmks.errors import SingularSystemError
-from srmks.experiment import ExperimentConfig, GridSettings, records_from_csv
+from srmks.experiment import ExperimentConfig, records_from_csv
 from srmks.figures import predictions_svg
 from srmks.oscillator import OscillatorParams, SamplingPlan
+from srmks.srm import GridSettings
 
 
 @pytest.fixture()

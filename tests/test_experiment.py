@@ -11,7 +11,6 @@ from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import (
     ExperimentConfig,
     ExperimentError,
-    GridSettings,
     IterationRecord,
     capacity_spread,
     default_config,
@@ -23,7 +22,7 @@ from srmks.experiment import (
 )
 from srmks.kernels import SDOFKernel, SEKernel
 from srmks.oscillator import OscillatorParams, SamplingPlan, generate_training_set
-from srmks.srm import srm_select
+from srmks.srm import GridSettings, srm_select
 
 
 def _one_plan_config(reps=1, seed=5):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,3 +119,8 @@ class TestPredictions:
         missing = f"no records for n=251, iteration=55; iterations recorded at n=251: {recorded}"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(missing)}$"):
             predictions_svg(golden_cfg, golden_records, sample_size=251, iteration=55)
+
+    def test_config_without_the_sample_size_rejected(self, golden_cfg, golden_records):
+        cfg = replace(golden_cfg, plans=golden_cfg.plans[:2])
+        with pytest.raises(InvalidInputError, match="no sampling plan with n=251"):
+            predictions_svg(cfg, golden_records, sample_size=251)

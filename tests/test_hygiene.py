@@ -19,7 +19,9 @@ input rule has one owner module: no ``InvalidInputError`` message text,
 with its f-string replacement fields written ``{}``, is raised from two
 modules. The eigen-form belongs to the search: no module but ``smoother``
 and ``srm`` names ``Spectrum``, ``decompose``, ``signal_scale_scores`` or
-``spectral_weights``, as a name, an attribute or an import.
+``spectral_weights``, as a name, an attribute or an import. The structure
+grids have one owner: no module but ``srm`` calls ``StructureGrid``,
+``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``.
 """
 import ast
 import re
@@ -375,3 +377,35 @@ def test_scanner_flags_the_eigen_form_outside_the_search():
 )
 def test_only_the_search_names_the_eigen_form(path):
     assert _eigen_form_names(path.read_text()) == []
+
+
+_GRID_BUILDERS = {"StructureGrid", "build_se_grid", "build_sdof_grid", "_log_spaced"}
+
+
+def _grid_builder_calls(source: str) -> list[str]:
+    """Every call of a structure-grid constructor or builder, by name or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _GRID_BUILDERS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_scanner_flags_a_grid_built_outside_srm():
+    source = (
+        "from .srm import build_se_grid, srm_select\n"
+        "grid = build_se_grid((0.1, 1.0), l_range, 3, 4)\n"
+        "other = srm.StructureGrid('sdof', bases, scales)\n"
+        "result = srm_select(grid, data)\n"
+        "doc = 'build_sdof_grid(params, bracket, 30)'\n"
+    )
+    assert _grid_builder_calls(source) == ["line 2: build_se_grid", "line 3: StructureGrid"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "srm.py"], ids=lambda path: path.name
+)
+def test_only_srm_builds_structure_grids(path):
+    assert _grid_builder_calls(path.read_text()) == []

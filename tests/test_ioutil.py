@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srmks.errors import InvalidInputError
-from srmks.experiment import BoxStats, ExperimentConfig, GridSettings, default_config
+from srmks.experiment import BoxStats, ExperimentConfig, default_config
 from srmks.ioutil import (
     csv_table,
     csv_text,
@@ -21,6 +21,7 @@ from srmks.ioutil import (
 )
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingMeta
 from srmks.risk import BoundConfig, DeltaRule, RiskReport
+from srmks.srm import GridSettings
 
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 _ANY_FLOAT = st.floats(allow_nan=False)  # NaN != NaN, so equality cannot check it

@@ -76,6 +76,13 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match=match):
             SDOFKernel(sigma_f=1.0, params=OscillatorParams(m=m, c=c, k=k))
 
+    @pytest.mark.parametrize(
+        "use", [lambda spec: kernel_eval(spec, 0.0, 0.0), kernel_to_json_dict], ids=["eval", "json"]
+    )
+    def test_rejects_an_unknown_kernel_spec(self, use):
+        with pytest.raises(InvalidInputError, match="unknown kernel spec"):
+            use({"family": "se", "sigma_f": 1.0, "length_scale": 0.05})
+
 
 class TestPointwiseValues:
     def test_se_diagonal_is_signal_variance(self):

@@ -11,6 +11,7 @@ from srmks.errors import InvalidInputError
 from srmks.oscillator import (
     OscillatorParams,
     SamplingPlan,
+    TrainingSet,
     generate_training_set,
     impulse_response,
     training_set_from_files,
@@ -129,6 +130,12 @@ class TestSamplingPlan:
             SamplingPlan(t_start=-0.3, t_end=0.3, base_points=1001,
                          decimation=16, snr=10.0, seed=0)
 
+    @pytest.mark.parametrize("t_start,t_end", [(0.0, math.inf), (math.nan, 0.3), (0.0, math.nan)])
+    def test_rejects_a_time_range_that_is_not_finite(self, t_start, t_end):
+        with pytest.raises(InvalidInputError, match="time range must be finite"):
+            SamplingPlan(t_start=t_start, t_end=t_end, base_points=1001,
+                         decimation=16, snr=10.0, seed=0)
+
     def test_base_grid_endpoints(self):
         grid = _plan().base_grid()
         assert grid.size == 1001
@@ -156,6 +163,26 @@ class TestSamplingPlan:
     def test_rejects_count_that_is_not_an_integer(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             _plan(**{field: value})
+
+
+class TestTrainingSet:
+    @pytest.mark.parametrize(
+        "t,y,sigma_n,match",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 2)), 0.1, "1-d"),
+            (np.array([0.0, 0.1, 0.2]), np.zeros(2), 0.1, "equal lengths"),
+            (np.array([0.0, 0.2, 0.1]), np.zeros(3), 0.1, "strictly increasing"),
+            (np.array([0.0, 0.1, 0.1]), np.zeros(3), 0.1, "strictly increasing"),
+            (np.array([0.0, 0.1]), np.zeros(2), -0.1, "sigma_n must be nonnegative"),
+            (np.array([0.0, 0.1]), np.zeros(2), 1e160, "finite square"),
+        ],
+        ids=[
+            "2-d", "unequal-lengths", "decreasing", "repeated", "negative-noise", "noise-overflows",
+        ],
+    )
+    def test_rejects_malformed_sets(self, t, y, sigma_n, match):
+        with pytest.raises(InvalidInputError, match=match):
+            TrainingSet(t=t, y=y, sigma_n=sigma_n, true_h=np.zeros_like(y), seed=0)
 
 
 class TestGenerateTrainingSet:

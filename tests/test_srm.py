@@ -12,7 +12,7 @@ import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from strategies import sample_times
 from srmks.errors import InvalidInputError
-from srmks.experiment import GridSettings, default_config
+from srmks.experiment import default_config
 from srmks.ioutil import csv_text
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_to_json_dict
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
@@ -26,6 +26,7 @@ from srmks.risk import (
 )
 from srmks.smoother import decompose, fit, rounding_level
 from srmks.srm import (
+    GridSettings,
     SelectionResult,
     StructureGrid,
     build_sdof_grid,
@@ -116,6 +117,13 @@ class TestGridConstruction:
                 sigma_fs=(1.0,),
             )
 
+    @pytest.mark.parametrize(
+        "bases, sigma_fs", [((), (1.0,)), ((SEKernel(1.0, 0.02),), ())], ids=["no-base", "no-scale"]
+    )
+    def test_structure_needs_a_base_and_a_scale(self, bases, sigma_fs):
+        with pytest.raises(InvalidInputError, match="at least one base kernel and signal scale"):
+            StructureGrid(family="se", bases=bases, sigma_fs=sigma_fs)
+
     @pytest.mark.parametrize("family, sigma_fs", [
         ("se", (1e-3, 0.05, -0.05)),
         ("se", (1e-3, math.nan, 0.05)),
@@ -153,6 +161,11 @@ class TestGridConstruction:
         sdof_sigmas = sorted(c.sigma_f for c in sdof.candidates)
         assert sdof_sigmas[0] == pytest.approx(0.1 * rms * amp, rel=1e-12)
         assert sdof_sigmas[-1] == pytest.approx(10.0 * rms * amp, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["SE", "sdof ", "xyz", ""])
+    def test_family_grid_rejects_a_family_outside_families(self, paper_params, family):
+        with pytest.raises(InvalidInputError, match="unknown family"):
+            GridSettings().family_grid(family, _dataset(paper_params), paper_params)
 
     def test_nesting_faithfulness_edf_nondecreasing(self, paper_params):
         # along the descending-l ordering at fixed sigma_f, capacity never drops
