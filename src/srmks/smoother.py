@@ -12,11 +12,19 @@ its effective degrees of freedom, with lambda_i the eigenvalues of K:
 
 The edf counts the prevalent spectral components of K and serves as a
 real-valued capacity estimate downstream; it is never rounded. fit takes
-both from one Cholesky factorisation K + sigma_n^2 I = L L^T: the weights
-by two triangular solves, and the edf by the trace identity
-n - sigma_n^2 tr((K + sigma_n^2 I)^-1) with tr((L L^T)^-1) = ||L^-1||_F^2
-(Rasmussen & Williams, GPML Alg. 2.1), at the cost of one triangular
-inverse instead of an eigendecomposition.
+the weights and the edf from one solve of A = K + sigma_n^2 I, the edf by
+the trace identity n - sigma_n^2 tr(A^-1). Both kernels are stationary, so
+on uniform times A is symmetric Toeplitz and its first column, n kernel
+evaluations k(t_i - t_0), determines it. There fit solves A [w, x] =
+[y, e_1] by Levinson's recursion in O(n^2) (Levinson 1947; Golub & Van
+Loan, Matrix Computations, sec. 4.7), and the Gohberg-Semencul formula
+(1972), which writes A^-1 through its first column x alone, gives
+tr(A^-1) = sum_k (n - 2k) x_k^2 / x_0 in O(n). On any other times fit
+builds K from n^2 evaluations and factorises A = L L^T: the weights by two
+triangular solves, and tr(A^-1) = ||L^-1||_F^2 (Rasmussen & Williams, GPML
+Alg. 2.1) from one triangular inverse. Levinson is only weakly stable
+(Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980); its measured accuracy is in
+_levinson_fit.
 
 Scoring a family of kernels that differ only in their signal scale sigma_f
 needs no fit at all. With K_0 = U diag(lambda) U^T the eigendecomposition
@@ -34,8 +42,8 @@ times (the repetitions of one sampling plan) share the decomposition too:
 one Spectrum per (plan, base kernel), which only srm's search holds, scores
 every repetition at every rho in one array computation and refits the
 winners, so a study needs no Cholesky. One kernel on one training set goes
-through fit, whose Cholesky factor and triangular inverse cost less than
-one eigh with vectors.
+through fit, whose Levinson solve or Cholesky factor and triangular inverse
+cost less than one eigh with vectors.
 
 decompose folds the Gram matrix of a uniform time grid. Both kernels are
 stationary, so on such a grid K is symmetric Toeplitz and hence
@@ -77,6 +85,7 @@ __all__ = [
 ]
 
 _HALF = np.sqrt(0.5)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -158,7 +167,7 @@ def _folded_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def rounding_level(n: int, top: float) -> float:
     """n * eps * top, the rounding level of an n x n decomposition with largest eigenvalue top."""
-    return n * np.finfo(float).eps * top
+    return n * _EPS * top
 
 
 def require_determined_noise(sigma_n: float, n: int, top: float) -> None:
@@ -175,33 +184,90 @@ def require_determined_noise(sigma_n: float, n: int, top: float) -> None:
 def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """Fit the kernel smoother to `data` with noise level `sigma_n`.
 
-    Solves (K + sigma_n^2 I) w = y by Cholesky factorisation, and takes
-    the edf from the same factor. Raises InvalidInputError for a sigma_n
-    that fails require_determined_noise at top = n * k(0) = tr K (both
-    kernels are stationary), and SingularSystemError for a non-finite K, a
-    failed factorisation or triangular inverse, or a non-finite weight or edf.
+    Solves K + sigma_n^2 I by Levinson's recursion on uniform times
+    (_levinson_fit) and by Cholesky factorisation on any other times
+    (_cholesky_fit), and takes the edf from the same solve. Raises
+    InvalidInputError for a sigma_n that fails require_determined_noise at
+    top = n * k(0) = tr K (both kernels are stationary), and
+    SingularSystemError for a non-finite K, a failed solve, factorisation or
+    triangular inverse, or a non-finite weight or edf.
     """
     require_determined_noise(sigma_n, data.n, data.n * float(kernel_eval(spec, 0.0, 0.0)))
-    n, noise = data.n, sigma_n**2
-    K = gram(spec, data.t)
+    solve = _levinson_fit if _uniform(data.t) else _cholesky_fit
+    weights, fitted, edf = solve(spec, data.t, data.y, sigma_n**2)
+    return FittedSmoother(kernel=spec, t_train=data.t, weights=weights, fitted=fitted, edf=edf)
+
+
+def _uniform(t: np.ndarray) -> bool:
+    """Whether every time of `t` lies within 4 eps max|t| of t[0] + i * step,
+    step = (t[-1] - t[0]) / (n - 1).
+
+    Levinson takes t_i - t_j as t_{i-j} - t_0, so each time, not only each
+    gap, is bounded: gaps that each pass can drift one way, as the rounding
+    of np.cumsum does, and the bound keeps every lag error below 8 eps
+    max|t|. Over plan grids with t_start from 0 to 100 s and decimations 1
+    to 16 the largest deviation is 0.78 eps max|t|.
+    """
+    step = (t[-1] - t[0]) / max(t.size - 1, 1)
+    ideal = t[0] + step * np.arange(t.size)
+    return bool(np.all(np.abs(t - ideal) <= 4.0 * _EPS * np.max(np.abs(t))))
+
+
+def _levinson_fit(spec, t, y, noise):
+    """(weights, fitted, edf) on uniform times, from K's lag column k(t - t[0]).
+
+    One Levinson solve of T [w, x] = [y, e_1], T = toeplitz(column) +
+    sigma_n^2 I, gives the weights w and the first column x of T^-1, whose
+    Gohberg-Semencul trace gives the edf, clamped to [0, n]. T differs from
+    gram(spec, t) + sigma_n^2 I only by the rounding of the times t_i - t_j.
+
+    Levinson is only weakly stable (Cybenko 1980). Against a 60-digit solve
+    of the same T, over 420 SE and SDOF systems on 0.3 s grids, n = 4 to 20,
+    and sigma_n^2 from 1.2 to 1000 times fit's rounding level (condition
+    numbers up to 8e14), its backward error ||y - T w|| / (||T||_F ||w||)
+    stayed at or below 0.26 n eps (Cholesky's at or below 0.14 n eps).
+    Above condition number 1e9 its fitted values were a median 3 (at most
+    50) times as far off as Cholesky's, its edf a median 1.7 (at most 64)
+    times, and its worst edf error was 3.2e-2 against Cholesky's 1.8e-2.
+    """
+    n = t.size
+    column = kernel_eval(spec, t - t[0], 0.0)
+    if not np.all(np.isfinite(column)):
+        raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
+    system = column.copy()
+    system[0] += noise
+    rhs = np.zeros((n, 2))
+    rhs[:, 0] = y
+    rhs[0, 1] = 1.0
+    try:
+        solution = scipy.linalg.solve_toeplitz(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"cannot solve the {n}x{n} Toeplitz system: {exc}") from exc
+    weights, first = solution.T
+    if not (np.all(np.isfinite(solution)) and first[0] > 0):
+        raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite positive solution")
+    edf = n - noise * float(np.dot((n - 2.0 * np.arange(n)) * first, first)) / first[0]
+    if not np.isfinite(edf):
+        raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite edf")
+    return weights, scipy.linalg.toeplitz(column) @ weights, min(max(edf, 0.0), float(n))
+
+
+def _cholesky_fit(spec, t, y, noise):
+    """(weights, fitted, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
+    n = t.size
+    K = gram(spec, t)
     if not np.all(np.isfinite(K)):
         raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
     try:
         factor = scipy.linalg.cholesky(K + noise * np.eye(n), lower=True)
-        weights = scipy.linalg.cho_solve((factor, True), data.y)
+        weights = scipy.linalg.cho_solve((factor, True), y)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"cannot factorise the {n}x{n} smoother system: {exc}"
         ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
-    return FittedSmoother(
-        kernel=spec,
-        t_train=data.t,
-        weights=weights,
-        fitted=K @ weights,
-        edf=_edf_from_factor(factor, noise),
-    )
+    return weights, K @ weights, _edf_from_factor(factor, noise)
 
 
 def _edf_from_factor(factor: np.ndarray, noise: float) -> float:

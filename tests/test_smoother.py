@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from strategies import sample_times
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import default_config
 from srmks.kernels import SDOFKernel, SEKernel, gram, kernel_eval
-from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet
+from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingSet, generate_training_set
 from srmks import smoother
 from srmks.smoother import decompose, fit, predict, rounding_level, spectral_weights
 
@@ -38,6 +39,11 @@ def _random_instance(rng, n_max=8):
         )
     data = TrainingSet(t=t, y=y, sigma_n=sigma_n, true_h=np.zeros(n), seed=0)
     return kernel, data, sigma_n
+
+
+# squared spacing: irregular times, which fit solves by Cholesky
+_IRREGULAR_5 = 0.3 * np.linspace(0.0, 1.0, 5) ** 2
+_IRREGULAR_10 = 0.3 * np.linspace(0.0, 1.0, 10) ** 2
 
 
 def _make_data(t, y, sigma_n=0.1):
@@ -162,7 +168,7 @@ class TestRobustness:
             fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(t)), float("inf"))
 
     def test_non_finite_gram_raises(self, monkeypatch):
-        t = np.linspace(0.0, 0.3, 5)
+        t = _IRREGULAR_5
         data = _make_data(t, np.sin(t))
         kernel = SEKernel(0.001, 0.01)
         monkeypatch.setattr(
@@ -174,7 +180,7 @@ class TestRobustness:
     def test_exhausted_retries_raise(self, monkeypatch):
         # fit makes a single factorisation attempt and no jitter retries, so
         # the first failure already exhausts it
-        t = np.linspace(0.0, 0.3, 10)
+        t = _IRREGULAR_10
         data = _make_data(t, np.sin(30 * t), 0.1)
         calls = {"count": 0}
 
@@ -191,13 +197,49 @@ class TestRobustness:
     def test_failed_triangular_inverse_raises(self, monkeypatch, fill, info):
         # LAPACK's dtrtri reports a zero diagonal of the factor through info;
         # an inverse too large to square gives a non-finite edf
-        t = np.linspace(0.0, 0.3, 10)
+        t = _IRREGULAR_10
         data = _make_data(t, np.sin(30 * t), 0.1)
         monkeypatch.setattr(
             scipy.linalg.lapack, "dtrtri", lambda c, **kw: (np.full_like(c, fill), info)
         )
         with pytest.raises(SingularSystemError, match=f"dtrtri info {info}"):
             fit(SEKernel(1.0, 0.05), data, 0.1)
+
+    def test_non_finite_lag_column_raises(self, monkeypatch):
+        # k(0) stays finite, so the noise rule passes and the column is checked
+        t = np.linspace(0.0, 0.3, 5)
+        finite = smoother.kernel_eval
+        monkeypatch.setattr(
+            smoother,
+            "kernel_eval",
+            lambda spec, a, b: np.full(np.shape(a), np.nan) if np.ndim(a) else finite(spec, a, b),
+        )
+        with pytest.raises(SingularSystemError, match="non-finite entries"):
+            fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(t)), 0.1)
+
+    def test_failed_levinson_solve_raises(self, monkeypatch):
+        t = np.linspace(0.0, 0.3, 10)
+        calls = {"count": 0}
+
+        def broken(c, b, **kw):
+            calls["count"] += 1
+            raise np.linalg.LinAlgError("synthetic singular principal minor")
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", broken)
+        with pytest.raises(SingularSystemError, match="Toeplitz"):
+            fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(30 * t)), 0.1)
+        assert calls["count"] == 1
+
+    @pytest.mark.parametrize("fill", [np.nan, -1.0], ids=["non-finite", "negative-x0"])
+    def test_bad_levinson_solution_raises(self, monkeypatch, fill):
+        # a non-finite solution, or a first entry (T^-1)_00 <= 0, which no
+        # positive definite T has
+        t = np.linspace(0.0, 0.3, 10)
+        monkeypatch.setattr(
+            scipy.linalg, "solve_toeplitz", lambda c, b, **kw: np.full_like(b, fill)
+        )
+        with pytest.raises(SingularSystemError, match="Toeplitz"):
+            fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(30 * t)), 0.1)
 
     def test_zero_noise_rank_deficient_gram_raises(self):
         # l = 100 over a 0.3 s span makes K numerically rank one; without
@@ -370,12 +412,132 @@ class TestEdfFromCholeskyFactor:
     @example(_RANK_ONE)
     @example(_NOISE_DOMINATED)
     def test_matches_spectral_and_trace_oracles(self, problem):
+        # every time grid here, the two linspace examples too, is solved by
+        # Cholesky, the path this class covers
         spec, t, sigma_n = problem
         n, noise = t.size, sigma_n**2
-        edf = fit(spec, _make_data(t, np.sin(30 * t), sigma_n), sigma_n).edf
+        with mock.patch.object(smoother, "_uniform", lambda t: False):
+            edf = fit(spec, _make_data(t, np.sin(30 * t), sigma_n), sigma_n).edf
         assert 0.0 <= edf <= n
         K = gram(spec, t)
         lam = np.maximum(scipy.linalg.eigh(K, eigvals_only=True), 0.0)
         tolerance = _edf_tolerance(lam, noise)
         assert abs(edf - float(np.sum(lam / (lam + noise)))) <= tolerance
         assert abs(edf - edf_trace(K.tolist(), sigma_n)) <= tolerance
+
+
+@st.composite
+def _uniform_fits(draw):
+    """An SE or SDOF kernel on 1-16 times t0 + gap * arange(n), t0 in [0, 10],
+    with sigma_n / sqrt(k(0)) from 1e-4 to 1e3."""
+    n = draw(st.integers(1, 16))
+    t = draw(st.floats(0.0, 10.0)) + draw(st.floats(0.002, 0.05)) * np.arange(n)
+    se = SEKernel(draw(st.floats(0.3, 3.0)), 10 ** draw(st.floats(-2.5, 1.0)))
+    spec = draw(st.sampled_from([se, SDOFKernel(draw(st.floats(100.0, 5000.0)), _PAPER)]))
+    amplitude = math.sqrt(kernel_eval(spec, 0.0, 0.0))
+    return spec, t, amplitude * 10 ** draw(st.floats(-4.0, 3.0))
+
+
+# SDOF 10 s after the impulse, with sigma_n^2 at 1.5 times fit's rounding
+# level rounding_level(n, n * k(0))
+_SDOF = SDOFKernel(1000.0, _PAPER)
+_SDOF_LEVEL = rounding_level(16, 16 * kernel_eval(_SDOF, 0.0, 0.0))
+_SDOF_AT_LEVEL = (_SDOF, 10.0 + 0.02 * np.arange(16), math.sqrt(1.5 * _SDOF_LEVEL))
+# sigma_n = 1e8 sigma_f: the Gohberg-Semencul n - sigma_n^2 tr(A^-1) rounds
+# to -1.8e-15 before the clamp (on _NOISE_DOMINATED's 12 times it is exactly 0)
+_NOISE_DOMINATED_10 = (SEKernel(1.0, 0.05), np.linspace(0.0, 0.3, 10), 1e8)
+
+
+class TestLevinsonFit:
+    @settings(max_examples=200, deadline=None)
+    @given(_uniform_fits())
+    @example(_RANK_ONE)
+    @example(_SDOF_AT_LEVEL)
+    @example(_NOISE_DOMINATED_10)
+    def test_matches_dense_oracles(self, problem):
+        # The references solve the matrix the uniform path solves, A = T +
+        # sigma_n^2 I with T = toeplitz(k(t - t[0])). The weights get rel 1e-8
+        # plus the first-order forward error kappa * n * eps of a
+        # kappa-conditioned solve; near the noise limit that bound is vacuous,
+        # and the backward error ||y - A w|| / (||A||_F ||w||) <= 2 n eps
+        # binds instead (the worst over 24,000 draws was 0.85 n eps, the
+        # rounding of the residual itself included). At sigma_n / sqrt(k(0))
+        # = 1e-4 even Cholesky misses plain rel 1e-8 in the weights on about
+        # 1 draw in 300.
+        spec, t, sigma_n = problem
+        n, noise = t.size, sigma_n**2
+        y = np.sin(30 * t)
+        assert smoother._uniform(t)
+        model = fit(spec, _make_data(t, y, sigma_n), sigma_n)
+        assert 0.0 <= model.edf <= n
+        T = scipy.linalg.toeplitz(kernel_eval(spec, t - t[0], 0.0))
+        A = T + noise * np.eye(n)
+        w = model.weights
+        assert np.linalg.norm(y - A @ w) <= 2 * n * _EPS * np.linalg.norm(A) * np.linalg.norm(w)
+        lam = np.maximum(scipy.linalg.eigh(T, eigvals_only=True), 0.0)
+        kappa = (lam[-1] + noise) / (lam[0] + noise)
+        ref_w = np.array(solve_dense(A.tolist(), y.tolist()))
+        scale = float(np.max(np.abs(ref_w))) or 1.0
+        assert np.max(np.abs(w - ref_w)) / scale <= 1e-8 + kappa * n * _EPS
+        tolerance = _edf_tolerance(lam, noise)
+        assert abs(model.edf - edf_trace(T.tolist(), sigma_n)) <= tolerance
+        # eigh returns T's eigenvalues to about n eps lambda_max, not the eps
+        # lambda_max _edf_tolerance allows: on 2 of 24,000 draws (n = 14, 15)
+        # the spectral edf missed a 60-digit edf of T by 1.9 and 1.5 times
+        # _edf_tolerance, and this path by 0.02 times, so the spectral
+        # reference gets n times the eigenvalue term on top
+        eigh_error = n * _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
+        assert abs(model.edf - float(np.sum(lam / (lam + noise)))) <= tolerance + eigh_error
+
+
+def _counting_cholesky(monkeypatch):
+    calls, cholesky = [], scipy.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+    return calls
+
+
+class TestFitDispatch:
+    @pytest.mark.parametrize("family", ["se", "sdof"])
+    @pytest.mark.parametrize("decimation", [1, 4, 16])
+    @pytest.mark.parametrize("t_start", [0.0, 10.0])
+    def test_plan_times_take_levinson(self, monkeypatch, t_start, decimation, family):
+        plan = SamplingPlan(
+            t_start=t_start, t_end=t_start + 0.3, base_points=1001,
+            decimation=decimation, snr=10.0, seed=3,
+        )
+        data = generate_training_set(_PAPER, plan)
+        rms = float(np.sqrt(np.mean(data.y**2)))
+        if family == "se":
+            spec = SEKernel(rms, 0.01)
+        else:
+            spec = SDOFKernel(rms * math.sqrt(SDOFKernel(1.0, _PAPER).variance_scale), _PAPER)
+        nudged_t = data.t.copy()
+        nudged_t[data.n // 3] *= 1.0 + 1e-6
+        nudged = TrainingSet(t=nudged_t, y=data.y, sigma_n=data.sigma_n, true_h=data.true_h, seed=0)
+        calls = _counting_cholesky(monkeypatch)
+        levinson = fit(spec, data, data.sigma_n)
+        assert calls == []
+        fit(spec, nudged, data.sigma_n)
+        assert calls == [data.n]
+        # the nudge moves these weights by 3e-7 to 1e-2, so the two paths are
+        # compared on the plan's own times
+        monkeypatch.setattr(smoother, "_uniform", lambda t: False)
+        cholesky = fit(spec, data, data.sigma_n)
+        scale = float(np.max(np.abs(cholesky.weights)))
+        assert np.max(np.abs(levinson.weights - cholesky.weights)) <= 1e-8 * scale
+
+    def test_drifting_gaps_take_cholesky(self, monkeypatch):
+        # every gap of this cumsum grid is within 0.3 eps max|t| of the mean
+        # step, but its rounding adds up one way: t_i strays 7 eps max|t|
+        # from t[0] + i * step, so t_i - t_j is not t_{i-j} - t_0
+        t = np.cumsum(np.full(100, 0.03))
+        step = (t[-1] - t[0]) / (t.size - 1)
+        assert np.max(np.abs(np.diff(t) - step)) <= 4.0 * _EPS * np.max(np.abs(t))
+        calls = _counting_cholesky(monkeypatch)
+        fit(SEKernel(1.0, 0.05), _make_data(t, np.sin(t)), 0.1)
+        assert calls == [t.size]
