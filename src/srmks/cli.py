@@ -130,7 +130,7 @@ def cmd_fit(args) -> int:
     mse = empirical_risk(data.y, model.fitted)
     out = Path(args.out)
     _write_text(
-        out / "predictions.csv", csv_text("t,y,prediction", zip(data.t, data.y, model.fitted))
+        out / "predictions.csv", csv_text("t,y,prediction", [data.t, data.y, model.fitted])
     )
     doc = {
         "kernel": kernel_to_json_dict(kernel),

@@ -14,7 +14,10 @@ srm_select_batch call: one eigendecomposition per (plan, base kernel)
 instead of one per (plan, iteration, base kernel). The same batch refits
 each winner from that decomposition and returns its weights, which one
 dense cross-kernel matrix per (plan, winning base kernel) maps onto the
-dense grid. The study makes no Cholesky factorisation.
+dense grid. The sample times are every d-th point of the plan's uniform
+base grid, so kernels.decimated_cross_kernel gathers that matrix from
+the base grid's lag column, N kernel evaluations instead of N * n. The
+study makes no Cholesky factorisation.
 
 Outputs serialize to records.csv (one row per record), summary.json
 (five-number boxplot statistics per sample size, family and metric) and
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, SrmksError, require_int
-from .ioutil import JsonRecord, csv_table, csv_text, json_text
-from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_eval
+from .ioutil import JsonRecord, csv_table, csv_text, fmt_float, json_text
+from .kernels import KernelSpec, SDOFKernel, SEKernel, decimated_cross_kernel
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
@@ -180,7 +183,7 @@ def _run_plan(
             spec, report = selection.best_spec, selection.best_report
             base = replace(spec, sigma_f=1.0)  # the grid's base: StructureGrid requires sigma_f = 1
             if base not in cross:
-                cross[base] = kernel_eval(base, dense_t[:, None], data.t)
+                cross[base] = decimated_cross_kernel(base, dense_t, plan.decimation)
             prediction = cross[base] @ selection.weights
             records.append(IterationRecord(
                 data.n, iteration, family, spec, report.empirical_risk, report.bound,
@@ -191,12 +194,13 @@ def _run_plan(
 
 def records_to_csv(records: list[IterationRecord]) -> str:
     """CSV text, one record per row; the length-scale column is empty for sdof."""
-    return csv_text(RECORDS_CSV_HEADER, (
-        (r.sample_size, r.iteration, r.family, r.chosen_spec.sigma_f,
-         r.chosen_spec.length_scale if isinstance(r.chosen_spec, SEKernel) else "",
-         r.emp_risk, r.h, r.bound, r.true_mse)
-        for r in records
-    ))
+    floats = [(r.chosen_spec.sigma_f, r.emp_risk, r.h, r.bound, r.true_mse) for r in records]
+    sigma_f, *risks = np.reshape(floats, (-1, 5)).T
+    return csv_text(RECORDS_CSV_HEADER, [
+        [r.sample_size for r in records], [r.iteration for r in records],
+        [r.family for r in records], sigma_f,
+        [fmt_float(r.chosen_spec.length_scale) if r.family == "se" else "" for r in records], *risks,
+    ])
 
 
 def records_from_csv(text: str, params: OscillatorParams | None = None) -> list[IterationRecord]:

@@ -10,8 +10,10 @@ environment. Three figure kinds:
 * predictions true signal, both winners' predictions and the noisy sample
 
 The predictions figure regenerates its training set from the experiment
-configuration, relying on the study's per-iteration seed derivation, and
-refits each of the two winning kernels alone with smoother.fit.
+configuration, relying on the study's per-iteration seed derivation,
+refits each of the two winning kernels alone with smoother.fit and maps
+its weights onto the plan's dense grid through
+kernels.decimated_cross_kernel, as the study does.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
 from .ioutil import lines_text
+from .kernels import decimated_cross_kernel
 from .oscillator import impulse_response
-from .smoother import fit, predict
+from .smoother import fit
 from .srm import FAMILIES
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]
@@ -252,10 +255,9 @@ def predictions_svg(
     dense_h = impulse_response(cfg.params, dense_t)
 
     curves: list[tuple[str, np.ndarray, str]] = [("true", np.asarray(dense_h), _TRUE_COLOR)]
-    curves.extend(
-        (fam, predict(fit(cell[fam].chosen_spec, data, data.sigma_n), dense_t), _FAMILY_COLOR[fam])
-        for fam in FAMILIES if fam in cell
-    )
+    for fam, spec in ((fam, cell[fam].chosen_spec) for fam in FAMILIES if fam in cell):
+        cross = decimated_cross_kernel(spec, dense_t, plan.decimation)
+        curves.append((fam, cross @ fit(spec, data, data.sigma_n).weights, _FAMILY_COLOR[fam]))
 
     width, height = 720, 420
     plot_x, plot_y, plot_w, plot_h = 70, 30, width - 100, height - 90

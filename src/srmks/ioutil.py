@@ -5,10 +5,10 @@ doubles exactly, and the non-finite ones as the strings "inf", "-inf" and
 "nan", so CSV and JSON files stay portable. json_text writes every JSON
 document (two-space indent, one trailing newline), json_rows_text its bytes
 for a document with a list of entries drawn from float and bool columns, and
-lines_text every file of lines. csv_text writes a CSV table, with bools as
-true/false; csv_table reads one, skipping blank lines and checking the
-header, that a data row follows and that every row has the header's field
-count.
+lines_text every file of lines. csv_text writes a CSV table from its
+columns, each float array formatted in one call and bools as true/false;
+csv_table reads one, skipping blank lines and checking the header, that a
+data row follows and that every row has the header's field count.
 
 The config and report dataclasses and the training.json sidecar derive from
 JsonRecord, whose one codec walks the dataclass fields in order. A field's
@@ -107,16 +107,22 @@ def lines_text(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_field(value) -> str:
-    """Floats as fmt_float writes them, bools as true/false, the rest as str()."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return fmt_float(value) if isinstance(value, float) else str(value)
+def _csv_fields(column):
+    """The fields of one CSV column: a float array by one fmt_floats call, a bool
+    array as JSON writes it (true/false), any other iterable, endless ones too, by str()."""
+    if isinstance(column, np.ndarray):
+        return fmt_floats(column) if column.dtype.kind == "f" else _json_leaves(column)
+    return map(str, column)
 
 
-def csv_text(header: str, rows) -> str:
-    """CSV text: the header line, then one line of comma-separated fields per row."""
-    return lines_text([header, *(",".join(map(_csv_field, row)) for row in rows)])
+def csv_text(header: str, columns) -> str:
+    """CSV text: the header line, then one line of comma-separated fields per row.
+
+    The table comes as its columns, one per header field; the rows end with
+    the shortest. Floats go in float arrays: str() of a float is not
+    fmt_float's text.
+    """
+    return lines_text([header, *map(",".join, zip(*map(_csv_fields, columns)))])
 
 
 def csv_table(text: str, header: str, name: str) -> list[list[str]]:

@@ -223,7 +223,7 @@ class TrainingMeta(JsonRecord):
 
 def training_set_to_csv(data: TrainingSet) -> str:
     """CSV text with header ``t,y,true_h``, one row per sample."""
-    return csv_text(TRAINING_CSV_HEADER, zip(data.t, data.y, data.true_h))
+    return csv_text(TRAINING_CSV_HEADER, [data.t, data.y, data.true_h])
 
 
 def training_set_to_json(data: TrainingSet, plan: SamplingPlan) -> str:

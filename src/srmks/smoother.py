@@ -45,19 +45,19 @@ winners, so a study needs no Cholesky. One kernel on one training set goes
 through fit, whose Levinson solve or Cholesky factor and triangular inverse
 cost less than one eigh with vectors.
 
-decompose folds the Gram matrix of a uniform time grid. Both kernels are
-stationary, so on such a grid K is symmetric Toeplitz and hence
+decompose folds the Gram matrix of a uniform time grid, the times that
+pass _uniform, the gate fit uses too. Every plan and every training.csv
+lies on one. There K is the symmetric Toeplitz matrix of its lag column
+a = k(t - t[0]), the n evaluations Levinson uses, and hence
 centrosymmetric, K = JKJ with J the reversal. The orthogonal change of
 basis to even and odd vectors (x; Jx)/sqrt(2) and (x; -Jx)/sqrt(2) splits
-K exactly into two blocks of orders ceil(n/2) and floor(n/2), whose
+it exactly into two blocks of orders ceil(n/2) and floor(n/2), whose
 eigenpairs together are K's (Cantoni & Butler, Linear Algebra Appl. 13,
 1976); two half-size eigh take about a quarter of the flops of one full
-one. Every plan and every training.csv lies on a decimated uniform grid,
-but the computed times and Gram entries are centrosymmetric only to
-rounding, so decompose folds only when max|K - JKJ|, the coupling the
-blocks drop, is at most rounding_level(n, lambda_max), no larger than the
-backward error of eigh itself. Any other K, such as one on irregular
-times, takes one full eigh.
+one. Both blocks are gathered from a, a[|i-j|] +- a[n-1-i-j], so the
+fold forms no n x n K, and built from one column they are exact for the
+Toeplitz matrix at any t_start, where the computed times t_i - t_j carry
+rounding relative to |t|. Any other times take gram and one full eigh.
 Both paths ask LAPACK for divide and conquer (driver evd): on a clustered
 spectrum, such as a near-identity K, the default MRRR driver (evr) returns
 eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
@@ -108,60 +108,56 @@ class Spectrum:
 
 
 def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
-    """The decomposition of gram(base, t), folded in two when K is centrosymmetric.
+    """The decomposition of base's Gram matrix over `t`, folded in two on uniform times.
 
-    A K with max|K - JKJ| <= rounding_level(n, lambda_max), J the reversal
-    and lambda_max the largest eigenvalue of its blocks, is decomposed as
-    two half-size eigh of its even and odd blocks; any other K as one full
-    eigh, both with driver evd. The eigenvalues come ascending and clamped
-    at zero either way; on the fold every eigenvector is exactly even or
-    exactly odd.
+    On times that pass _uniform the matrix is the symmetric Toeplitz
+    toeplitz(k(t - t[0])), decomposed as two half-size eigh of its even and
+    odd blocks, and every eigenvector is exactly even or exactly odd; any
+    other times take gram(base, t) and one full eigh. Both use driver evd,
+    and the eigenvalues come ascending and clamped at zero.
     """
-    K = gram(base, t)
-    lam, vectors = _folded_eigh(K) or scipy.linalg.eigh(K, driver="evd")
+    if _uniform(t):
+        lam, vectors = _folded_eigh(kernel_eval(base, t - t[0], 0.0))
+    else:
+        lam, vectors = scipy.linalg.eigh(gram(base, t), driver="evd")
     return Spectrum(np.maximum(lam, 0.0), vectors)
 
 
-def _folded_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(ascending eigenvalues, U) of a centrosymmetric K, or None if K is not one.
+def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, U) of the symmetric Toeplitz matrix with first column `lags`.
 
-    With m = n // 2 and c = n - m, the orthogonal basis (x; Jx)/sqrt(2),
-    (x; -Jx)/sqrt(2) (plus the unit middle vector for odd n) turns K into
-    the even block K[:c, :c] + (KJ)[:c, :c], whose middle row and column are
-    scaled by sqrt(1/2) for odd n, and the odd block K[:m, :m] - (KJ)[:m, :m]
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976). The coupling the
-    blocks drop is at most max|K - JKJ|, which must not exceed the rounding
-    level of the blocks' largest eigenvalue. On the fold, U overwrites K;
-    otherwise K is left as it was.
+    With a = lags, m = n // 2 and c = n - m, the orthogonal basis (x;
+    Jx)/sqrt(2), (x; -Jx)/sqrt(2) (plus the unit middle vector for odd n)
+    splits the matrix exactly into the even block a[|i-j|] + a[n-1-i-j],
+    i, j < c, whose middle row and column are scaled by sqrt(1/2) for odd
+    n, and the odd block a[|i-j|] - a[n-1-i-j], i, j < m (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976). The blocks are gathered from a, so no
+    n x n matrix is formed before U.
     """
-    n = K.shape[0]
-    m = n // 2
-    c = n - m
-    flipped = K[:, ::-1]
-    even = K[:c, :c] + flipped[:c, :c]
+    n = lags.size
+    m, c = n // 2, n - n // 2
+    i = np.arange(c)
+    even, hankel = lags[np.abs(i[:, None] - i)], lags[n - 1 - i[:, None] - i]
+    odd = even[:m, :m] - hankel[:m, :m]
+    even += hankel
     if c > m:
         even[m] *= _HALF
         even[:, m] *= _HALF
-        even[m, m] = K[m, m]  # 2 K_mm / 2, without the rounding of two scalings
-    lam_even, v = scipy.linalg.eigh(even, driver="evd", overwrite_a=True)
-    lam_odd, w = scipy.linalg.eigh(K[:m, :m] - flipped[:m, :m], driver="evd", overwrite_a=True)
+        even[m, m] = lags[0]  # 2 a_0 / 2, without the rounding of two scalings
+    # both blocks are symmetric: passed as their transposes, in Fortran order, eigh overwrites them
+    lam_even, v = scipy.linalg.eigh(even.T, driver="evd", overwrite_a=True)
+    lam_odd, w = scipy.linalg.eigh(odd.T, driver="evd", overwrite_a=True)
     lam = np.concatenate([lam_even, lam_odd])
-    # K - JKJ changes sign under the reversal, so its first c rows hold its largest entry
-    if not np.max(np.abs(K[:c] - flipped[::-1][:c])) <= rounding_level(n, lam.max()):
-        return None
     order = np.argsort(lam, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)  # where each block eigenvector lands in sorted U
-    vectors = K.T  # K is spent: its buffer, in the Fortran layout eigh returns, takes U
-    even_cols, odd_cols = column[:c], column[c:]
-    upper_even, upper_odd = _HALF * v[:m], _HALF * w
-    vectors[:m, even_cols] = upper_even
-    vectors[c:, even_cols] = upper_even[::-1]
-    vectors[:m, odd_cols] = upper_odd
-    vectors[c:, odd_cols] = -upper_odd[::-1]
-    if c > m:
-        vectors[m, even_cols] = v[m]
-        vectors[m, odd_cols] = 0.0
+    # the column of sorted U that each block eigenvector lands in; the default sort of
+    # an int array would first touch a SIMD sort's code, a quarter MB of peak RSS
+    even_cols, odd_cols = np.split(np.argsort(order, kind="stable"), [c])
+    vectors = np.zeros((n, n), order="F")  # the layout eigh returns
+    vectors[:c, even_cols] = v
+    vectors[:m, odd_cols] = w
+    vectors[:m] *= _HALF
+    vectors[c:] = vectors[:m][::-1]  # (x; Jx) for the even vectors, (x; -Jx) for the odd
+    vectors[c:, odd_cols] *= -1.0
     return lam[order], vectors
 
 
@@ -200,9 +196,9 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
 
 def _uniform(t: np.ndarray) -> bool:
     """Whether every time of `t` lies within 4 eps max|t| of t[0] + i * step,
-    step = (t[-1] - t[0]) / (n - 1).
+    step = (t[-1] - t[0]) / (n - 1): the gate of Levinson and of the fold.
 
-    Levinson takes t_i - t_j as t_{i-j} - t_0, so each time, not only each
+    Both take t_i - t_j as t_{i-j} - t_0, so each time, not only each
     gap, is bounded: gaps that each pass can drift one way, as the rounding
     of np.cumsum does, and the bound keeps every lag error below 8 eps
     max|t|. Over plan grids with t_start from 0 to 100 s and decimations 1

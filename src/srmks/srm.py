@@ -41,7 +41,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidInputError, require_int
-from .ioutil import JsonRecord, csv_text, fmt_float, fmt_floats, json_rows_text
+from .ioutil import JsonRecord, csv_text, fmt_float, json_rows_text
 from .kernels import KernelSpec, SDOFKernel, SEKernel, kernel_to_json_dict
 from .oscillator import OscillatorParams, TrainingSet
 from .risk import BoundConfig, Bounds, RiskReport, vc_bounds
@@ -331,10 +331,8 @@ def selection_to_json(result: SelectionResult) -> str:
 def trace_to_csv(result: SelectionResult) -> str:
     """One row per candidate: its risk report, then its sigma_f and SE length-scale."""
     scores, spec = result.scores, _spec_columns(result.grid)
-    lengths = fmt_floats(spec["length_scale"]) if "length_scale" in spec else repeat("")
-    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", zip(
-        repeat(result.family), repeat(scores.n), fmt_floats(scores.h),
-        fmt_floats(scores.p), repeat(fmt_float(scores.delta)),
-        fmt_floats(scores.empirical_risk), fmt_floats(scores.bound), scores.clipped.tolist(),
-        fmt_floats(spec["sigma_f"]), lengths,
-    ))
+    return csv_text("kernel,n,h,p,delta,emp_risk,bound,clipped,sigma_f,length_scale", [
+        repeat(result.family), repeat(scores.n), scores.h, scores.p,
+        repeat(fmt_float(scores.delta)), scores.empirical_risk, scores.bound, scores.clipped,
+        spec["sigma_f"], spec.get("length_scale", repeat("")),
+    ])

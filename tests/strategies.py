@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 def sample_times(draw, min_irregular: int):
     """Increasing sample times: 1-10 on a uniform grid or `min_irregular`-10 at irregular gaps.
 
-    A uniform grid t0 + gap * arange(n), like every sampling plan's, gives a
-    Gram matrix that is centrosymmetric to rounding, which smoother.decompose
-    folds into two half-size eigenproblems when the rounding passes its
-    gate; irregular times take the full eigendecomposition from three
-    points on.
+    A uniform grid t0 + gap * arange(n), like every sampling plan's, is
+    one that smoother.decompose folds into two half-size eigenproblems
+    built from its lag column; irregular times take the full
+    eigendecomposition from three points on.
     """
     if draw(st.booleans()):
         n = draw(st.integers(1, 10))

@@ -207,7 +207,9 @@ def test_json_rows_text_writes_the_bytes_of_json_text(rows, data):
 
 
 def test_csv_round_trip():
-    text = csv_text("a,b,c,d", [(1, 0.1, True, ""), ("x", math.inf, False, "y")])
+    text = csv_text("a,b,c,d", [
+        [1, "x"], np.array([0.1, math.inf]), np.array([True, False]), ["", "y"],
+    ])
     assert text == "a,b,c,d\n1,0.10000000000000001,true,\nx,inf,false,y\n"
     # blank lines anywhere are skipped
     assert csv_table("\n" + text.replace("\nx", "\n\nx") + "\n", "a,b,c,d", "test") == [

@@ -9,12 +9,13 @@ from srmks.errors import InvalidInputError
 from srmks.kernels import (
     SDOFKernel,
     SEKernel,
+    decimated_cross_kernel,
     gram,
     kernel_eval,
     kernel_from_json_dict,
     kernel_to_json_dict,
 )
-from srmks.oscillator import OscillatorParams
+from srmks.oscillator import OscillatorParams, SamplingPlan
 
 # dyadic rationals: exact binary fractions make shift arithmetic lossless,
 # so stationarity k(t+s, t'+s) == k(t, t') can be asserted with ==
@@ -213,6 +214,33 @@ class TestGram:
     def test_gram_rejects_empty_inputs(self):
         with pytest.raises(InvalidInputError):
             gram(_se(), np.array([]))
+
+
+class TestDecimatedCrossKernel:
+    @pytest.mark.parametrize("family", ["se", "sdof"])
+    @pytest.mark.parametrize("decimation", [1, 4, 16])
+    @pytest.mark.parametrize("t_start", [0.0, 10.0])
+    def test_matches_pairwise_evaluation(self, t_start, decimation, family):
+        plan = SamplingPlan(
+            t_start=t_start, t_end=t_start + 0.3, base_points=1001,
+            decimation=decimation, snr=10.0, seed=0,
+        )
+        grid = plan.base_grid()
+        spec = _se(length_scale=0.01) if family == "se" else _sdof()
+        got = decimated_cross_kernel(spec, grid, decimation)
+        want = kernel_eval(spec, grid[:, None], grid[::decimation])
+        assert got.shape == (1001, plan.n_samples) and got.flags.c_contiguous
+        # both sides take the lag from rounded times, each within about
+        # 2 eps max|t| of the exact grid, so they may differ by the kernel's
+        # largest slope times 8 eps max|t|: SE 1 / (l sqrt(e)), SDOF
+        # omega_n^2 / omega_d, each times k(0)
+        if family == "se":
+            slope = 1.0 / (spec.length_scale * np.sqrt(np.e))
+        else:
+            slope = spec.params.omega_n**2 / spec.params.omega_d
+        lag_error = 8.0 * np.finfo(float).eps * np.max(np.abs(grid))
+        k0 = kernel_eval(spec, 0.0, 0.0)
+        assert np.max(np.abs(got - want)) <= (1e-12 + slope * lag_error) * k0
 
 
 class TestSerialization:
