@@ -108,8 +108,8 @@ def lines_text(lines) -> str:
 
 
 def _csv_fields(column):
-    """The fields of one CSV column: a float array by one fmt_floats call, a bool
-    array as JSON writes it (true/false), any other iterable, endless ones too, by str()."""
+    """The fields of one CSV column: a float array by one fmt_floats call, any other
+    array as JSON writes it (bools as true/false), any other iterable, endless ones too, by str()."""
     if isinstance(column, np.ndarray):
         return fmt_floats(column) if column.dtype.kind == "f" else _json_leaves(column)
     return map(str, column)

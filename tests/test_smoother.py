@@ -345,11 +345,11 @@ def _lag_toeplitz(base, t):
     return scipy.linalg.toeplitz(kernel_eval(base, t - t[0], 0.0))
 
 
-def _assert_spectrum_of(spectrum, K):
+def _assert_spectrum_of(spectrum, K, slack=1.0):
     n, lam, vectors = K.shape[0], spectrum.eigenvalues, spectrum.vectors
     assert np.all(np.diff(lam) >= 0.0) and lam[0] >= 0.0
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= rounding_level(n, 1.0)
-    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= rounding_level(n, lam[-1])
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= slack * rounding_level(n, 1.0)
+    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= slack * rounding_level(n, lam[-1])
 
 
 def _no_gram(spec, t):
@@ -381,9 +381,13 @@ class TestFoldedDecomposition:
             spectrum = decompose(base, t)
         A = _lag_toeplitz(base, t)
         want = np.maximum(scipy.linalg.eigh(A, eigvals_only=True), 0.0)
-        lam = spectrum.eigenvalues
-        assert np.max(np.abs(lam - want)) <= rounding_level(t.size, want[-1])
-        _assert_spectrum_of(spectrum, A)
+        # at n <= 16 LAPACK's errors carry a constant above 1: over 40,000 such
+        # draws the fold reached 1.5 rounding levels in its eigenvalues, 1.6 n eps
+        # in U^T U - I and 1.4 levels in U diag(lambda) U^T - A, and a full eigh
+        # of A itself 2.5 n eps and 2.9 levels (LAPACK's own tests allow 30)
+        slack = 4.0
+        assert np.max(np.abs(spectrum.eigenvalues - want)) <= slack * rounding_level(t.size, want[-1])
+        _assert_spectrum_of(spectrum, A, slack)
         _assert_even_or_odd(spectrum.vectors)
 
     @pytest.mark.parametrize("base_name", sorted(_BASES))
