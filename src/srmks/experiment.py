@@ -5,8 +5,9 @@ training set is drawn, both kernel structures are searched exhaustively,
 and each structure's winner is scored by its guaranteed-risk bound and by
 the MSE between its prediction and the noise-free signal on the dense base
 grid. The per-iteration seed is base_seed + iteration index, so any single
-(plan, iteration) cell can be recomputed in isolation and reproduces its
-record exactly.
+(plan, iteration) cell can be recomputed in isolation: run_experiment on
+that plan alone, with one repetition and base_seed + iteration as its base
+seed, reproduces the cell's records exactly but for their iteration label.
 
 The study runs plan by plan. Every iteration of a plan shares its sample
 times, so each family's selections for all the iterations are one
@@ -15,7 +16,7 @@ instead of one per (plan, iteration, base kernel). The same batch refits
 each winner from that decomposition and returns its weights, which one
 dense cross-kernel matrix per (plan, winning base kernel) maps onto the
 dense grid. The sample times are every d-th point of the plan's uniform
-base grid, so kernels.decimated_cross_kernel gathers that matrix from
+base grid, so smoother.decimated_cross_kernel gathers that matrix from
 the base grid's lag column, N kernel evaluations instead of N * n. The
 study makes no Cholesky factorisation.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SrmksError, require_int
 from .ioutil import JsonRecord, csv_table, csv_text, fmt_float, json_text
-from .kernels import KernelSpec, SDOFKernel, SEKernel, decimated_cross_kernel
+from .kernels import KernelSpec, SDOFKernel, SEKernel
 from .oscillator import (
     OscillatorParams,
     SamplingPlan,
@@ -42,6 +43,7 @@ from .oscillator import (
     impulse_response,
 )
 from .risk import BoundConfig, empirical_risk
+from .smoother import decimated_cross_kernel
 from .srm import FAMILIES, GridSettings, SelectionResult, srm_select_batch
 
 __all__ = [
@@ -52,7 +54,6 @@ __all__ = [
     "CapacitySpread",
     "ExperimentError",
     "default_config",
-    "run_iteration",
     "run_experiment",
     "records_to_csv",
     "records_from_csv",
@@ -128,16 +129,6 @@ class IterationRecord:
     bound: float
     h: float
     true_mse: float
-
-
-def run_iteration(cfg: ExperimentConfig, plan: SamplingPlan, iteration: int) -> list[IterationRecord]:
-    """Run both structures for one plan and iteration; deterministic given cfg.
-
-    The plan's own seed field is replaced by the derived per-iteration seed.
-    The cell takes the same path as in run_experiment, so it reproduces the
-    study's records exactly.
-    """
-    return _run_plan(cfg, plan, [iteration])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[IterationRecord]:

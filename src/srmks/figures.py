@@ -13,7 +13,7 @@ The predictions figure regenerates its training set from the experiment
 configuration, relying on the study's per-iteration seed derivation,
 refits each of the two winning kernels alone with smoother.fit and maps
 its weights onto the plan's dense grid through
-kernels.decimated_cross_kernel, as the study does.
+smoother.decimated_cross_kernel, as the study does.
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .experiment import ExperimentConfig, IterationRecord, summarize
 from .ioutil import lines_text
-from .kernels import decimated_cross_kernel
 from .oscillator import impulse_response
-from .smoother import fit
+from .smoother import decimated_cross_kernel, fit
 from .srm import FAMILIES
 
 __all__ = ["boxplot_svg", "complexity_svg", "predictions_svg"]

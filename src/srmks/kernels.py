@@ -35,7 +35,6 @@ __all__ = [
     "KernelSpec",
     "kernel_eval",
     "gram",
-    "decimated_cross_kernel",
     "kernel_to_json_dict",
     "kernel_from_json_dict",
 ]
@@ -136,20 +135,6 @@ def gram(spec: KernelSpec, t) -> np.ndarray:
     if t.ndim != 1 or t.size == 0:
         raise InvalidInputError("inputs must be a nonempty 1-d array")
     return kernel_eval(spec, t[:, None], t[None, :])
-
-
-def decimated_cross_kernel(spec: KernelSpec, grid: np.ndarray, decimation: int) -> np.ndarray:
-    """kernel_eval(spec, grid[:, None], grid[::decimation]), gathered from one lag column.
-
-    Precondition: `grid` is uniform, as SamplingPlan.base_grid's np.linspace
-    is, so that k(grid[i] - grid[d j]) is k(grid[|i - d j|] - grid[0]) up to
-    the rounding of the times. The N evaluations of that column, a =
-    k(grid - grid[0]), replace N * n, and column j of the result is a window
-    of [a[N-1], ..., a[1], a[0], ..., a[N-1]].
-    """
-    a = kernel_eval(spec, grid - grid[0], 0.0)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([a[:0:-1], a]), grid.size)
-    return windows[grid.size - 1::-decimation].T.copy()  # window N-1-d*j holds a[|i - d*j|]
 
 
 _KERNEL_KEYS = {"se": ("sigma_f", "length_scale"), "sdof": ("sigma_f", "m", "c", "k")}

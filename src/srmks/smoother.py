@@ -45,23 +45,28 @@ winners, so a study needs no Cholesky. One kernel on one training set goes
 through fit, whose Levinson solve or Cholesky factor and triangular inverse
 cost less than one eigh with vectors.
 
-decompose folds the Gram matrix of a uniform time grid, the times that
-pass _uniform, the gate fit uses too. Every plan and every training.csv
-lies on one. There K is the symmetric Toeplitz matrix of its lag column
+This module owns the uniform-grid route: no other module gathers a
+Toeplitz matrix, solves a Toeplitz system or calls _uniform, the gate of
+Levinson and of the fold, and decompose asks that gate once for a whole
+batch of base kernels. Every plan and every training.csv lies on a
+uniform grid. There K is the symmetric Toeplitz matrix of its lag column
 a = k(t - t[0]), the n evaluations Levinson uses, and hence
 centrosymmetric, K = JKJ with J the reversal. The orthogonal change of
-basis to even and odd vectors (x; Jx)/sqrt(2) and (x; -Jx)/sqrt(2) splits
-it exactly into two blocks of orders ceil(n/2) and floor(n/2), whose
-eigenpairs together are K's (Cantoni & Butler, Linear Algebra Appl. 13,
-1976); two half-size eigh take about a quarter of the flops of one full
-one. Both blocks are gathered from a, a[|i-j|] +- a[n-1-i-j], so the
-fold forms no n x n K, and built from one column they are exact for the
-Toeplitz matrix at any t_start, where the computed times t_i - t_j carry
-rounding relative to |t|. Any other times take gram and one full eigh.
-Both paths ask LAPACK for divide and conquer (driver evd): on a clustered
-spectrum, such as a near-identity K, the default MRRR driver (evr) returns
-eigenvectors orthogonal only to about 1e-8, which moves the training MSE by
-as much; evd keeps them orthogonal to rounding.
+basis to even and odd vectors (x; Jx)/sqrt(2) and (x; -Jx)/sqrt(2)
+splits it exactly into two blocks of orders ceil(n/2) and floor(n/2),
+whose eigenpairs together are K's (Cantoni & Butler, Linear Algebra
+Appl. 13, 1976); two half-size eigh take about a quarter of the flops of
+one full one. Both blocks are gathered from a, a[|i-j|] +- a[n-1-i-j],
+so the fold forms no n x n K, and built from one column they are exact
+for the Toeplitz matrix at any t_start, where the computed times t_i -
+t_j carry rounding relative to |t|. Any other times take gram and one
+full eigh. Both paths ask LAPACK for divide and conquer (driver evd): on
+a clustered spectrum, such as a near-identity K, the default MRRR driver
+(evr) returns eigenvectors orthogonal only to about 1e-8, which moves
+the training MSE by as much; evd keeps them orthogonal to rounding. The
+winners' refit maps their weights onto a plan's dense base grid, uniform
+too, so decimated_cross_kernel gathers that cross-kernel from the grid's
+lag column: N kernel evaluations instead of N * n.
 
 fit and srm.srm_select_batch share one noise rule, require_determined_noise:
 sigma_n^2 above rounding_level(n, top) for a top >= lambda_max, n * k(0) =
@@ -70,6 +75,7 @@ At or below it the smoother interpolates, and K does not determine its edf.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +86,8 @@ from .kernels import KernelSpec, gram, kernel_eval
 from .oscillator import TrainingSet
 
 __all__ = [
-    "FittedSmoother", "Spectrum", "decompose", "fit", "predict", "require_determined_noise",
-    "rounding_level", "signal_scale_scores", "spectral_weights",
+    "FittedSmoother", "Spectrum", "decimated_cross_kernel", "decompose", "fit", "predict",
+    "require_determined_noise", "rounding_level", "signal_scale_scores", "spectral_weights",
 ]
 
 _HALF = np.sqrt(0.5)
@@ -107,20 +113,22 @@ class Spectrum:
     vectors: np.ndarray  # U, one eigenvector per column
 
 
-def decompose(base: KernelSpec, t: np.ndarray) -> Spectrum:
-    """The decomposition of base's Gram matrix over `t`, folded in two on uniform times.
+def decompose(bases: Sequence[KernelSpec], t: np.ndarray) -> list[Spectrum]:
+    """The decomposition of each base's Gram matrix over `t`, folded in two on uniform times.
 
-    On times that pass _uniform the matrix is the symmetric Toeplitz
-    toeplitz(k(t - t[0])), decomposed as two half-size eigh of its even and
-    odd blocks, and every eigenvector is exactly even or exactly odd; any
-    other times take gram(base, t) and one full eigh. Both use driver evd,
-    and the eigenvalues come ascending and clamped at zero.
+    One _uniform verdict serves every base. On times that pass it each
+    matrix is the symmetric Toeplitz toeplitz(k(t - t[0])), decomposed as
+    two half-size eigh of its even and odd blocks, and every eigenvector is
+    exactly even or exactly odd; any other times take gram(base, t) and one
+    full eigh. Both use driver evd, and the eigenvalues come ascending and
+    clamped at zero. The spectra come in the order of `bases`.
     """
     if _uniform(t):
-        lam, vectors = _folded_eigh(kernel_eval(base, t - t[0], 0.0))
+        lags = t - t[0]
+        pairs = [_folded_eigh(kernel_eval(base, lags, 0.0)) for base in bases]
     else:
-        lam, vectors = scipy.linalg.eigh(gram(base, t), driver="evd")
-    return Spectrum(np.maximum(lam, 0.0), vectors)
+        pairs = [scipy.linalg.eigh(gram(base, t), driver="evd") for base in bases]
+    return [Spectrum(np.maximum(lam, 0.0), vectors) for lam, vectors in pairs]
 
 
 def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +167,20 @@ def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors[c:] = vectors[:m][::-1]  # (x; Jx) for the even vectors, (x; -Jx) for the odd
     vectors[c:, odd_cols] *= -1.0
     return lam[order], vectors
+
+
+def decimated_cross_kernel(spec: KernelSpec, grid: np.ndarray, decimation: int) -> np.ndarray:
+    """kernel_eval(spec, grid[:, None], grid[::decimation]), gathered from one lag column.
+
+    Precondition: `grid` is uniform, as SamplingPlan.base_grid's np.linspace
+    is, so that k(grid[i] - grid[d j]) is k(grid[|i - d j|] - grid[0]) up to
+    the rounding of the times. The N evaluations of that column, a =
+    k(grid - grid[0]), replace N * n, and column j of the result is a window
+    of [a[N-1], ..., a[1], a[0], ..., a[N-1]].
+    """
+    a = kernel_eval(spec, grid - grid[0], 0.0)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([a[:0:-1], a]), grid.size)
+    return windows[grid.size - 1::-decimation].T.copy()  # window N-1-d*j holds a[|i - d*j|]
 
 
 def rounding_level(n: int, top: float) -> float:

@@ -17,7 +17,8 @@ matrix, from which each signal scale is scored in O(n) from its rho =
 sigma_f^2 / sigma_n^2. The decomposition depends on the sample times only,
 so srm_select_batch searches the repetitions of one sampling plan together:
 one decomposition per (plan, base kernel), i.e. one per length-scale for
-the SE grid and one in all for the oscillator grid, scores every
+the SE grid and one in all for the oscillator grid, all from one
+smoother.decompose call and hence one verdict on the times, scores every
 repetition at every scale as one (sets x scales) array
 (smoother.signal_scale_scores), and the bases' arrays, joined base-major,
 hold every set's candidates in grid order; srm_select, which `select`
@@ -273,7 +274,7 @@ def srm_select_batch(
     if any(grid.bases != bases or len(grid.sigma_fs) != count for grid in grids[1:]):
         raise InvalidInputError("batched grids must share base kernels and number of signal scales")
     n = datasets[0].n
-    spectra = [decompose(base, datasets[0].t) for base in bases]
+    spectra = decompose(bases, datasets[0].t)
     top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
     for r, (grid, data) in enumerate(zip(grids, datasets)):
         try:

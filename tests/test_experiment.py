@@ -17,7 +17,6 @@ from srmks.experiment import (
     records_from_csv,
     records_to_csv,
     run_experiment,
-    run_iteration,
     summarize,
 )
 from srmks.kernels import SDOFKernel, SEKernel
@@ -135,7 +134,10 @@ class TestRunExperiment:
     def test_single_cell_reproduction(self, small_cfg, small_records):
         # recomputing one (plan, iteration) in isolation reproduces its records
         plan = small_cfg.plans[2]
-        cell = run_iteration(small_cfg, plan, 1)
+        alone = replace(
+            small_cfg, plans=(plan,), repetitions=1, base_seed=small_cfg.iteration_seed(1)
+        )
+        cell = [replace(record, iteration=1) for record in run_experiment(alone)]
         matching = [
             r for r in small_records
             if r.sample_size == plan.n_samples and r.iteration == 1
@@ -183,7 +185,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment_module, "srm_select_batch", boom)
         cfg = _one_plan_config()
         with pytest.raises(ExperimentError, match=r"n=63, iteration=0, family=se"):
-            run_iteration(cfg, cfg.plans[0], 0)
+            run_experiment(cfg)
 
     def test_failure_names_the_failing_iteration(self):
         # at this snr sigma_n^2 sits rel 2.2e-6 and 2.3e-6 above the rounding

@@ -21,7 +21,10 @@ modules. The eigen-form belongs to the search: no module but ``smoother``
 and ``srm`` names ``Spectrum``, ``decompose``, ``signal_scale_scores`` or
 ``spectral_weights``, as a name, an attribute or an import. The structure
 grids have one owner: no module but ``srm`` calls ``StructureGrid``,
-``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``.
+``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``. The
+uniform-grid route has one owner: no module but ``smoother`` calls
+``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
+``_folded_eigh``, by name or attribute.
 """
 import ast
 import re
@@ -382,13 +385,13 @@ def test_only_the_search_names_the_eigen_form(path):
 _GRID_BUILDERS = {"StructureGrid", "build_se_grid", "build_sdof_grid", "_log_spaced"}
 
 
-def _grid_builder_calls(source: str) -> list[str]:
-    """Every call of a structure-grid constructor or builder, by name or attribute."""
+def _named_calls(source: str, names: set[str]) -> list[str]:
+    """Every call of a function in `names`, by name or attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in _GRID_BUILDERS:
+            if name in names:
                 found.append(f"line {node.lineno}: {name}")
     return found
 
@@ -401,11 +404,39 @@ def test_scanner_flags_a_grid_built_outside_srm():
         "result = srm_select(grid, data)\n"
         "doc = 'build_sdof_grid(params, bracket, 30)'\n"
     )
-    assert _grid_builder_calls(source) == ["line 2: build_se_grid", "line 3: StructureGrid"]
+    assert _named_calls(source, _GRID_BUILDERS) == [
+        "line 2: build_se_grid", "line 3: StructureGrid",
+    ]
 
 
 @pytest.mark.parametrize(
     "path", [p for p in SOURCES if p.name != "srm.py"], ids=lambda path: path.name
 )
 def test_only_srm_builds_structure_grids(path):
-    assert _grid_builder_calls(path.read_text()) == []
+    assert _named_calls(path.read_text(), _GRID_BUILDERS) == []
+
+
+_TOEPLITZ_ROUTE = {"sliding_window_view", "toeplitz", "solve_toeplitz", "_uniform", "_folded_eigh"}
+
+
+def test_scanner_flags_the_toeplitz_route_outside_smoother():
+    source = (
+        "from .smoother import _uniform\n"
+        "windows = np.lib.stride_tricks.sliding_window_view(a, n)\n"
+        "T = scipy.linalg.toeplitz(column)\n"
+        "w = solve_toeplitz(column, y)\n"
+        "if smoother._uniform(t): lam, U = _folded_eigh(lags)\n"
+        "doc = 'toeplitz(column)'\n"
+        "K = gram(base, t)\n"
+    )
+    assert _named_calls(source, _TOEPLITZ_ROUTE) == [
+        "line 2: sliding_window_view", "line 3: toeplitz", "line 4: solve_toeplitz",
+        "line 5: _uniform", "line 5: _folded_eigh",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "smoother.py"], ids=lambda path: path.name
+)
+def test_only_smoother_takes_the_toeplitz_route(path):
+    assert _named_calls(path.read_text(), _TOEPLITZ_ROUTE) == []

@@ -9,13 +9,13 @@ from srmks.errors import InvalidInputError
 from srmks.kernels import (
     SDOFKernel,
     SEKernel,
-    decimated_cross_kernel,
     gram,
     kernel_eval,
     kernel_from_json_dict,
     kernel_to_json_dict,
 )
 from srmks.oscillator import OscillatorParams, SamplingPlan
+from srmks.smoother import decimated_cross_kernel
 
 # dyadic rationals: exact binary fractions make shift arithmetic lossless,
 # so stationarity k(t+s, t'+s) == k(t, t') can be asserted with ==

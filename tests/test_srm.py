@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import srmks.smoother as smoother_module
 import srmks.srm as srm_module
 from oracles import edf_trace, solve_dense
 from strategies import sample_times
@@ -331,7 +332,7 @@ class TestSelection:
     def test_noise_threshold_is_the_rounding_level_of_the_scaled_spectra(self, paper_params):
         noisy = _dataset(paper_params)
         grid = GridSettings().family_grid("se", noisy, paper_params)
-        top = max(decompose(base, noisy.t).eigenvalues[-1] for base in grid.bases)
+        top = max(decompose([base], noisy.t)[0].eigenvalues[-1] for base in grid.bases)
         level = rounding_level(noisy.n, grid.sigma_fs[-1] ** 2 * top)
 
         def at(noise):
@@ -347,7 +348,7 @@ class TestSelection:
         # the level at s = 10; the order of sigma_fs must not change the verdict
         t = np.linspace(0.0, 0.3, 40)
         base = SEKernel(sigma_f=1.0, length_scale=0.05)
-        level = rounding_level(40, decompose(base, t).eigenvalues[-1])
+        level = rounding_level(40, decompose([base], t)[0].eigenvalues[-1])
         data = TrainingSet(t, np.sin(30 * t), math.sqrt(ratio * level), np.zeros(40), 0)
         for sigma_fs in [(1.0, 10.0), (10.0, 1.0)]:
             grid = StructureGrid(family="se", bases=(base,), sigma_fs=sigma_fs)
@@ -517,6 +518,21 @@ class TestBatchSelection:
         assert batch == separate
         assert [r.trace for r in batch] == [r.trace for r in separate]
         assert all(np.array_equal(b.weights, s.weights) for b, s in zip(batch, separate))
+
+    def test_one_uniform_verdict_per_batch(self, paper_params, monkeypatch):
+        # the grid's bases share their sample times, so one verdict serves all
+        data = _dataset(paper_params)
+        grid = GridSettings().family_grid("se", data, paper_params)
+        assert len(grid.bases) == 30
+        calls, uniform = [], smoother_module._uniform
+
+        def counted(t):
+            calls.append(t.size)
+            return uniform(t)
+
+        monkeypatch.setattr(smoother_module, "_uniform", counted)
+        srm_select(grid, data)
+        assert calls == [data.n]
 
     def test_rejects_sets_with_different_sample_times(self, paper_params):
         first = _dataset(paper_params, decimation=16, seed=0)
