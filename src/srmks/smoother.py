@@ -43,7 +43,7 @@ one Spectrum per (plan, base kernel), which only srm's search holds, scores
 every repetition at every rho in one array computation and refits the
 winners, so a study needs no Cholesky. One kernel on one training set goes
 through fit, whose Levinson solve or Cholesky factor and triangular inverse
-cost less than one eigh with vectors.
+cost less than one eigendecomposition with vectors.
 
 This module owns the uniform-grid route: no other module gathers a
 Toeplitz matrix, solves a Toeplitz system or calls _uniform, the gate of
@@ -53,20 +53,42 @@ uniform grid. There K is the symmetric Toeplitz matrix of its lag column
 a = k(t - t[0]), the n evaluations Levinson uses, and hence
 centrosymmetric, K = JKJ with J the reversal. The orthogonal change of
 basis to even and odd vectors (x; Jx)/sqrt(2) and (x; -Jx)/sqrt(2)
-splits it exactly into two blocks of orders ceil(n/2) and floor(n/2),
-whose eigenpairs together are K's (Cantoni & Butler, Linear Algebra
-Appl. 13, 1976); two half-size eigh take about a quarter of the flops of
-one full one. Both blocks are gathered from a, a[|i-j|] +- a[n-1-i-j],
-so the fold forms no n x n K, and built from one column they are exact
-for the Toeplitz matrix at any t_start, where the computed times t_i -
-t_j carry rounding relative to |t|. Any other times take gram and one
-full eigh. Both paths ask LAPACK for divide and conquer (driver evd): on
-a clustered spectrum, such as a near-identity K, the default MRRR driver
-(evr) returns eigenvectors orthogonal only to about 1e-8, which moves
-the training MSE by as much; evd keeps them orthogonal to rounding. The
-winners' refit maps their weights onto a plan's dense base grid, uniform
-too, so decimated_cross_kernel gathers that cross-kernel from the grid's
-lag column: N kernel evaluations instead of N * n.
+splits it exactly into two blocks of orders c = ceil(n/2) and m =
+floor(n/2), whose eigenpairs together are K's (Cantoni & Butler, Linear
+Algebra Appl. 13, 1976); two half-size decompositions take about a
+quarter of the flops of one full one. Both blocks are gathered from a,
+a[|i-j|] +- a[n-1-i-j], so the fold forms no n x n K, and built from one
+column they are exact for the Toeplitz matrix at any t_start, where the
+computed times t_i - t_j carry rounding relative to |t|. Any other times
+take gram and one full decomposition.
+
+U itself is never formed: a Spectrum keeps the blocks' eigenvectors, V+
+(c x c) and V- (m x m) on uniform times and one n x n block on others,
+and applies U through them. U^T y is V+^T fold+(y) and V-^T fold-(y), with
+fold+(y)_i = sqrt(1/2) (y_i + y_{n-1-i}) (plus the middle y for odd n)
+and fold-(y)_i = sqrt(1/2) (y_i - y_{n-1-i}); U s unfolds V+ s+ and V- s-
+the same way. The held spectra thus take bases x (c^2 + m^2) floats, half
+of bases x n^2. z stays one matrix-vector product per set and block, not
+one matrix product over the stacked sets: BLAS may sum a column of a
+matrix product in an order that depends on how many columns come with it,
+and a set's scores must not depend on the sets searched beside it.
+
+Every block goes straight to LAPACK's dsyevd, the divide-and-conquer
+solver that eigh(driver="evd") wraps, with its workspace queried once per
+block per decompose call; the checks that wrapper made are explicit
+here (a non-finite kernel matrix or a nonzero info raises
+SingularSystemError). On a clustered spectrum, such as a near-identity K,
+the MRRR solver (evr) returns eigenvectors orthogonal only to about 1e-8,
+which moves the training MSE by as much; divide and conquer keeps them
+orthogonal to rounding. dsyevd reduces a block to tridiagonal form,
+solves that, and multiplies the Householder reflectors back into the
+eigenvectors. Keeping the reflectors instead and applying them to y
+(dormqr) skips that back-transformation but makes each column's result
+depend on how many columns are applied at once, the very dependence z
+must not have, and it did not speed up the study. The winners' refit
+maps their weights onto a plan's dense base grid, uniform too, so
+decimated_cross_kernel gathers that cross-kernel from the grid's lag
+column: N kernel evaluations instead of N * n.
 
 fit and srm.srm_select_batch share one noise rule, require_determined_noise:
 sigma_n^2 above rounding_level(n, top) for a top >= lambda_max, n * k(0) =
@@ -107,32 +129,106 @@ class FittedSmoother:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix."""
+    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix, U kept as blocks.
 
-    eigenvalues: np.ndarray  # ascending, clamped at zero
-    vectors: np.ndarray  # U, one eigenvector per column
+    `blocks` holds the eigenvectors, one per column: (V+, V-), the even
+    and odd blocks of the fold, on uniform times, and (U,) on any others.
+    `eigenvalues` follows the blocks' columns: ascending within each block,
+    clamped at zero. project and expand apply U^T and U without forming U.
+    """
+
+    eigenvalues: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """z = U^T y of every row of `y` (n, or sets x n), in eigenvalue order.
+
+        One matrix-vector product per set and block, so a set's z has the
+        same bits whichever sets are stacked with it.
+        """
+        parts = _fold(y) if len(self.blocks) == 2 else (y,)
+        return np.concatenate(
+            [(v.T @ part[..., None])[..., 0] for v, part in zip(self.blocks, parts)], axis=-1
+        )
+
+    def expand(self, s: np.ndarray) -> np.ndarray:
+        """U s for coefficients `s` in eigenvalue order, n or n x k."""
+        if len(self.blocks) == 1:
+            return self.blocks[0] @ s
+        even, odd = self.blocks
+        p, q = even @ s[:even.shape[0]], odd @ s[even.shape[0]:]
+        m = q.shape[0]
+        # (x; Jx)/sqrt(2) for the even part, (x; -Jx)/sqrt(2) for the odd; the middle is even's
+        return np.concatenate([_HALF * (p[:m] + q), p[m:], (_HALF * (p[:m] - q))[::-1]])
+
+
+def _fold(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fold+(y), fold-(y)) along the last axis: the even and odd coordinates of y."""
+    m = y.shape[-1] // 2
+    head, mirror = y[..., :m], y[..., ::-1][..., :m]
+    even = np.concatenate([_HALF * (head + mirror), y[..., m:y.shape[-1] - m]], axis=-1)
+    return even, _HALF * (head - mirror)
 
 
 def decompose(bases: Sequence[KernelSpec], t: np.ndarray) -> list[Spectrum]:
-    """The decomposition of each base's Gram matrix over `t`, folded in two on uniform times.
+    """The Spectrum of each base's Gram matrix over `t`, folded in two on uniform times.
 
     One _uniform verdict serves every base. On times that pass it each
     matrix is the symmetric Toeplitz toeplitz(k(t - t[0])), decomposed as
-    two half-size eigh of its even and odd blocks, and every eigenvector is
-    exactly even or exactly odd; any other times take gram(base, t) and one
-    full eigh. Both use driver evd, and the eigenvalues come ascending and
-    clamped at zero. The spectra come in the order of `bases`.
+    its even and odd blocks (_fold_blocks); any other times take gram(base,
+    t) whole. Every block goes to LAPACK's dsyevd, whose workspace is
+    queried once per block. The spectra come in the order of `bases`.
+    Raises SingularSystemError for a non-finite kernel matrix or a failed
+    decomposition.
     """
+    n = t.size
     if _uniform(t):
         lags = t - t[0]
-        pairs = [_folded_eigh(kernel_eval(base, lags, 0.0)) for base in bases]
+        solvers = (_eigensolver(n - n // 2), _eigensolver(n // 2))
+        blocks = (_fold_blocks(_finite_kernel(kernel_eval(base, lags, 0.0), n)) for base in bases)
     else:
-        pairs = [scipy.linalg.eigh(gram(base, t), driver="evd") for base in bases]
-    return [Spectrum(np.maximum(lam, 0.0), vectors) for lam, vectors in pairs]
+        solvers = (_eigensolver(n),)
+        blocks = ((_finite_kernel(gram(base, t), n),) for base in bases)
+    spectra = []
+    for matrices in blocks:
+        # symmetric, so their transposes are the Fortran layout LAPACK overwrites in place
+        lams, vectors = zip(*(solve(matrix.T) for solve, matrix in zip(solvers, matrices)))
+        spectra.append(Spectrum(np.maximum(np.concatenate(lams), 0.0), vectors))
+    return spectra
 
 
-def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, U) of the symmetric Toeplitz matrix with first column `lags`.
+def _finite_kernel(values: np.ndarray, n: int) -> np.ndarray:
+    """`values`, a lag column or the Gram matrix of n times, if every entry is finite."""
+    if not np.all(np.isfinite(values)):
+        raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
+    return values
+
+
+def _eigensolver(order: int):
+    """A dsyevd solver of symmetric `order` x `order` Fortran-order matrices, which it overwrites.
+
+    The workspace is queried here, once; the solver returns (ascending
+    eigenvalues, eigenvectors) from the lower triangle and raises
+    SingularSystemError on a nonzero info.
+    """
+    work, iwork, _ = scipy.linalg.lapack.dsyevd_lwork(order, compute_v=1, lower=1)
+    lwork = int(work)
+
+    def solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lam, vectors, info = scipy.linalg.lapack.dsyevd(
+            matrix, compute_v=1, lower=1, lwork=lwork, liwork=iwork, overwrite_a=1
+        )
+        if info != 0:
+            raise SingularSystemError(
+                f"the {order}x{order} eigendecomposition did not converge (dsyevd info {info})"
+            )
+        return lam, vectors
+
+    return solve
+
+
+def _fold_blocks(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd) blocks of the symmetric Toeplitz matrix with first column `lags`.
 
     With a = lags, m = n // 2 and c = n - m, the orthogonal basis (x;
     Jx)/sqrt(2), (x; -Jx)/sqrt(2) (plus the unit middle vector for odd n)
@@ -140,9 +236,8 @@ def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j < c, whose middle row and column are scaled by sqrt(1/2) for odd
     n, and the odd block a[|i-j|] - a[n-1-i-j], i, j < m (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976). The blocks are gathered from a, so no
-    n x n matrix is formed before U, and go to eigh as their transposes:
-    they are symmetric, and in that Fortran layout LAPACK overwrites them
-    instead of a copy.
+    n x n matrix is formed; Spectrum.project and Spectrum.expand apply the
+    basis change to vectors.
     """
     n = lags.size
     m, c = n // 2, n - n // 2
@@ -154,19 +249,7 @@ def _folded_eigh(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         even[m] *= _HALF
         even[:, m] *= _HALF
         even[m, m] = lags[0]  # 2 a_0 / 2, without the rounding of two scalings
-    lam_even, v = scipy.linalg.eigh(even.T, driver="evd", overwrite_a=True)
-    lam_odd, w = scipy.linalg.eigh(odd.T, driver="evd", overwrite_a=True)
-    lam = np.concatenate([lam_even, lam_odd])
-    order = np.argsort(lam, kind="stable")
-    # where each block eigenvector lands in sorted U (stable: an int quicksort pages in 0.25 MB)
-    even_cols, odd_cols = np.split(np.argsort(order, kind="stable"), [c])
-    vectors = np.zeros((n, n), order="F")  # the layout eigh returns
-    vectors[:c, even_cols] = v
-    vectors[:m, odd_cols] = w
-    vectors[:m] *= _HALF
-    vectors[c:] = vectors[:m][::-1]  # (x; Jx) for the even vectors, (x; -Jx) for the odd
-    vectors[c:, odd_cols] *= -1.0
-    return lam[order], vectors
+    return even, odd
 
 
 def decimated_cross_kernel(spec: KernelSpec, grid: np.ndarray, decimation: int) -> np.ndarray:
@@ -249,9 +332,7 @@ def _levinson_fit(spec, t, y, noise):
     times, and its worst edf error was 3.2e-2 against Cholesky's 1.8e-2.
     """
     n = t.size
-    column = kernel_eval(spec, t - t[0], 0.0)
-    if not np.all(np.isfinite(column)):
-        raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
+    column = _finite_kernel(kernel_eval(spec, t - t[0], 0.0), n)
     system = column.copy()
     system[0] += noise
     rhs = np.zeros((n, 2))
@@ -273,9 +354,7 @@ def _levinson_fit(spec, t, y, noise):
 def _cholesky_fit(spec, t, y, noise):
     """(weights, fitted, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
     n = t.size
-    K = gram(spec, t)
-    if not np.all(np.isfinite(K)):
-        raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
+    K = _finite_kernel(gram(spec, t), n)
     try:
         factor = scipy.linalg.cholesky(K + noise * np.eye(n), lower=True)
         weights = scipy.linalg.cho_solve((factor, True), y)
@@ -316,9 +395,8 @@ def signal_scale_scores(
     spectrum's sample times, with its noise variance above the rounding
     level, as srm.srm_select_batch checks.
     """
-    lam, vectors = spectrum.eigenvalues, spectrum.vectors
-    # stacked, one matrix-vector product per set: bit-identical to U^T y of one set
-    z2 = (vectors.T @ y[:, :, None])[:, :, 0] ** 2
+    lam = spectrum.eigenvalues
+    z2 = spectrum.project(y) ** 2
     g = rho[:, :, None] * lam
     r = 1.0 / (g + 1.0)
     mse = np.sum(r**2 * z2[:, None, :], axis=-1) / y.shape[1]
@@ -331,8 +409,7 @@ def spectral_weights(spectrum: Spectrum, rho: float, y: np.ndarray) -> np.ndarra
     Fit to `y` at sigma_f^2 / sigma_n^2 = rho, the smoother predicts kernel_eval(base,
     t*, t) @ v, with base the spectrum's kernel and t the times it was decomposed over.
     """
-    vectors = spectrum.vectors
-    return vectors @ (rho * (vectors.T @ y) / (rho * spectrum.eigenvalues + 1.0))
+    return spectrum.expand(rho * spectrum.project(y) / (rho * spectrum.eigenvalues + 1.0))
 
 
 def predict(model: FittedSmoother, t_star):

@@ -25,8 +25,10 @@ hold every set's candidates in grid order; srm_select, which `select`
 calls, is the batch of one. Each set's bounds are one risk.vc_bounds call,
 kept as arrays, from which the trace files are written a column at a time:
 only the winner becomes a kernel spec, a RiskReport and refit weights. No
-decomposition outlives its batch of bases x n^2 floats of eigenvectors
-(15.6 MB for 31 bases at n = 251, 248 MB at n = 1001). The winner
+decomposition outlives its batch, which holds bases x (c^2 + m^2) floats of
+eigenvectors on a uniform grid, c = ceil(n/2) and m = floor(n/2), the
+blocks of the fold (7.8 MB for 31 bases at n = 251, 124 MB at n = 1001,
+half of bases x n^2), and bases x n^2 on other times. The winner
 minimises the bound; ties go to the smaller capacity (the simplest
 adequate element), then to grid order. If every candidate clips to
 +infinity the selection still returns the smallest-capacity candidate,
@@ -275,7 +277,7 @@ def srm_select_batch(
         raise InvalidInputError("batched grids must share base kernels and number of signal scales")
     n = datasets[0].n
     spectra = decompose(bases, datasets[0].t)
-    top = float(max(spectrum.eigenvalues[-1] for spectrum in spectra))
+    top = float(max(spectrum.eigenvalues.max() for spectrum in spectra))
     for r, (grid, data) in enumerate(zip(grids, datasets)):
         try:
             require_determined_noise(data.sigma_n, n, max(grid.sigma_fs) ** 2 * top)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import srmks.cli as cli_module
+import srmks.smoother as smoother_module
 from srmks.cli import main
 from srmks.errors import SingularSystemError
 from srmks.experiment import ExperimentConfig, records_from_csv
@@ -715,6 +716,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "cmd_simulate", boom)
         assert main(["simulate", "--out", str(tmp_path / "s")]) == 4
         assert "synthetic numeric failure" in capsys.readouterr().err
+
+    def test_non_finite_kernel_column_maps_to_four(self, sim_dir, tmp_path, monkeypatch, capsys):
+        # a lag column that overflows must stop before LAPACK, whose wrapper
+        # raised a plain ValueError on it, with the numeric-failure code
+        def overflowing(spec, t, t_prime):
+            return np.full(np.broadcast(t, t_prime).shape, np.inf)
+
+        monkeypatch.setattr(smoother_module, "kernel_eval", overflowing)
+        assert main(["select", "--data", str(sim_dir), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: the 63x63 Gram matrix has non-finite entries\n"
 
     def test_memory_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
         def boom(args):

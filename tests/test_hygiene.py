@@ -24,7 +24,7 @@ grids have one owner: no module but ``srm`` calls ``StructureGrid``,
 ``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``. The
 uniform-grid route has one owner: no module but ``smoother`` calls
 ``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
-``_folded_eigh``, by name or attribute.
+``_fold_blocks``, by name or attribute.
 """
 import ast
 import re
@@ -416,7 +416,7 @@ def test_only_srm_builds_structure_grids(path):
     assert _named_calls(path.read_text(), _GRID_BUILDERS) == []
 
 
-_TOEPLITZ_ROUTE = {"sliding_window_view", "toeplitz", "solve_toeplitz", "_uniform", "_folded_eigh"}
+_TOEPLITZ_ROUTE = {"sliding_window_view", "toeplitz", "solve_toeplitz", "_uniform", "_fold_blocks"}
 
 
 def test_scanner_flags_the_toeplitz_route_outside_smoother():
@@ -425,13 +425,13 @@ def test_scanner_flags_the_toeplitz_route_outside_smoother():
         "windows = np.lib.stride_tricks.sliding_window_view(a, n)\n"
         "T = scipy.linalg.toeplitz(column)\n"
         "w = solve_toeplitz(column, y)\n"
-        "if smoother._uniform(t): lam, U = _folded_eigh(lags)\n"
+        "if smoother._uniform(t): even, odd = _fold_blocks(lags)\n"
         "doc = 'toeplitz(column)'\n"
         "K = gram(base, t)\n"
     )
     assert _named_calls(source, _TOEPLITZ_ROUTE) == [
         "line 2: sliding_window_view", "line 3: toeplitz", "line 4: solve_toeplitz",
-        "line 5: _uniform", "line 5: _folded_eigh",
+        "line 5: _uniform", "line 5: _fold_blocks",
     ]
 
 

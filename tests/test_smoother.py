@@ -17,6 +17,7 @@ from srmks import smoother
 from srmks.smoother import decompose, fit, predict, rounding_level, spectral_weights
 
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
+_EPS = np.finfo(float).eps
 
 
 def _random_instance(rng, n_max=8):
@@ -286,12 +287,24 @@ def _spectral_refits(draw):
     return t, cells
 
 
+# SE l = 0.005859375 on six uniform times with y = e_6: the curve peaks at
+# 1.8e-11 while cross-kernel entries of 0.4 meet weights of 0.8, so the
+# weights' rounding moves it by 3e-16, far above rel 1e-9 of the curve
+_TINY_CURVE_T = 0.296875 + 0.048828125 * np.arange(6)
+_TINY_CURVE = (_TINY_CURVE_T, [(SEKernel(1.0, 0.005859375), 1.0, TrainingSet(
+    t=_TINY_CURVE_T, y=np.eye(6)[5], sigma_n=0.5, true_h=np.zeros(6), seed=0,
+))])
+
+
 class TestSpectralRefit:
     @settings(max_examples=200, deadline=None)
     @given(_spectral_refits())
+    @example(_TINY_CURVE)
     def test_matches_dense_solve(self, problem):
         # the eigen-form prediction against (s^2 K_0 + sigma_n^2 I) w = y
-        # solved by Gaussian elimination, with one decomposition per base
+        # solved by Gaussian elimination, with one decomposition per base;
+        # rel 1e-9 of the curve plus the rounding of the weights, n eps max|w|,
+        # carried through each row of the cross-kernel
         t, cells = problem
         t_star = np.linspace(-0.05, 0.5, 37)
         spectra = {base: decompose([base], t)[0] for base, _, _ in cells}
@@ -300,8 +313,52 @@ class TestSpectralRefit:
             got = cross @ spectral_weights(spectra[base], (sigma_f / data.sigma_n) ** 2, data.y)
             scale = sigma_f**2
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
-            want = (scale * cross) @ np.array(solve_dense(A.tolist(), data.y.tolist()))
-            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+            weights = np.array(solve_dense(A.tolist(), data.y.tolist()))
+            want = (scale * cross) @ weights
+            carried = t.size * _EPS * np.max(np.sum(np.abs(scale * cross), axis=1))
+            assert np.max(np.abs(got - want)) <= (
+                1e-9 * np.max(np.abs(want)) + carried * np.max(np.abs(weights))
+            )
+
+
+@st.composite
+def _stacked_targets(draw):
+    """An SE or SDOF base on any sample times, n = 1 to 10, with 1-4 target rows."""
+    t = draw(sample_times(1))
+    se = SEKernel(1.0, draw(st.floats(0.005, 0.2)))
+    base = draw(st.sampled_from([se, SDOFKernel(1.0, _PAPER)]))
+    rows = st.lists(_TARGETS, min_size=t.size, max_size=t.size)
+    return base, t, np.array(draw(st.lists(rows, min_size=1, max_size=4)))
+
+
+class TestSpectrumBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(_stacked_targets())
+    def test_project_and_expand_match_a_dense_eigh(self, problem):
+        base, t, y = problem
+        n = t.size
+        spectrum = decompose([base], t)[0]
+        folded = smoother._uniform(t)
+        assert [v.shape[0] for v in spectrum.blocks] == ([n - n // 2, n // 2] if folded else [n])
+        K = _lag_toeplitz(base, t) if folded else gram(base, t)
+        # the oracle is QR iteration (dsyev): MRRR's vectors lose orthogonality
+        # on the near-identity K of short length-scales, 48 rounding levels below
+        lam, vectors = scipy.linalg.eigh(K, driver="ev")
+        slack = 4.0  # the fold's property test's allowance at n <= 16
+        top = lam[-1]
+        got = np.sort(spectrum.eigenvalues)
+        assert np.max(np.abs(got - np.maximum(lam, 0.0))) <= slack * rounding_level(n, top)
+        _assert_spectrum_of(spectrum, K, slack)
+        z = spectrum.project(y)
+        # every set's z has the same bits alone as stacked with the others
+        assert all(np.array_equal(z[r], spectrum.project(y[r])) for r in range(len(y)))
+        # U (z / (lambda + mu)) = (K + mu I)^-1 y, whatever basis each side picked for
+        # its eigenvectors; over 10,000 draws the oracle reached 1.5 rounding levels
+        mu = top
+        solved = np.array([spectrum.expand(row / (spectrum.eigenvalues + mu)) for row in z])
+        want = (y @ vectors / (np.maximum(lam, 0.0) + mu)) @ vectors.T
+        level = rounding_level(n, np.max(np.abs(y)) / mu)
+        assert np.max(np.abs(solved - want)) <= slack * level
 
 
 def _plan_times() -> dict[str, np.ndarray]:
@@ -328,15 +385,15 @@ _BASES = {
 }
 
 
-def _decompose_counting_eigh(monkeypatch, base, t):
-    """decompose(base, t) and the order of each eigh it made."""
-    sizes, eigh = [], scipy.linalg.eigh
+def _decompose_counting_dsyevd(monkeypatch, base, t):
+    """decompose(base, t) and the order of each LAPACK dsyevd it made."""
+    sizes, dsyevd = [], scipy.linalg.lapack.dsyevd
 
     def counted(a, *args, **kwargs):
         sizes.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+        return dsyevd(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", counted)
     return decompose([base], t)[0], sizes
 
 
@@ -345,11 +402,18 @@ def _lag_toeplitz(base, t):
     return scipy.linalg.toeplitz(kernel_eval(base, t - t[0], 0.0))
 
 
+def _vectors(spectrum):
+    """U, built through the spectrum's own expand."""
+    return spectrum.expand(np.eye(spectrum.eigenvalues.size))
+
+
 def _assert_spectrum_of(spectrum, K, slack=1.0):
-    n, lam, vectors = K.shape[0], spectrum.eigenvalues, spectrum.vectors
-    assert np.all(np.diff(lam) >= 0.0) and lam[0] >= 0.0
+    n, lam, vectors = K.shape[0], spectrum.eigenvalues, _vectors(spectrum)
+    assert lam.min() >= 0.0
+    blocks = np.split(lam, [spectrum.blocks[0].shape[0]])
+    assert all(np.all(np.diff(block) >= 0.0) for block in blocks)
     assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= slack * rounding_level(n, 1.0)
-    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= slack * rounding_level(n, lam[-1])
+    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= slack * rounding_level(n, lam.max())
 
 
 def _no_gram(spec, t):
@@ -386,9 +450,10 @@ class TestFoldedDecomposition:
         # in U^T U - I and 1.4 levels in U diag(lambda) U^T - A, and a full eigh
         # of A itself 2.5 n eps and 2.9 levels (LAPACK's own tests allow 30)
         slack = 4.0
-        assert np.max(np.abs(spectrum.eigenvalues - want)) <= slack * rounding_level(t.size, want[-1])
+        got = np.sort(spectrum.eigenvalues)
+        assert np.max(np.abs(got - want)) <= slack * rounding_level(t.size, want[-1])
         _assert_spectrum_of(spectrum, A, slack)
-        _assert_even_or_odd(spectrum.vectors)
+        _assert_even_or_odd(_vectors(spectrum))
 
     @pytest.mark.parametrize("base_name", sorted(_BASES))
     @pytest.mark.parametrize("plan_name", sorted(_PLAN_TIMES))
@@ -397,9 +462,9 @@ class TestFoldedDecomposition:
         n = t.size
         base = _BASES[base_name](t)
         monkeypatch.setattr(smoother, "gram", _no_gram)
-        spectrum, sizes = _decompose_counting_eigh(monkeypatch, base, t)
+        spectrum, sizes = _decompose_counting_dsyevd(monkeypatch, base, t)
         assert sizes == [n - n // 2, n // 2]
-        _assert_even_or_odd(spectrum.vectors)
+        _assert_even_or_odd(_vectors(spectrum))
         _assert_spectrum_of(spectrum, _lag_toeplitz(base, t))
 
     @pytest.mark.parametrize("base_name", sorted(_BASES))
@@ -407,12 +472,10 @@ class TestFoldedDecomposition:
         t = _PLAN_TIMES["plan63"].copy()
         t[20] *= 1.0 + 1e-6
         base = _BASES[base_name](t)
-        spectrum, sizes = _decompose_counting_eigh(monkeypatch, base, t)
+        spectrum, sizes = _decompose_counting_dsyevd(monkeypatch, base, t)
         assert sizes == [63]
         _assert_spectrum_of(spectrum, gram(base, t))
 
-
-_EPS = np.finfo(float).eps
 
 
 def _edf_tolerance(lam: np.ndarray, noise: float) -> float:

@@ -332,7 +332,7 @@ class TestSelection:
     def test_noise_threshold_is_the_rounding_level_of_the_scaled_spectra(self, paper_params):
         noisy = _dataset(paper_params)
         grid = GridSettings().family_grid("se", noisy, paper_params)
-        top = max(decompose([base], noisy.t)[0].eigenvalues[-1] for base in grid.bases)
+        top = max(decompose([base], noisy.t)[0].eigenvalues.max() for base in grid.bases)
         level = rounding_level(noisy.n, grid.sigma_fs[-1] ** 2 * top)
 
         def at(noise):
@@ -348,7 +348,7 @@ class TestSelection:
         # the level at s = 10; the order of sigma_fs must not change the verdict
         t = np.linspace(0.0, 0.3, 40)
         base = SEKernel(sigma_f=1.0, length_scale=0.05)
-        level = rounding_level(40, decompose([base], t)[0].eigenvalues[-1])
+        level = rounding_level(40, decompose([base], t)[0].eigenvalues.max())
         data = TrainingSet(t, np.sin(30 * t), math.sqrt(ratio * level), np.zeros(40), 0)
         for sigma_fs in [(1.0, 10.0), (10.0, 1.0)]:
             grid = StructureGrid(family="se", bases=(base,), sigma_fs=sigma_fs)
