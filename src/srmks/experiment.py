@@ -44,7 +44,7 @@ from .oscillator import (
 )
 from .risk import BoundConfig, empirical_risk
 from .smoother import decimated_cross_kernel
-from .srm import FAMILIES, GridSettings, SelectionResult, srm_select_batch
+from .srm import FAMILIES, GridSettings, SelectionResult, require_se_sample_count, srm_select_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -72,6 +72,12 @@ class ExperimentError(SrmksError):
 
 @dataclass(frozen=True)
 class ExperimentConfig(JsonRecord):
+    """The study's settings; every plan keeps at least three samples for the SE grid.
+
+    Repetition i draws its noise at seed base_seed + i, so a plan's own `seed` is
+    never read, only round-tripped; `experiment --seed` sets base_seed alone.
+    """
+
     params: OscillatorParams = field(metadata={"key": "oscillator"})
     plans: tuple[SamplingPlan, ...]
     repetitions: int
@@ -88,6 +94,7 @@ class ExperimentConfig(JsonRecord):
         if len(set(sizes)) < len(sizes):
             # records, summaries and figures are keyed by n alone
             raise InvalidInputError(f"sampling plans must differ in n_samples, got {sizes}")
+        require_se_sample_count(min(sizes))  # the study searches SE on every plan
         if not all(math.isfinite(plan.snr) for plan in self.plans):
             raise InvalidInputError(
                 "every sampling plan needs a finite snr: the study's SRM needs noisy data"

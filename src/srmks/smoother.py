@@ -74,21 +74,21 @@ matrix product in an order that depends on how many columns come with it,
 and a set's scores must not depend on the sets searched beside it.
 
 Every block goes straight to LAPACK's dsyevd, the divide-and-conquer
-solver that eigh(driver="evd") wraps, with its workspace queried once per
-block per decompose call; the checks that wrapper made are explicit
-here (a non-finite kernel matrix or a nonzero info raises
-SingularSystemError). On a clustered spectrum, such as a near-identity K,
-the MRRR solver (evr) returns eigenvectors orthogonal only to about 1e-8,
-which moves the training MSE by as much; divide and conquer keeps them
-orthogonal to rounding. dsyevd reduces a block to tridiagonal form,
-solves that, and multiplies the Householder reflectors back into the
-eigenvectors. Keeping the reflectors instead and applying them to y
-(dormqr) skips that back-transformation but makes each column's result
-depend on how many columns are applied at once, the very dependence z
-must not have, and it did not speed up the study. The winners' refit
-maps their weights onto a plan's dense base grid, uniform too, so
-decimated_cross_kernel gathers that cross-kernel from the grid's lag
-column: N kernel evaluations instead of N * n.
+solver that eigh(driver="evd") wraps, in one call (_eigh) with the
+wrapper's default workspace, LAPACK's documented minimum; the checks that
+eigh made are explicit here (a non-finite kernel matrix or a nonzero info
+raises SingularSystemError). On a clustered spectrum, such as a
+near-identity K, the MRRR solver (evr) returns eigenvectors orthogonal
+only to about 1e-8, which moves the training MSE by as much; divide and
+conquer keeps them orthogonal to rounding. dsyevd reduces a block to
+tridiagonal form, solves that, and multiplies the Householder reflectors
+back into the eigenvectors. Keeping the reflectors instead and applying
+them to y (dormqr) skips that back-transformation but makes each column's
+result depend on how many columns are applied at once, the very
+dependence z must not have, and it did not speed up the study. The
+winners' refit maps their weights onto a plan's dense base grid, uniform
+too, so decimated_cross_kernel gathers that cross-kernel from the grid's
+lag column: N kernel evaluations instead of N * n.
 
 fit and srm.srm_select_batch share one noise rule, require_determined_noise:
 sigma_n^2 above rounding_level(n, top) for a top >= lambda_max, n * k(0) =
@@ -176,55 +176,41 @@ def decompose(bases: Sequence[KernelSpec], t: np.ndarray) -> list[Spectrum]:
     One _uniform verdict serves every base. On times that pass it each
     matrix is the symmetric Toeplitz toeplitz(k(t - t[0])), decomposed as
     its even and odd blocks (_fold_blocks); any other times take gram(base,
-    t) whole. Every block goes to LAPACK's dsyevd, whose workspace is
-    queried once per block. The spectra come in the order of `bases`.
-    Raises SingularSystemError for a non-finite kernel matrix or a failed
-    decomposition.
+    t) whole. Every block goes to _eigh. The spectra come in the order of
+    `bases`. Raises SingularSystemError for a non-finite kernel matrix or a
+    failed decomposition.
     """
-    n = t.size
     if _uniform(t):
         lags = t - t[0]
-        solvers = (_eigensolver(n - n // 2), _eigensolver(n // 2))
-        blocks = (_fold_blocks(_finite_kernel(kernel_eval(base, lags, 0.0), n)) for base in bases)
+        blocks = (_fold_blocks(_finite_kernel(kernel_eval(base, lags, 0.0))) for base in bases)
     else:
-        solvers = (_eigensolver(n),)
-        blocks = ((_finite_kernel(gram(base, t), n),) for base in bases)
-    spectra = []
-    for matrices in blocks:
-        # symmetric, so their transposes are the Fortran layout LAPACK overwrites in place
-        lams, vectors = zip(*(solve(matrix.T) for solve, matrix in zip(solvers, matrices)))
-        spectra.append(Spectrum(np.maximum(np.concatenate(lams), 0.0), vectors))
-    return spectra
+        blocks = ((_finite_kernel(gram(base, t)),) for base in bases)
+    pairs = (zip(*map(_eigh, matrices)) for matrices in blocks)
+    return [Spectrum(np.maximum(np.concatenate(lams), 0.0), vectors) for lams, vectors in pairs]
 
 
-def _finite_kernel(values: np.ndarray, n: int) -> np.ndarray:
-    """`values`, a lag column or the Gram matrix of n times, if every entry is finite."""
+def _finite_kernel(values: np.ndarray) -> np.ndarray:
+    """`values`, a lag column or a Gram matrix, if every entry is finite."""
     if not np.all(np.isfinite(values)):
+        n = values.shape[0]
         raise SingularSystemError(f"the {n}x{n} Gram matrix has non-finite entries")
     return values
 
 
-def _eigensolver(order: int):
-    """A dsyevd solver of symmetric `order` x `order` Fortran-order matrices, which it overwrites.
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, eigenvectors) of the symmetric `matrix`, which it overwrites.
 
-    The workspace is queried here, once; the solver returns (ascending
-    eigenvalues, eigenvectors) from the lower triangle and raises
-    SingularSystemError on a nonzero info.
+    One dsyevd call on matrix.T, the Fortran layout of the same symmetric
+    matrix, so LAPACK works in place; raises SingularSystemError on a
+    nonzero info.
     """
-    work, iwork, _ = scipy.linalg.lapack.dsyevd_lwork(order, compute_v=1, lower=1)
-    lwork = int(work)
-
-    def solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam, vectors, info = scipy.linalg.lapack.dsyevd(
-            matrix, compute_v=1, lower=1, lwork=lwork, liwork=iwork, overwrite_a=1
+    lam, vectors, info = scipy.linalg.lapack.dsyevd(matrix.T, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        n = matrix.shape[0]
+        raise SingularSystemError(
+            f"the {n}x{n} eigendecomposition did not converge (dsyevd info {info})"
         )
-        if info != 0:
-            raise SingularSystemError(
-                f"the {order}x{order} eigendecomposition did not converge (dsyevd info {info})"
-            )
-        return lam, vectors
-
-    return solve
+    return lam, vectors
 
 
 def _fold_blocks(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +318,7 @@ def _levinson_fit(spec, t, y, noise):
     times, and its worst edf error was 3.2e-2 against Cholesky's 1.8e-2.
     """
     n = t.size
-    column = _finite_kernel(kernel_eval(spec, t - t[0], 0.0), n)
+    column = _finite_kernel(kernel_eval(spec, t - t[0], 0.0))
     system = column.copy()
     system[0] += noise
     rhs = np.zeros((n, 2))
@@ -354,7 +340,7 @@ def _levinson_fit(spec, t, y, noise):
 def _cholesky_fit(spec, t, y, noise):
     """(weights, fitted, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
     n = t.size
-    K = _finite_kernel(gram(spec, t), n)
+    K = _finite_kernel(gram(spec, t))
     try:
         factor = scipy.linalg.cholesky(K + noise * np.eye(n), lower=True)
         weights = scipy.linalg.cho_solve((factor, True), y)

@@ -57,6 +57,7 @@ __all__ = [
     "SelectionResult",
     "build_se_grid",
     "build_sdof_grid",
+    "require_se_sample_count",
     "srm_select",
     "srm_select_batch",
     "compare_structures",
@@ -219,11 +220,7 @@ class GridSettings(JsonRecord):
             brackets.append(tuple(factor * rms for factor in self.amplitude_factors))
         t = datasets[0].t
         if family == "se":
-            if t.size < 3:
-                raise InvalidInputError(
-                    "the SE grid needs at least three training points: its length-scales run "
-                    "from the smallest gap to the span, which coincide at two"
-                )
+            require_se_sample_count(t.size)
             l_range = (float(np.min(np.diff(t))), float(t[-1] - t[0]))
             first = build_se_grid(brackets[0], l_range, self.se_sigma_count, self.se_length_count)
         else:
@@ -235,6 +232,15 @@ class GridSettings(JsonRecord):
             replace(first, sigma_fs=_log_spaced("sigma_f", bracket, count))
             for bracket in brackets[1:]
         )]
+
+
+def require_se_sample_count(n: int) -> None:
+    """Raise InvalidInputError unless n >= 3, the fewest training points the SE grid spans."""
+    if n < 3:
+        raise InvalidInputError(
+            f"the SE grid needs at least three training points, got {n}: its length-scales run "
+            "from the smallest gap to the span, which coincide at two"
+        )
 
 
 def srm_select(

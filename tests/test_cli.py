@@ -628,6 +628,10 @@ _INVALID_INPUTS = [
      lambda i, out: [
          "experiment", "--config", i.config(lambda d: d["plans"][0].update(decimation=5000)),
          "--out", out]),
+    ("config-two-sample-plan", 3,
+     lambda i, out: [
+         "experiment", "--config", i.config(lambda d: d["plans"][1].update(decimation=1000)),
+         "--out", out]),
     ("config-negative-start-time", 3,
      lambda i, out: [
          "experiment", "--config",
@@ -678,6 +682,7 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     ("select-se-two-samples", "the SE grid needs at least three training points"),
     ("simulate-one-sample", "must keep at least 2 samples, got 1"),
     ("config-one-sample-plan", "must keep at least 2 samples, got 1"),
+    ("config-two-sample-plan", "the SE grid needs at least three training points, got 2"),
     ("config-negative-start-time", "t_start must be >= 0"),
     ("select-all-zero-targets", "RMS(y)"),
     ("select-sdof-all-zero-targets", "RMS(y)"),
@@ -727,6 +732,16 @@ class TestExitCodes:
         assert main(["select", "--data", str(sim_dir), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err == "error: the 63x63 Gram matrix has non-finite entries\n"
+
+    def test_failed_eigendecomposition_maps_to_four(self, sim_dir, tmp_path, monkeypatch, capsys):
+        # a nonzero dsyevd info ends the search with one error line, no traceback
+        monkeypatch.setattr(
+            smoother_module.scipy.linalg.lapack, "dsyevd",
+            lambda a, **kw: (np.zeros(a.shape[0]), np.zeros(a.shape), 1),
+        )
+        assert main(["select", "--data", str(sim_dir), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: the 32x32 eigendecomposition did not converge (dsyevd info 1)\n"
 
     def test_memory_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
         def boom(args):

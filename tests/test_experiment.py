@@ -88,6 +88,11 @@ class TestConfig:
             ExperimentConfig(
                 params=cfg.params, plans=(), repetitions=1, base_seed=1,
             )
+        # the study searches the SE grid on every plan, and that grid needs three points
+        two = replace(cfg.plans[0], decimation=1000)
+        assert two.n_samples == 2
+        with pytest.raises(InvalidInputError, match="three training points, got 2"):
+            ExperimentConfig(params=cfg.params, plans=(two,), repetitions=1, base_seed=1)
 
     def test_rejects_fractional_repetitions(self):
         doc = default_config().to_json_dict()
@@ -201,7 +206,7 @@ class TestRunExperiment:
         def broken(*args, **kw):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(smoother_module.scipy.linalg, "cho_factor", broken)
+        monkeypatch.setattr(smoother_module.scipy.linalg, "cholesky", broken)
         monkeypatch.setattr(smoother_module.scipy.linalg, "cho_solve", broken)
         assert len(run_experiment(_one_plan_config(reps=2))) == 4
 

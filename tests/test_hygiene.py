@@ -24,7 +24,10 @@ grids have one owner: no module but ``srm`` calls ``StructureGrid``,
 ``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``. The
 uniform-grid route has one owner: no module but ``smoother`` calls
 ``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
-``_fold_blocks``, by name or attribute.
+``_fold_blocks``, by name or attribute. SciPy has one owner: no module but
+``smoother`` imports ``scipy`` or names it, as a name or an attribute, so
+every LAPACK call goes through the one module whose ``scipy.linalg``
+perfbench's tracing wraps.
 """
 import ast
 import re
@@ -440,3 +443,41 @@ def test_scanner_flags_the_toeplitz_route_outside_smoother():
 )
 def test_only_smoother_takes_the_toeplitz_route(path):
     assert _named_calls(path.read_text(), _TOEPLITZ_ROUTE) == []
+
+
+def _scipy_uses(source: str) -> list[str]:
+    """Every import of scipy and every name or attribute `scipy`, as in smoother.scipy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
+        found.extend(
+            f"line {node.lineno}: {module}" for module in modules
+            if module.split(".")[0] == "scipy"
+        )
+    return found
+
+
+def test_scanner_flags_scipy_outside_smoother():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy.linalg import lapack\n"
+        "w = smoother.scipy.linalg.solve(K, y)\n"
+        "doc = 'scipy.linalg.eigh(K)'\n"
+        "from . import smoother\n"
+        "lam = smoother.decompose(bases, t)\n"
+    )
+    assert _scipy_uses(source) == [
+        "line 1: scipy.linalg", "line 2: scipy.linalg", "line 3: scipy",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "smoother.py"], ids=lambda path: path.name
+)
+def test_only_smoother_uses_scipy(path):
+    assert _scipy_uses(path.read_text()) == []

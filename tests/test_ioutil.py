@@ -36,14 +36,17 @@ def _oscillators(draw, min_zeta=0.0):
 
 
 @st.composite
-def _plans(draw, snr=st.one_of(_POSITIVE, st.just(math.inf))):
-    # a valid plan starts at t = 0 or later and keeps at least two samples
+def _plans(draw, snr=st.one_of(_POSITIVE, st.just(math.inf)), min_samples=2):
+    # a valid plan starts at t = 0 or later and keeps at least two samples,
+    # a study plan at least three
     t_start = draw(st.floats(min_value=0.0, max_value=10.0))
     decimation = draw(_COUNTS)
     return SamplingPlan(
         t_start=t_start,
         t_end=t_start + draw(_POSITIVE),
-        base_points=draw(st.integers(min_value=decimation + 1, max_value=5000)),
+        base_points=draw(
+            st.integers(min_value=(min_samples - 1) * decimation + 1, max_value=5000)
+        ),
         decimation=decimation,
         snr=draw(snr),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
@@ -72,7 +75,7 @@ _BOUNDS = st.one_of(
 
 @st.composite
 def _configs(draw):
-    plans = draw(st.lists(_plans(snr=_POSITIVE), min_size=1, max_size=3))
+    plans = draw(st.lists(_plans(snr=_POSITIVE, min_samples=3), min_size=1, max_size=3))
     unique = tuple({plan.n_samples: plan for plan in plans}.values())
     return ExperimentConfig(
         params=draw(_oscillators(min_zeta=1e-3)),  # the SDOF kernel needs damping

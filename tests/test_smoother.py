@@ -206,6 +206,20 @@ class TestRobustness:
         with pytest.raises(SingularSystemError, match=f"dtrtri info {info}"):
             fit(SEKernel(1.0, 0.05), data, 0.1)
 
+    @pytest.mark.parametrize("t,order", [
+        (np.linspace(0.0, 0.3, 10), 5), (_IRREGULAR_10, 10),
+    ], ids=["fold", "full"])
+    def test_failed_eigendecomposition_raises(self, monkeypatch, t, order):
+        # LAPACK's dsyevd reports a divide and conquer that did not converge
+        # through info, on the fold's first block and on a whole Gram matrix
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dsyevd",
+            lambda a, **kw: (np.zeros(a.shape[0]), np.zeros(a.shape), 1),
+        )
+        message = rf"^the {order}x{order} eigendecomposition did not converge \(dsyevd info 1\)$"
+        with pytest.raises(SingularSystemError, match=message):
+            decompose([SEKernel(1.0, 0.05)], t)
+
     def test_non_finite_lag_column_raises(self, monkeypatch):
         # k(0) stays finite, so the noise rule passes and the column is checked
         t = np.linspace(0.0, 0.3, 5)
