@@ -240,7 +240,7 @@ def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSe
     """
     meta = TrainingMeta.from_json(meta_text)
     rows = csv_table(table_text, TRAINING_CSV_HEADER, "training")
-    cols = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    cols = np.array(rows, dtype=float)  # parses each field as float() does, with its errors
     if len(cols) != meta.n:
         raise InvalidInputError(
             f"training.json gives n = {meta.n}, but training.csv holds {len(cols)} rows"

@@ -19,12 +19,13 @@ evaluations k(t_i - t_0), determines it. There fit solves A [w, x] =
 [y, e_1] by Levinson's recursion in O(n^2) (Levinson 1947; Golub & Van
 Loan, Matrix Computations, sec. 4.7), and the Gohberg-Semencul formula
 (1972), which writes A^-1 through its first column x alone, gives
-tr(A^-1) = sum_k (n - 2k) x_k^2 / x_0 in O(n). On any other times fit
-builds K from n^2 evaluations and factorises A = L L^T: the weights by two
-triangular solves, and tr(A^-1) = ||L^-1||_F^2 (Rasmussen & Williams, GPML
-Alg. 2.1) from one triangular inverse. Levinson is only weakly stable
-(Cybenko, SIAM J. Sci. Stat. Comput. 1, 1980); its measured accuracy is in
-_levinson_fit.
+tr(A^-1) = sum_k (n - 2k) x_k^2 / x_0 in O(n); the fitted values K w
+come from row blocks of K, never an n x n matrix, so that fit takes O(n)
+memory. On any other times fit builds K from n^2 evaluations and
+factorises A = L L^T: the weights by two triangular solves, and tr(A^-1)
+= ||L^-1||_F^2 (Rasmussen & Williams, GPML Alg. 2.1) from one triangular
+inverse. Levinson is only weakly stable (Cybenko, SIAM J. Sci. Stat.
+Comput. 1, 1980); its measured accuracy is in _levinson_fit.
 
 Scoring a family of kernels that differ only in their signal scale sigma_f
 needs no fit at all. With K_0 = U diag(lambda) U^T the eigendecomposition
@@ -114,6 +115,7 @@ __all__ = [
 
 _HALF = np.sqrt(0.5)
 _EPS = np.finfo(float).eps
+_ROW_BLOCK = 128  # rows of T per product in _toeplitz_product: 1 MB at n = 1001
 
 
 @dataclass(frozen=True)
@@ -221,21 +223,41 @@ def _fold_blocks(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     splits the matrix exactly into the even block a[|i-j|] + a[n-1-i-j],
     i, j < c, whose middle row and column are scaled by sqrt(1/2) for odd
     n, and the odd block a[|i-j|] - a[n-1-i-j], i, j < m (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976). The blocks are gathered from a, so no
-    n x n matrix is formed; Spectrum.project and Spectrum.expand apply the
-    basis change to vectors.
+    Linear Algebra Appl. 13, 1976). Both terms are read from strided views
+    of a, so no n x n matrix and no index array is formed; Spectrum.project
+    and Spectrum.expand apply the basis change to vectors.
     """
     n = lags.size
     m, c = n // 2, n - n // 2
-    i = np.arange(c)
-    even, hankel = lags[np.abs(i[:, None] - i)], lags[n - 1 - i[:, None] - i]
-    odd = even[:m, :m] - hankel[:m, :m]
-    even += hankel
+    toeplitz, hankel = _toeplitz_rows(lags)[:c, :c], _strided(lags, (c, c), n - 1, (-1, -1))
+    even, odd = toeplitz + hankel, toeplitz[:m, :m] - hankel[:m, :m]
     if c > m:
         even[m] *= _HALF
         even[:, m] *= _HALF
         even[m, m] = lags[0]  # 2 a_0 / 2, without the rounding of two scalings
     return even, odd
+
+
+def _toeplitz_rows(a: np.ndarray) -> np.ndarray:
+    """A read-only view of the symmetric Toeplitz matrix with first column `a`, row by row.
+
+    Row i is a[|i - j|], the window of b = [a[n-1], ..., a[1], a[0], ...,
+    a[n-1]] that starts at b[n-1-i]; the view holds b's 2n - 1 floats,
+    however many of its rows are read.
+    """
+    n = a.size
+    return _strided(np.concatenate([a[:0:-1], a]), (n, n), n - 1, (-1, 1))
+
+
+def _strided(x: np.ndarray, shape: tuple[int, int], start: int, steps: tuple[int, int]):
+    """The read-only view v of the contiguous 1-d `x` with v[i, j] = x[start + steps . (i, j)].
+
+    numpy checks that every such index lies within x.
+    """
+    size = x.itemsize
+    view = np.ndarray(shape, x.dtype, x, start * size, (steps[0] * size, steps[1] * size))
+    view.flags.writeable = False
+    return view
 
 
 def decimated_cross_kernel(spec: KernelSpec, grid: np.ndarray, decimation: int) -> np.ndarray:
@@ -247,9 +269,8 @@ def decimated_cross_kernel(spec: KernelSpec, grid: np.ndarray, decimation: int) 
     k(grid - grid[0]), replace N * n, and column j of the result is a window
     of [a[N-1], ..., a[1], a[0], ..., a[N-1]].
     """
-    a = kernel_eval(spec, grid - grid[0], 0.0)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([a[:0:-1], a]), grid.size)
-    return windows[grid.size - 1::-decimation].T.copy()  # window N-1-d*j holds a[|i - d*j|]
+    # column j is row d*j of the grid's Toeplitz matrix, a[|d*j - i|]
+    return _toeplitz_rows(kernel_eval(spec, grid - grid[0], 0.0))[::decimation].T.copy()
 
 
 def rounding_level(n: int, top: float) -> float:
@@ -307,6 +328,8 @@ def _levinson_fit(spec, t, y, noise):
     sigma_n^2 I, gives the weights w and the first column x of T^-1, whose
     Gohberg-Semencul trace gives the edf, clamped to [0, n]. T differs from
     gram(spec, t) + sigma_n^2 I only by the rounding of the times t_i - t_j.
+    The fitted values toeplitz(column) @ w come from row blocks of that
+    matrix (_toeplitz_product), never an n x n matrix: O(n) memory.
 
     Levinson is only weakly stable (Cybenko 1980). Against a 60-digit solve
     of the same T, over 420 SE and SDOF systems on 0.3 s grids, n = 4 to 20,
@@ -334,7 +357,24 @@ def _levinson_fit(spec, t, y, noise):
     edf = n - noise * float(np.dot((n - 2.0 * np.arange(n)) * first, first)) / first[0]
     if not np.isfinite(edf):
         raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite edf")
-    return weights, scipy.linalg.toeplitz(column) @ weights, min(max(edf, 0.0), float(n))
+    return weights, _toeplitz_product(column, weights), min(max(edf, 0.0), float(n))
+
+
+def _toeplitz_product(column: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """T @ weights, T the symmetric Toeplitz matrix of `column`, from row blocks of T.
+
+    Blocks of _ROW_BLOCK rows, the last taking the rest, each a contiguous
+    copy of _toeplitz_rows' view times `weights`: one gemv per block, as
+    predict makes one for all n rows, so memory stays O(n). On one BLAS
+    thread every row then has the bits of toeplitz(column) @ weights, since
+    each block starts on a multiple of BLAS's row groups and none is a lone
+    row of an n >= 2 matrix, which numpy would hand to dot, summed in
+    another order.
+    """
+    cuts = range(_ROW_BLOCK, column.size - 1, _ROW_BLOCK)
+    return np.concatenate(
+        [block.copy() @ weights for block in np.split(_toeplitz_rows(column), cuts)]
+    )
 
 
 def _cholesky_fit(spec, t, y, noise):

@@ -24,7 +24,9 @@ grids have one owner: no module but ``srm`` calls ``StructureGrid``,
 ``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``. The
 uniform-grid route has one owner: no module but ``smoother`` calls
 ``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
-``_fold_blocks``, by name or attribute. SciPy has one owner: no module but
+``_fold_blocks``, by name or attribute, and no module, ``smoother``
+included, calls a dense ``toeplitz``: the uniform-grid route forms no n x
+n matrix. SciPy has one owner: no module but
 ``smoother`` imports ``scipy`` or names it, as a name or an attribute, so
 every LAPACK call goes through the one module whose ``scipy.linalg``
 perfbench's tracing wraps.
@@ -443,6 +445,22 @@ def test_scanner_flags_the_toeplitz_route_outside_smoother():
 )
 def test_only_smoother_takes_the_toeplitz_route(path):
     assert _named_calls(path.read_text(), _TOEPLITZ_ROUTE) == []
+
+
+def test_scanner_flags_a_dense_toeplitz():
+    source = (
+        "T = scipy.linalg.toeplitz(column)\n"
+        "w = scipy.linalg.solve_toeplitz(column, y)\n"
+        "fitted = toeplitz(column) @ w\n"
+        "doc = 'toeplitz(column) @ w'\n"
+        "rows = _toeplitz_rows(column)\n"
+    )
+    assert _named_calls(source, {"toeplitz"}) == ["line 1: toeplitz", "line 3: toeplitz"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_builds_a_dense_toeplitz(path):
+    assert _named_calls(path.read_text(), {"toeplitz"}) == []
 
 
 def _scipy_uses(source: str) -> list[str]:

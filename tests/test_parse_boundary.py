@@ -9,6 +9,7 @@ a mutated but valid config could start a huge study.
 """
 import json
 import math
+import re
 from contextlib import suppress
 from pathlib import Path
 
@@ -136,12 +137,55 @@ def test_training_json(scratch, doc):
         cli._load_training(data)
 
 
+def _with_y(text: str, field: str) -> str:
+    """`text` with the y field of its first data row replaced by `field`."""
+    lines = text.splitlines()
+    t, _, true_h = lines[1].split(",")
+    lines[1] = ",".join([t, field, true_h])
+    return "\n".join(lines) + "\n"
+
+
 @_SETTINGS
 @given(text=_csv_mutations(_TRAINING_CSV))
+@example(text=_with_y(_TRAINING_CSV, "1_5"))
+@example(text=_with_y(_TRAINING_CSV, " 1.5"))
+@example(text=_with_y(_TRAINING_CSV, "nan"))
+@example(text=_with_y(_TRAINING_CSV, "0x10"))
+@example(text=_with_y(_TRAINING_CSV, ""))
+@example(text=_with_y(_TRAINING_CSV, "1,5"))
 def test_training_csv(scratch, text):
     data = _write_training(scratch, text, _TRAINING_JSON)
     with suppress(cli._FileError):
         cli._load_training(data)
+
+
+# training.csv fields parse as Python's float() parses them: underscores and
+# surrounding blanks pass, hexadecimal and empty text fail with float()'s
+# message, a nan passes the parse and fails the finiteness rule, and a comma
+# makes a fourth field
+@pytest.mark.parametrize("field, outcome", [
+    ("1_5", 15.0),
+    (" 1.5", 1.5),
+    ("nan", "t, y and true_h must be finite"),
+    ("0x10", "could not convert string to float: '0x10'"),
+    ("", "could not convert string to float: ''"),
+    ("1,5", "malformed training row"),
+])
+def test_training_csv_fields_parse_as_float_does(scratch, field, outcome):
+    data = _write_training(scratch, _with_y(_TRAINING_CSV, field), _TRAINING_JSON)
+    if isinstance(outcome, float):
+        assert cli._load_training(data)[0].y[0] == outcome
+    else:
+        with pytest.raises(cli._FileError, match=re.escape(outcome)):
+            cli._load_training(data)
+
+
+def test_unparsable_training_field_exits_3(scratch, tmp_path, capsys):
+    # the parse fails before any kernel is fitted
+    data = _write_training(scratch, _with_y(_TRAINING_CSV, "0x10"), _TRAINING_JSON)
+    argv = ["fit", "--data", str(data), "--kernel", json.dumps(_SE_KERNEL), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "could not convert string to float: '0x10'" in capsys.readouterr().err
 
 
 @_SETTINGS

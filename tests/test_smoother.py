@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -625,6 +629,63 @@ class TestLevinsonFit:
         # reference gets n times the eigenvalue term on top
         eigh_error = n * _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
         assert abs(model.edf - float(np.sum(lam / (lam + noise)))) <= tolerance + eigh_error
+
+
+# a uniform n = 1001 fit, the largest of the fit-large-n workload: 8 row blocks
+_LARGE_PLAN = SamplingPlan(t_start=0.0, t_end=0.3, base_points=1001, decimation=1, snr=10.0, seed=5)
+_LARGE_SPEC = SEKernel(0.002, 0.01)
+# On one BLAS thread, as the benchmark runs, the blocked product has the
+# bits of the dense one, at the n = 1001 fit and at the block edges (a block
+# of one row would go through numpy's dot, not gemv); several threads may
+# split the dense gemv anywhere.
+_ONE_THREAD_CHECK = f"""
+import numpy as np, scipy.linalg
+from srmks.kernels import SEKernel, kernel_eval
+from srmks.oscillator import OscillatorParams, SamplingPlan, generate_training_set
+from srmks import smoother
+params = OscillatorParams.from_json({_PAPER.to_json()!r})
+data = generate_training_set(params, SamplingPlan.from_json({_LARGE_PLAN.to_json()!r}))
+spec = SEKernel({_LARGE_SPEC.sigma_f!r}, {_LARGE_SPEC.length_scale!r})
+model = smoother.fit(spec, data, data.sigma_n)
+dense = scipy.linalg.toeplitz(kernel_eval(spec, data.t - data.t[0], 0.0)) @ model.weights
+assert np.array_equal(model.fitted, dense)
+for n in (1, 2, 128, 129, 257, 300):
+    column, weights = np.random.default_rng(n).standard_normal((2, n))
+    dense = scipy.linalg.toeplitz(column) @ weights
+    assert np.array_equal(smoother._toeplitz_product(column, weights), dense), n
+"""
+
+
+class TestRowBlockFit:
+    @pytest.fixture(scope="class")
+    def large(self):
+        return generate_training_set(_PAPER, _LARGE_PLAN)
+
+    def test_fitted_matches_prediction_across_blocks(self, large):
+        assert large.n > 7 * smoother._ROW_BLOCK
+        model = fit(_LARGE_SPEC, large, large.sigma_n)
+        # predict evaluates k(t_i - t_j) from the rounded times, the blocks
+        # k(t_|i-j| - t_0); at this fit they differ by 1.6e-12 max|fitted|
+        scale = float(np.max(np.abs(model.fitted)))
+        assert np.max(np.abs(model.fitted - predict(model, large.t))) <= 1e-10 * scale
+
+    def test_fitted_has_the_dense_products_bits_on_one_thread(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_THREAD_CHECK], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fit_takes_linear_memory(self, large):
+        fit(_LARGE_SPEC, large, large.sigma_n)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            fit(_LARGE_SPEC, large, large.sigma_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 128-row block is 1.0 MB, the dense 1001 x 1001 matrix 8.0 MB
+        assert peak < 2e6
 
 
 def _counting_cholesky(monkeypatch):
