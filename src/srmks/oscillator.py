@@ -131,7 +131,21 @@ class SamplingPlan(JsonRecord):
         return np.linspace(self.t_start, self.t_end, self.base_points)
 
     def sample_times(self) -> np.ndarray:
-        return self.base_grid()[:: self.decimation]
+        """base_grid()[::decimation], bit for bit, without building the base grid.
+
+        np.linspace sets point i to i * step + t_start and the last point to
+        t_end; only the kept indices are computed here, so the cost is
+        n_samples, not base_points.
+        """
+        div = self.base_points - 1
+        delta = self.t_end - self.t_start
+        step = delta / div
+        kept = np.arange(0, self.base_points, self.decimation, dtype=float)
+        times = kept / div * delta if step == 0 else kept * step
+        times += self.t_start
+        if div % self.decimation == 0:
+            times[-1] = self.t_end
+        return times
 
 
 @dataclass(frozen=True)
@@ -246,10 +260,10 @@ def training_set_from_files(table_text: str, meta_text: str) -> tuple[TrainingSe
             f"training.json gives n = {meta.n}, but training.csv holds {len(cols)} rows"
         )
     plan = meta.plan
-    times = plan.sample_times()
-    if not np.array_equal(cols[:, 0], times):
+    # counts first: the rows bound what sample_times allocates
+    if plan.n_samples != len(cols) or not np.array_equal(cols[:, 0], plan.sample_times()):
         raise InvalidInputError(
-            f"training.csv's {len(cols)} times are not the {times.size} sample times of the plan "
+            f"training.csv's {len(cols)} times are not the {plan.n_samples} sample times of the plan "
             f"in training.json ({plan.base_points} base points, decimation {plan.decimation})"
         )
     data = TrainingSet(

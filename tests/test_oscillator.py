@@ -120,6 +120,30 @@ class TestSamplingPlan:
         assert plan.n_samples == expected
         assert plan.n_samples == plan.base_grid()[::decimation].size
 
+    @given(
+        t_start=st.floats(min_value=0.0, max_value=10.0),
+        span=st.floats(min_value=1e-300, max_value=10.0),
+        base_points=st.integers(min_value=2, max_value=2000),
+        decimation=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sample_times_are_the_kept_base_grid_points(
+        self, t_start, span, base_points, decimation
+    ):
+        t_end = t_start + span
+        if t_end == t_start or (base_points - 1) // decimation < 1:
+            return
+        plan = SamplingPlan(t_start=t_start, t_end=t_end, base_points=base_points,
+                            decimation=decimation, snr=10.0, seed=0)
+        assert np.array_equal(plan.sample_times(), plan.base_grid()[::decimation])
+
+    def test_sample_times_cost_the_kept_points_only(self):
+        # a billion base points would take 8 GB as a base grid
+        plan = _plan(base_points=10**9 + 1, decimation=10**8)
+        times = plan.sample_times()
+        assert times.size == plan.n_samples == 11
+        assert times[0] == 0.0 and times[-1] == 0.3
+
     def test_rejects_a_plan_that_keeps_one_sample(self):
         with pytest.raises(InvalidInputError, match="must keep at least 2 samples, got 1"):
             _plan(decimation=5000)

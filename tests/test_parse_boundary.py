@@ -131,6 +131,12 @@ def test_config(scratch, doc):
 @given(doc=_mutations(json.loads(_TRAINING_JSON)))
 @example(doc=[1])
 @example(doc=_replaced(json.loads(_TRAINING_JSON), ("plan",), 5))
+# plans whose base grid would not fit in memory fail on the sample count
+@example(doc=_replaced(json.loads(_TRAINING_JSON), ("plan", "base_points"), 1_059_077_255))
+@example(doc=_replaced(
+    _replaced(json.loads(_TRAINING_JSON), ("plan", "decimation"), 10**15),
+    ("plan", "base_points"), 62 * 10**15 + 1,
+))
 def test_training_json(scratch, doc):
     data = _write_training(scratch, _TRAINING_CSV, json.dumps(doc))
     with suppress(cli._FileError):
