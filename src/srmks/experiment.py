@@ -27,7 +27,6 @@ config.json (echo of the configuration), all written by ioutil.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -142,42 +141,37 @@ def run_experiment(cfg: ExperimentConfig) -> list[IterationRecord]:
     """Run the full study; records come back sorted by (plan order, iteration, family)."""
     records: list[IterationRecord] = []
     for plan in cfg.plans:
-        records.extend(_run_plan(cfg, plan, range(cfg.repetitions)))
+        records.extend(_run_plan(cfg, plan))
     return records
 
 
 def _select_family(
-    cfg: ExperimentConfig,
-    family: str,
-    iterations: Sequence[int],
-    datasets: list[TrainingSet],
+    cfg: ExperimentConfig, family: str, datasets: list[TrainingSet]
 ) -> list[SelectionResult]:
-    """One family's search for each iteration, from one batch."""
+    """One family's search for each iteration, from one batch; set i is iteration i."""
     grids = cfg.grids.family_grids(family, datasets, cfg.params)
     try:
         return srm_select_batch(grids, datasets, cfg.bound_config)
     except SrmksError as exc:
         # the noise rule names its failing set; any other failure hits every set
-        iteration = iterations[getattr(exc, "set_index", 0)]
+        iteration = getattr(exc, "set_index", 0)
         cell = f"n={datasets[0].n}, iteration={iteration}, family={family}"
         raise ExperimentError(f"{cell}: {exc}") from exc
 
 
-def _run_plan(
-    cfg: ExperimentConfig, plan: SamplingPlan, iterations: Sequence[int]
-) -> list[IterationRecord]:
-    """Records of the given iterations of one plan, in (iteration, family) order."""
-    datasets = [cfg.training_set(plan, i) for i in iterations]
+def _run_plan(cfg: ExperimentConfig, plan: SamplingPlan) -> list[IterationRecord]:
+    """Records of every iteration of one plan, in (iteration, family) order."""
+    datasets = [cfg.training_set(plan, i) for i in range(cfg.repetitions)]
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
     selections = {
-        family: _select_family(cfg, family, iterations, datasets) for family in FAMILIES
+        family: _select_family(cfg, family, datasets) for family in FAMILIES
     }
     cross: dict[KernelSpec, np.ndarray] = {}  # k*_0 per winning base kernel
     records = []
-    for k, (iteration, data) in enumerate(zip(iterations, datasets)):
+    for iteration, data in enumerate(datasets):
         for family in FAMILIES:
-            selection = selections[family][k]
+            selection = selections[family][iteration]
             spec, report = selection.best_spec, selection.best_report
             base = replace(spec, sigma_f=1.0)  # the grid's base: StructureGrid requires sigma_f = 1
             if base not in cross:

@@ -19,13 +19,14 @@ evaluations k(t_i - t_0), determines it. There fit solves A [w, x] =
 [y, e_1] by Levinson's recursion in O(n^2) (Levinson 1947; Golub & Van
 Loan, Matrix Computations, sec. 4.7), and the Gohberg-Semencul formula
 (1972), which writes A^-1 through its first column x alone, gives
-tr(A^-1) = sum_k (n - 2k) x_k^2 / x_0 in O(n); the fitted values K w
-come from row blocks of K, never an n x n matrix, so that fit takes O(n)
+tr(A^-1) = sum_k (n - 2k) x_k^2 / x_0 in O(n), and fit takes O(n)
 memory. On any other times fit builds K from n^2 evaluations and
 factorises A = L L^T: the weights by two triangular solves, and tr(A^-1)
 = ||L^-1||_F^2 (Rasmussen & Williams, GPML Alg. 2.1) from one triangular
-inverse. Levinson is only weakly stable (Cybenko, SIAM J. Sci. Stat.
-Comput. 1, 1980); its measured accuracy is in _levinson_fit.
+inverse. On both routes the fitted values need no product with K: A w = y
+gives K w = y - sigma_n^2 w (GPML eq. 2.25 at the training inputs), O(n).
+Levinson is only weakly stable (Cybenko, SIAM J. Sci. Stat. Comput. 1,
+1980); its measured accuracy is in _levinson_fit.
 
 Scoring a family of kernels that differ only in their signal scale sigma_f
 needs no fit at all. With K_0 = U diag(lambda) U^T the eigendecomposition
@@ -115,7 +116,6 @@ __all__ = [
 
 _HALF = np.sqrt(0.5)
 _EPS = np.finfo(float).eps
-_ROW_BLOCK = 128  # rows of T per product in _toeplitz_product: 1 MB at n = 1001
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class FittedSmoother:
     kernel: KernelSpec
     t_train: np.ndarray
     weights: np.ndarray
-    fitted: np.ndarray  # the smoother at the training inputs, K @ weights
+    fitted: np.ndarray  # the smoother at the training inputs, K w = y - sigma_n^2 w
     edf: float
 
 
@@ -294,7 +294,8 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
 
     Solves K + sigma_n^2 I by Levinson's recursion on uniform times
     (_levinson_fit) and by Cholesky factorisation on any other times
-    (_cholesky_fit), and takes the edf from the same solve. Raises
+    (_cholesky_fit), and takes the edf from the same solve; the fitted values
+    are y - sigma_n^2 w, K w by the solve's own equation. Raises
     InvalidInputError for a sigma_n that fails require_determined_noise at
     top = n * k(0) = tr K (both kernels are stationary), and
     SingularSystemError for a non-finite K, a failed solve, factorisation or
@@ -302,8 +303,11 @@ def fit(spec: KernelSpec, data: TrainingSet, sigma_n: float) -> FittedSmoother:
     """
     require_determined_noise(sigma_n, data.n, data.n * float(kernel_eval(spec, 0.0, 0.0)))
     solve = _levinson_fit if _uniform(data.t) else _cholesky_fit
-    weights, fitted, edf = solve(spec, data.t, data.y, sigma_n**2)
-    return FittedSmoother(kernel=spec, t_train=data.t, weights=weights, fitted=fitted, edf=edf)
+    noise = sigma_n**2
+    weights, edf = solve(spec, data.t, data.y, noise)
+    return FittedSmoother(
+        kernel=spec, t_train=data.t, weights=weights, fitted=data.y - noise * weights, edf=edf
+    )
 
 
 def _uniform(t: np.ndarray) -> bool:
@@ -322,27 +326,25 @@ def _uniform(t: np.ndarray) -> bool:
 
 
 def _levinson_fit(spec, t, y, noise):
-    """(weights, fitted, edf) on uniform times, from K's lag column k(t - t[0]).
+    """(weights, edf) on uniform times, from K's lag column k(t - t[0]).
 
     One Levinson solve of T [w, x] = [y, e_1], T = toeplitz(column) +
     sigma_n^2 I, gives the weights w and the first column x of T^-1, whose
     Gohberg-Semencul trace gives the edf, clamped to [0, n]. T differs from
     gram(spec, t) + sigma_n^2 I only by the rounding of the times t_i - t_j.
-    The fitted values toeplitz(column) @ w come from row blocks of that
-    matrix (_toeplitz_product), never an n x n matrix: O(n) memory.
 
     Levinson is only weakly stable (Cybenko 1980). Against a 60-digit solve
     of the same T, over 420 SE and SDOF systems on 0.3 s grids, n = 4 to 20,
     and sigma_n^2 from 1.2 to 1000 times fit's rounding level (condition
-    numbers up to 8e14), its backward error ||y - T w|| / (||T||_F ||w||)
-    stayed at or below 0.26 n eps (Cholesky's at or below 0.14 n eps).
-    Above condition number 1e9 its fitted values were a median 3 (at most
-    50) times as far off as Cholesky's, its edf a median 1.7 (at most 64)
-    times, and its worst edf error was 3.2e-2 against Cholesky's 1.8e-2.
+    numbers up to 3e14), its backward error ||y - T w|| / (||T||_F ||w||)
+    stayed at or below 0.15 n eps (Cholesky's at or below 0.18 n eps).
+    Above condition number 1e9 (87 systems) its fitted values y - sigma_n^2
+    w were a median 1.06 (at most 9.2) times as far off as Cholesky's, its
+    edf a median 1.3 (at most 63) times, and its worst edf error was 3.9e-2
+    against Cholesky's 1.1e-2.
     """
     n = t.size
-    column = _finite_kernel(kernel_eval(spec, t - t[0], 0.0))
-    system = column.copy()
+    system = _finite_kernel(kernel_eval(spec, t - t[0], 0.0))  # K's lag column, then T's
     system[0] += noise
     rhs = np.zeros((n, 2))
     rhs[:, 0] = y
@@ -357,28 +359,11 @@ def _levinson_fit(spec, t, y, noise):
     edf = n - noise * float(np.dot((n - 2.0 * np.arange(n)) * first, first)) / first[0]
     if not np.isfinite(edf):
         raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite edf")
-    return weights, _toeplitz_product(column, weights), min(max(edf, 0.0), float(n))
-
-
-def _toeplitz_product(column: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """T @ weights, T the symmetric Toeplitz matrix of `column`, from row blocks of T.
-
-    Blocks of _ROW_BLOCK rows, the last taking the rest, each a contiguous
-    copy of _toeplitz_rows' view times `weights`: one gemv per block, as
-    predict makes one for all n rows, so memory stays O(n). On one BLAS
-    thread every row then has the bits of toeplitz(column) @ weights, since
-    each block starts on a multiple of BLAS's row groups and none is a lone
-    row of an n >= 2 matrix, which numpy would hand to dot, summed in
-    another order.
-    """
-    cuts = range(_ROW_BLOCK, column.size - 1, _ROW_BLOCK)
-    return np.concatenate(
-        [block.copy() @ weights for block in np.split(_toeplitz_rows(column), cuts)]
-    )
+    return weights, min(max(edf, 0.0), float(n))
 
 
 def _cholesky_fit(spec, t, y, noise):
-    """(weights, fitted, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
+    """(weights, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
     n = t.size
     K = _finite_kernel(gram(spec, t))
     try:
@@ -390,7 +375,7 @@ def _cholesky_fit(spec, t, y, noise):
         ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularSystemError(f"the {n}x{n} smoother system gave non-finite weights")
-    return weights, K @ weights, _edf_from_factor(factor, noise)
+    return weights, _edf_from_factor(factor, noise)
 
 
 def _edf_from_factor(factor: np.ndarray, noise: float) -> float:

@@ -3,11 +3,13 @@
 Deliberately written without the package's own numerics so agreement is
 evidence, not tautology: the ODE route integrates the oscillator with a
 classical fixed-step RK4 in pure Python, and the linear-algebra routes use
-hand-rolled Gaussian elimination with partial pivoting on Python lists.
+hand-rolled Gaussian elimination with partial pivoting on Python lists, or
+exact rational arithmetic.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def rk4_impulse_response(
@@ -94,3 +96,12 @@ def edf_trace(gram: list[list[float]], sigma_n: float) -> float:
     a = [[gram[i][j] + (s2 if i == j else 0.0) for j in range(n)] for i in range(n)]
     inv = invert_dense(a)
     return n - s2 * sum(inv[i][i] for i in range(n))
+
+
+def exact_residual(a, x, b, shift: float = 0.0) -> list[float]:
+    """|(a + shift I) x - b| of float inputs, each entry exact in rationals, rounded once."""
+    out = []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        total = sum(Fraction(aij) * Fraction(xj) for aij, xj in zip(row, x))
+        out.append(float(abs(total + Fraction(shift) * Fraction(x[i]) - Fraction(bi))))
+    return out

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -776,3 +777,55 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "n=63" in proc.stdout
+
+
+# Every command, run in its own directory, then the sha256 of every file it wrote:
+# fit at n = 1001 (SE and SDOF), select --family both at n = 126, the golden study.
+_BLAS_THREAD_RUN = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from srmks.cli import main
+sdof = {"family": "sdof", "sigma_f": 5.0, "m": 1.0, "c": 20.0, "k": 1e6}
+runs = [
+    ["simulate", "--decimation", "1", "--out", "large"],
+    ["fit", "--data", "large", "--kernel", '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01}',
+     "--out", "fit_se"],
+    ["fit", "--data", "large", "--kernel", json.dumps(sdof), "--out", "fit_sdof"],
+    ["simulate", "--decimation", "8", "--out", "mid"],
+    ["select", "--data", "mid", "--family", "both", "--out", "select"],
+    ["experiment", "--config", sys.argv[1], "--out", "study"],
+]
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+print(json.dumps({str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}))
+"""
+
+
+# the directory that holds the package under test, for interpreters run elsewhere
+_PACKAGE_ROOT = str(Path(cli_module.__file__).resolve().parents[1])
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, golden_dir):
+    # fit's weights, fitted values and edf on uniform times, a search's
+    # spectra and the study's refit must not change with the BLAS thread
+    # count; off uniform times fit's Cholesky weights do
+    digests = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = dict(
+            os.environ, PYTHONPATH=_PACKAGE_ROOT, OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREAD_RUN, str(golden_dir / "config_ref.json")],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert {"fit_se/predictions.csv", "fit_sdof/fit.json", "select/best.json",
+            "study/records.csv"} <= set(digests[0])
+    assert digests[0] == digests[1]

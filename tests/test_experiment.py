@@ -303,6 +303,13 @@ class TestCapacitySpread:
         ]
         assert capacity_spread(records, "sdof").max_relative_spread == 0.0
 
+    def test_zero_smallest_median_gives_infinite_spread(self):
+        records = [
+            _record(63, 0, "sdof", bound=1.0, h=0.0),
+            _record(126, 0, "sdof", bound=1.0, h=3.0),
+        ]
+        assert capacity_spread(records, "sdof").max_relative_spread == math.inf
+
     def test_requires_two_sample_sizes(self):
         with pytest.raises(InvalidInputError):
             capacity_spread([_record(63, 0, "sdof", bound=1.0)], "sdof")

@@ -67,6 +67,19 @@ class TestBoxFigures:
         assert len(empty) == 1
         assert 'data-infinite="1"' in empty[0]
 
+    def test_panel_without_finite_values_spans_the_default_range(self):
+        records = [_record(63, 0, family, bound=math.inf) for family in ("se", "sdof")]
+        svg = boxplot_svg(records)
+        panel = svg[svg.index('<g class="panel" data-metric="bound">'):svg.index('data-metric="true_mse"')]
+        assert re.findall(r'text-anchor="end" fill="#333333">([^<]*)<', panel) == ["0.1", "1", "10"]
+        assert len(re.findall(r'data-empty="true"', panel)) == 2
+
+    def test_family_missing_at_one_size_draws_no_box_there(self):
+        records = [_record(63, 0, "se"), _record(63, 0, "sdof"), _record(126, 0, "se")]
+        boxes = BOX_RE.findall(boxplot_svg(records))
+        assert len(boxes) == 6  # 3 (n, family) cells x 2 metrics
+        assert not [b for b in boxes if 'data-family="sdof" data-n="126"' in b]
+
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidInputError):
             boxplot_svg([])

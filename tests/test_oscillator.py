@@ -47,6 +47,9 @@ class TestParams:
             (1.0, 20.0, 0.0),
             (1e-200, 20.0, 1e-200),  # k * m underflows to 0
             (1e-200, 0.0, 1e200),  # k / m overflows
+            (math.nan, 20.0, 1e6),
+            (1.0, math.inf, 1e6),
+            (1.0, 20.0, math.inf),
         ],
     )
     def test_rejects_invalid_coefficients(self, m, c, k):
