@@ -113,20 +113,34 @@ def kernel_eval(spec: KernelSpec, t, t_prime):
 
     Both families compute sigma_f^2 times the sigma_f = 1 kernel, so
     kernel_eval(spec) == spec.sigma_f**2 * kernel_eval(replace(spec,
-    sigma_f=1.0)) holds bit for bit.
+    sigma_f=1.0)) holds bit for bit. Every step after the difference
+    t - t' writes into an array made here, in the order of the formulas
+    above, so an n x n Gram matrix takes no temporary of its size for SE
+    and two for SDOF.
     """
-    tau = np.subtract(t, t_prime)
+    tau = np.asarray(np.subtract(t, t_prime, dtype=float))  # 0-d for scalar inputs
     if isinstance(spec, SEKernel):
-        return spec.sigma_f**2 * np.exp(-(tau**2) / (2.0 * spec.length_scale**2))
-    if isinstance(spec, SDOFKernel):
+        np.square(tau, out=tau)
+        np.negative(tau, out=tau)
+        np.divide(tau, 2.0 * spec.length_scale**2, out=tau)
+        values = np.multiply(spec.sigma_f**2, np.exp(tau, out=tau), out=tau)
+    elif isinstance(spec, SDOFKernel):
         p = spec.params
         zw = p.zeta * p.omega_n
         wd = p.omega_d
-        atau = np.abs(tau)
-        envelope = np.exp(-zw * atau)
-        oscillation = np.cos(wd * atau) + (zw / wd) * np.sin(wd * atau)
-        return spec.sigma_f**2 * (spec.unit_diagonal * envelope * oscillation)
-    raise InvalidInputError(f"unknown kernel spec {spec!r}")
+        atau = np.abs(tau, out=tau)
+        envelope = np.multiply(-zw, atau, out=np.empty_like(atau))
+        np.exp(envelope, out=envelope)
+        phase = np.multiply(wd, atau, out=atau)
+        oscillation = np.sin(phase, out=np.empty_like(phase))
+        np.multiply(zw / wd, oscillation, out=oscillation)
+        np.add(np.cos(phase, out=phase), oscillation, out=oscillation)
+        np.multiply(spec.unit_diagonal, envelope, out=envelope)
+        np.multiply(envelope, oscillation, out=envelope)
+        values = np.multiply(spec.sigma_f**2, envelope, out=envelope)
+    else:
+        raise InvalidInputError(f"unknown kernel spec {spec!r}")
+    return values if values.ndim else values[()]
 
 
 def gram(spec: KernelSpec, t) -> np.ndarray:

@@ -75,22 +75,27 @@ one matrix product over the stacked sets: BLAS may sum a column of a
 matrix product in an order that depends on how many columns come with it,
 and a set's scores must not depend on the sets searched beside it.
 
-Every block goes straight to LAPACK's dsyevd, the divide-and-conquer
-solver that eigh(driver="evd") wraps, in one call (_eigh) with the
-wrapper's default workspace, LAPACK's documented minimum; the checks that
-eigh made are explicit here (a non-finite kernel matrix or a nonzero info
-raises SingularSystemError). On a clustered spectrum, such as a
-near-identity K, the MRRR solver (evr) returns eigenvectors orthogonal
-only to about 1e-8, which moves the training MSE by as much; divide and
-conquer keeps them orthogonal to rounding. dsyevd reduces a block to
-tridiagonal form, solves that, and multiplies the Householder reflectors
-back into the eigenvectors. Keeping the reflectors instead and applying
-them to y (dormqr) skips that back-transformation but makes each column's
-result depend on how many columns are applied at once, the very
-dependence z must not have, and it did not speed up the study. The
-winners' refit maps their weights onto a plan's dense base grid, uniform
-too, so decimated_cross_kernel gathers that cross-kernel from the grid's
-lag column: N kernel evaluations instead of N * n.
+Every block goes to LAPACK's dsyevd, the divide-and-conquer solver, in
+one np.linalg.eigh call (_eigh); a non-finite kernel matrix, rejected
+before the call, and a divide and conquer that does not converge both
+raise SingularSystemError. The eigenvectors are kept in Fortran order,
+LAPACK's own layout: Spectrum.project's products on C-ordered copies move
+the study's true MSE by up to rel 1.5e-13. A search thus runs on numpy
+alone; scipy, which only fit's solve needs, is imported inside the
+functions that call it.
+
+On a clustered spectrum, such as a near-identity K, the MRRR solver (evr)
+returns eigenvectors orthogonal only to about 1e-8, which moves the
+training MSE by as much; divide and conquer keeps them orthogonal to
+rounding. dsyevd reduces a block to tridiagonal form, solves that, and
+multiplies the Householder reflectors back into the eigenvectors. Keeping
+the reflectors instead and applying them to y (dormqr) skips that
+back-transformation but makes each column's result depend on how many
+columns are applied at once, the very dependence z must not have, and it
+did not speed up the study. The winners' refit maps their weights onto a
+plan's dense base grid, uniform too, so decimated_cross_kernel gathers
+that cross-kernel from the grid's lag column: N kernel evaluations
+instead of N * n.
 
 fit and srm.srm_select_batch share one noise rule, require_determined_noise:
 sigma_n^2 above rounding_level(n, top) for a top >= lambda_max, n * k(0) =
@@ -103,7 +108,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, SingularSystemError
 from .kernels import KernelSpec, gram, kernel_eval
@@ -200,19 +204,20 @@ def _finite_kernel(values: np.ndarray) -> np.ndarray:
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, eigenvectors) of the symmetric `matrix`, which it overwrites.
+    """(ascending eigenvalues, eigenvectors) of the symmetric `matrix`, the vectors F-ordered.
 
-    One dsyevd call on matrix.T, the Fortran layout of the same symmetric
-    matrix, so LAPACK works in place; raises SingularSystemError on a
-    nonzero info.
+    One np.linalg.eigh, LAPACK's dsyevd, on matrix.T, whose lower triangle
+    is `matrix`'s upper one; it leaves `matrix` unchanged. The vectors are
+    copied to Fortran order, LAPACK's own layout, which Spectrum.project's
+    products need for the bits of the study's outputs. Raises
+    SingularSystemError when the divide and conquer does not converge.
     """
-    lam, vectors, info = scipy.linalg.lapack.dsyevd(matrix.T, compute_v=1, lower=1, overwrite_a=1)
-    if info != 0:
+    try:
+        lam, vectors = np.linalg.eigh(matrix.T)
+    except np.linalg.LinAlgError as exc:
         n = matrix.shape[0]
-        raise SingularSystemError(
-            f"the {n}x{n} eigendecomposition did not converge (dsyevd info {info})"
-        )
-    return lam, vectors
+        raise SingularSystemError(f"the {n}x{n} eigendecomposition did not converge") from exc
+    return lam, np.asfortranarray(vectors)
 
 
 def _fold_blocks(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,6 +348,8 @@ def _levinson_fit(spec, t, y, noise):
     edf a median 1.3 (at most 63) times, and its worst edf error was 3.9e-2
     against Cholesky's 1.1e-2.
     """
+    import scipy.linalg
+
     n = t.size
     system = _finite_kernel(kernel_eval(spec, t - t[0], 0.0))  # K's lag column, then T's
     system[0] += noise
@@ -356,7 +363,8 @@ def _levinson_fit(spec, t, y, noise):
     weights, first = solution.T
     if not (np.all(np.isfinite(solution)) and first[0] > 0):
         raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite positive solution")
-    edf = n - noise * float(np.dot((n - 2.0 * np.arange(n)) * first, first)) / first[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves edf non-finite
+        edf = n - noise * float(np.dot((n - 2.0 * np.arange(n)) * first, first)) / first[0]
     if not np.isfinite(edf):
         raise SingularSystemError(f"the {n}x{n} Toeplitz system gave no finite edf")
     return weights, min(max(edf, 0.0), float(n))
@@ -364,6 +372,8 @@ def _levinson_fit(spec, t, y, noise):
 
 def _cholesky_fit(spec, t, y, noise):
     """(weights, edf) on any times, from one Cholesky factor of K + sigma_n^2 I."""
+    import scipy.linalg
+
     n = t.size
     K = _finite_kernel(gram(spec, t))
     try:
@@ -385,6 +395,8 @@ def _edf_from_factor(factor: np.ndarray, noise: float) -> float:
     L^-1. The difference loses about n * eps to cancellation, so a value
     that rounds below zero is clamped there; it cannot exceed n.
     """
+    import scipy.linalg
+
     n = factor.shape[0]
     inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1, overwrite_c=1)
     flat = inverse.ravel(order="K")  # a view in memory order: vdot copies nothing

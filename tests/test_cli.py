@@ -735,14 +735,15 @@ class TestExitCodes:
         assert err == "error: the 63x63 Gram matrix has non-finite entries\n"
 
     def test_failed_eigendecomposition_maps_to_four(self, sim_dir, tmp_path, monkeypatch, capsys):
-        # a nonzero dsyevd info ends the search with one error line, no traceback
-        monkeypatch.setattr(
-            smoother_module.scipy.linalg.lapack, "dsyevd",
-            lambda a, **kw: (np.zeros(a.shape[0]), np.zeros(a.shape), 1),
-        )
+        # a divide and conquer that does not converge ends the search with one
+        # error line, no traceback
+        def broken(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
         assert main(["select", "--data", str(sim_dir), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
-        assert err == "error: the 32x32 eigendecomposition did not converge (dsyevd info 1)\n"
+        assert err == "error: the 32x32 eigendecomposition did not converge\n"
 
     def test_memory_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
         def boom(args):
@@ -829,3 +830,41 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, golden_dir):
     assert {"fit_se/predictions.csv", "fit_sdof/fit.json", "select/best.json",
             "study/records.csv"} <= set(digests[0])
     assert digests[0] == digests[1]
+
+
+# Every command that never fits, then one that does, all in one fresh interpreter.
+_SCIPY_RUN = """
+import io, sys
+from contextlib import redirect_stdout
+from srmks.cli import main
+fitting = {
+    "fit": ["fit", "--data", "sim", "--kernel", '{"family": "se", "sigma_f": 0.002, "length_scale": 0.01}',
+            "--out", "fit"],
+    "predictions": ["plot", "--records", "study/records.csv", "--kind", "predictions", "--n", "63",
+                    "--iteration", "0", "--out", "figs"],
+}[sys.argv[1]]
+runs = [
+    ["simulate", "--out", "sim"],
+    ["select", "--data", "sim", "--family", "both", "--out", "select"],
+    ["experiment", "--reps", "1", "--out", "study"],
+    ["plot", "--records", "study/records.csv", "--kind", "boxplot", "--out", "figs"],
+    ["plot", "--records", "study/records.csv", "--kind", "complexity", "--out", "figs"],
+]
+with redirect_stdout(io.StringIO()):
+    for argv in runs:
+        assert main(argv) == 0, argv
+        assert "scipy" not in sys.modules, f"{argv[0]} loaded scipy"
+    assert main(fitting) == 0, fitting
+assert "scipy" in sys.modules, f"{fitting[0]} fitted without scipy"
+"""
+
+
+@pytest.mark.parametrize("fitting", ["fit", "predictions"])
+def test_only_fitting_loads_scipy(tmp_path, fitting):
+    # every eigendecomposition goes through numpy; scipy solves fit's system
+    # and is imported at the first fit
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_RUN, fitting], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=_PACKAGE_ROOT), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

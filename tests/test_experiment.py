@@ -2,11 +2,9 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import srmks.experiment as experiment_module
-import srmks.smoother as smoother_module
 from srmks.errors import InvalidInputError, SingularSystemError
 from srmks.experiment import (
     ExperimentConfig,
@@ -200,15 +198,6 @@ class TestRunExperiment:
         cfg = replace(cfg, plans=(replace(cfg.plans[0], snr=12290547725.790928),))
         with pytest.raises(ExperimentError, match=r"^n=63, iteration=2, family=se: .*rounding level"):
             run_experiment(cfg)
-
-    def test_study_makes_no_cholesky_factorisation(self, monkeypatch):
-        # selection and the winners' refit both read each base kernel's eigenpairs
-        def broken(*args, **kw):
-            raise np.linalg.LinAlgError("synthetic failure")
-
-        monkeypatch.setattr(smoother_module.scipy.linalg, "cholesky", broken)
-        monkeypatch.setattr(smoother_module.scipy.linalg, "cho_solve", broken)
-        assert len(run_experiment(_one_plan_config(reps=2))) == 4
 
 
 class TestRecordsCsv:

@@ -26,10 +26,10 @@ uniform-grid route has one owner: no module but ``smoother`` calls
 ``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
 ``_fold_blocks``, by name or attribute, and no module, ``smoother``
 included, calls a dense ``toeplitz``: the uniform-grid route forms no n x
-n matrix. SciPy has one owner: no module but
-``smoother`` imports ``scipy`` or names it, as a name or an attribute, so
-every LAPACK call goes through the one module whose ``scipy.linalg``
-perfbench's tracing wraps.
+n matrix. SciPy has one owner: no module but ``smoother`` imports
+``scipy`` or names it, as a name or an attribute, and no module imports it
+outside a function body, so only a command that solves a system (``fit``,
+``plot --kind predictions``) loads it.
 """
 import ast
 import re
@@ -499,3 +499,51 @@ def test_scanner_flags_scipy_outside_smoother():
 )
 def test_only_smoother_uses_scipy(path):
     assert _scipy_uses(path.read_text()) == []
+
+
+def _module_level_scipy_imports(source: str) -> list[str]:
+    """Every import of scipy that runs when its module is imported: any outside a function body."""
+    tree = ast.parse(source)
+    deferred = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            deferred.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy")
+    return found
+
+
+def test_scanner_flags_a_module_level_scipy_import():
+    source = (
+        "import numpy as np, scipy.linalg\n"
+        "from scipy import linalg\n"
+        "try:\n"
+        "    import scipy.sparse\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class Solver:\n"
+        "    import scipy\n"
+        "    def solve(self, a, b):\n"
+        "        import scipy.linalg\n"
+        "        return scipy.linalg.solve(a, b)\n"
+        "def factor(a):\n"
+        "    from scipy.linalg import cholesky\n"
+        "    return cholesky(a)\n"
+    )
+    assert _module_level_scipy_imports(source) == [
+        "line 1: scipy.linalg", "line 2: scipy", "line 4: scipy.sparse", "line 8: scipy",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    assert _module_level_scipy_imports(path.read_text()) == []

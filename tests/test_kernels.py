@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +215,52 @@ class TestGram:
     def test_gram_rejects_empty_inputs(self):
         with pytest.raises(InvalidInputError):
             gram(_se(), np.array([]))
+
+    @pytest.mark.parametrize("family,temporaries", [("se", 0), ("sdof", 2)])
+    def test_gram_takes_few_temporaries(self, family, temporaries):
+        # the result is 8.0 MB; SDOF needs its envelope, phase and oscillation at once
+        t = np.linspace(0.0, 0.3, 1001)
+        spec = _se(length_scale=0.01) if family == "se" else _sdof()
+        gram(spec, t)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            K = gram(spec, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + temporaries + 0.05) * K.nbytes
+
+
+def _formula_values(spec, t, t_prime):
+    """The kernel's formulas as plain numpy expressions, one new array per step."""
+    tau = np.subtract(t, t_prime)
+    if isinstance(spec, SEKernel):
+        return spec.sigma_f**2 * np.exp(-(tau**2) / (2.0 * spec.length_scale**2))
+    p = spec.params
+    zw, wd, atau = p.zeta * p.omega_n, p.omega_d, np.abs(tau)
+    oscillation = np.cos(wd * atau) + (zw / wd) * np.sin(wd * atau)
+    return spec.sigma_f**2 * (spec.unit_diagonal * np.exp(-zw * atau) * oscillation)
+
+
+class TestInPlaceEvaluation:
+    _SPECS = [
+        _se(), _se(3.7, 0.2), _sdof(), _sdof(123.0, OscillatorParams(m=2.0, c=3.0, k=5e5)),
+    ]
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=["se", "se-long", "sdof", "sdof-light"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 63, 1001])
+    def test_arrays_match_the_formulas_bit_for_bit(self, spec, n):
+        t = np.sort(np.random.default_rng(n).uniform(-5.0, 5.0, n))
+        for args in [(t[:, None], t[None, :]), (t - t[0], 0.0), (0.1, t), (t[:, None], t[::3])]:
+            got, want = kernel_eval(spec, *args), _formula_values(spec, *args)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(gram(spec, t), _formula_values(spec, t[:, None], t[None, :]))
+
+    @pytest.mark.parametrize("spec", _SPECS, ids=["se", "se-long", "sdof", "sdof-light"])
+    def test_scalars_stay_scalars(self, spec):
+        for tau in (0.0, 0.5, -0.3, 1e-9):
+            got, want = kernel_eval(spec, tau, 0.0), _formula_values(spec, tau, 0.0)
+            assert type(got) is type(want) is np.float64 and got == want
 
 
 class TestDecimatedCrossKernel:
