@@ -323,10 +323,8 @@ _parser = functools.cache(build_parser)  # built by the first main call, reused 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
+    except SystemExit as exc:  # argparse exits with an int status
+        return exc.code
     try:
         # looked up on every call: the parser, built once, names only the command
         return globals()[f"cmd_{args.command}"](args)

@@ -164,16 +164,13 @@ def _run_plan(cfg: ExperimentConfig, plan: SamplingPlan) -> list[IterationRecord
     datasets = [cfg.training_set(plan, i) for i in range(cfg.repetitions)]
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
-    selections = {
-        family: _select_family(cfg, family, datasets) for family in FAMILIES
-    }
+    selections = {family: _select_family(cfg, family, datasets) for family in FAMILIES}
     cross: dict[KernelSpec, np.ndarray] = {}  # k*_0 per winning base kernel
     records = []
     for iteration, data in enumerate(datasets):
         for family in FAMILIES:
             selection = selections[family][iteration]
-            spec, report = selection.best_spec, selection.best_report
-            base = replace(spec, sigma_f=1.0)  # the grid's base: StructureGrid requires sigma_f = 1
+            spec, report, base = selection.best_spec, selection.best_report, selection.base
             if base not in cross:
                 cross[base] = decimated_cross_kernel(base, dense_t, plan.decimation)
             prediction = cross[base] @ selection.weights

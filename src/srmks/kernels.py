@@ -56,9 +56,10 @@ class SEKernel:
     length_scale: float
 
     family = "se"
+    variance_scale = unit_diagonal = 1.0  # k(0) = sigma_f^2 * unit_diagonal, as for SDOF
 
     def __post_init__(self):
-        _require_finite_variance(self.sigma_f, 1.0)
+        _require_finite_variance(self.sigma_f, self.unit_diagonal)
         length = self.length_scale  # kernel_eval divides by 2 l^2
         if not (length > 0 and 0.0 < length * length < math.inf):
             raise InvalidInputError(

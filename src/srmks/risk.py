@@ -99,13 +99,13 @@ class RiskReport(JsonRecord):
 
 
 def empirical_risk(targets, predictions) -> float:
-    """Mean squared error between targets and predictions."""
+    """Mean squared error between targets and predictions; +inf where the squares overflow."""
     targets = np.asarray(targets, dtype=float)
     predictions = np.asarray(predictions, dtype=float)
     if targets.shape != predictions.shape or targets.size == 0:
         raise InvalidInputError("targets and predictions must have equal nonzero length")
-    residuals = targets - predictions
-    return float(np.mean(residuals**2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((targets - predictions) ** 2))
 
 
 def _validate_bound_inputs(mse, h, n: int) -> None:

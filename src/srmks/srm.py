@@ -8,7 +8,7 @@ admitting smaller length-scales produces wigglier smoothers with slower
 eigenvalue decay and hence a higher effective-degrees-of-freedom capacity.
 For the oscillator family the physical coefficients are fixed (assumed
 known), so there is one base kernel and only sigma_f varies. The builders
-take explicit ranges; GridSettings.family_grid derives them from the data.
+take explicit ranges; GridSettings derives them from the data (family_grids).
 
 Selection is an exhaustive search: every candidate's training MSE and
 capacity are computed and the guaranteed-risk bound scores it. The
@@ -18,17 +18,16 @@ sigma_f^2 / sigma_n^2. The decomposition depends on the sample times only,
 so srm_select_batch searches the repetitions of one sampling plan together:
 one decomposition per (plan, base kernel), i.e. one per length-scale for
 the SE grid and one in all for the oscillator grid, all from one
-smoother.decompose call and hence one verdict on the times, scores every
-repetition at every scale as one (sets x scales) array
-(smoother.signal_scale_scores), and the bases' arrays, joined base-major,
-hold every set's candidates in grid order; srm_select, which `select`
-calls, is the batch of one. Each set's bounds are one risk.vc_bounds call,
-kept as arrays, from which the trace files are written a column at a time:
-only the winner becomes a kernel spec, a RiskReport and refit weights. No
-decomposition outlives its batch, which holds bases x (c^2 + m^2) floats of
-eigenvectors on a uniform grid, c = ceil(n/2) and m = floor(n/2), the
-blocks of the fold (7.8 MB for 31 bases at n = 251, 124 MB at n = 1001,
-half of bases x n^2), and bases x n^2 on other times. The winner
+smoother.decompose call and hence one verdict on the times, and one
+projection of the stacked targets per base scores every repetition at
+every scale as one (sets x scales) array (smoother.signal_scale_scores)
+and refits the winners; the bases' arrays, joined base-major, hold every
+set's candidates in grid order. srm_select, which `select` calls, is the
+batch of one. Each set's bounds are one risk.vc_bounds call, kept as
+arrays, from which the trace files are written a column at a time: only
+the winner becomes a kernel spec, a RiskReport, its base and weights. No
+decomposition outlives its batch, whose spectra (smoother.Spectrum) hold
+7.8 MB for 31 bases at n = 251 and 124 MB at n = 1001. The winner
 minimises the bound; ties go to the smaller capacity (the simplest
 adequate element), then to grid order. If every candidate clips to
 +infinity the selection still returns the smallest-capacity candidate,
@@ -88,10 +87,10 @@ class StructureGrid:
             raise InvalidInputError(
                 "base kernels must share the structure's family and have sigma_f = 1"
             )
-        # a positive scale fails the kernels' rule only if the largest does; SE bases share k(0)
+        # a positive scale fails the kernels' rule only if the largest does, on the largest k(0)
+        top = max(self.bases, key=lambda base: base.unit_diagonal)
         for scale in (max(self.sigma_fs), *(s for s in self.sigma_fs if not s > 0)):
-            for base in self.bases if self.family == "sdof" else self.bases[:1]:
-                replace(base, sigma_f=scale)
+            replace(top, sigma_f=scale)
 
     @property
     def candidates(self) -> tuple[KernelSpec, ...]:
@@ -111,7 +110,7 @@ class StructureGrid:
 class SelectionResult:
     """Winner of an exhaustive search plus the scores of every candidate of `grid`.
 
-    kernel_eval(base, t*, data.t) @ weights predicts the winner, base its sigma_f = 1 kernel.
+    kernel_eval(base, t*, data.t) @ weights predicts the winner, base its grid's sigma_f = 1 kernel.
     """
 
     family: str
@@ -120,6 +119,7 @@ class SelectionResult:
     degenerate: bool
     grid: StructureGrid = field(compare=False, repr=False)
     scores: Bounds = field(compare=False, repr=False)
+    base: KernelSpec = field(compare=False, repr=False)
     weights: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
@@ -137,11 +137,25 @@ def _require_bracket(name: str, bracket) -> None:
         )
 
 
-def _log_spaced(name: str, bracket: tuple[float, float], count: int) -> tuple[float, ...]:
-    """`count` log-spaced values over `bracket`; the kernels judge the values themselves."""
-    _require_bracket(f"the {name} range", bracket)
+def _log_spaced(name: str, brackets, count: int) -> list[tuple[float, ...]]:
+    """`count` log-spaced values over each row lo, hi of `brackets`, each row bit for bit its
+    own np.geomspace. Raises InvalidInputError for a row that fails _require_bracket and, for
+    count > 1, a row with log10(lo) == log10(hi): one np.geomspace over all rows would then
+    take linspace's zero-step branch for every row. The kernels judge the values.
+    """
     require_int(f"the {name} count", count, 1)
-    return tuple(np.geomspace(*bracket, count).tolist())
+    lo, hi = np.transpose(brackets)
+    valid = (0 < lo) & (lo < hi) & (hi < np.inf)
+    if not valid.all():
+        _require_bracket(f"the {name} range", np.asarray(brackets)[np.argmin(valid)].tolist())
+    if count > 1 and np.any(np.log10(lo) == np.log10(hi)):
+        raise InvalidInputError(f"a {name} range is too narrow: lo and hi have the same log10")
+    return list(map(tuple, np.geomspace(lo, hi, count, axis=1).tolist()))
+
+
+def _se_bases(l_range: tuple[float, float], n_l: int) -> tuple[SEKernel, ...]:
+    """The SE base kernels (sigma_f = 1) at `n_l` length-scales over `l_range`, descending."""
+    return tuple(SEKernel(1.0, l) for l in _log_spaced("length_scale", [l_range], n_l)[0][::-1])
 
 
 def build_se_grid(
@@ -155,9 +169,8 @@ def build_se_grid(
     The primary ordering key is the descending length-scale, so capacity is
     nondecreasing along the candidate list.
     """
-    lengths = _log_spaced("length_scale", l_range, n_l)[::-1]
-    bases = tuple(SEKernel(sigma_f=1.0, length_scale=l) for l in lengths)
-    return StructureGrid("se", bases, _log_spaced("sigma_f", sigma_f_range, n_sigma))
+    (sigma_fs,) = _log_spaced("sigma_f", [sigma_f_range], n_sigma)
+    return StructureGrid("se", _se_bases(l_range, n_l), sigma_fs)
 
 
 def build_sdof_grid(
@@ -166,8 +179,8 @@ def build_sdof_grid(
     n_sigma: int,
 ) -> StructureGrid:
     """Oscillator structure: sigma_f grid with the coefficients held fixed."""
-    base = SDOFKernel(sigma_f=1.0, params=params)
-    return StructureGrid("sdof", (base,), _log_spaced("sigma_f", sigma_f_range, n_sigma))
+    (sigma_fs,) = _log_spaced("sigma_f", [sigma_f_range], n_sigma)
+    return StructureGrid("sdof", (SDOFKernel(sigma_f=1.0, params=params),), sigma_fs)
 
 
 @dataclass(frozen=True)
@@ -189,49 +202,36 @@ class GridSettings(JsonRecord):
     ) -> StructureGrid:
         """The data-driven grid of `family` ("se" or "sdof") for `data`.
 
-        Both families sweep the same output amplitudes sqrt(k(0)),
-        amplitude_factors times RMS(y), which keeps their treatment
-        symmetric. For SE, sigma_f is that amplitude and the length-scale
-        spans the smallest training-point gap up to the full span. For the
-        oscillator family sqrt(k(0)) = sigma_f / sqrt(variance_scale) of
-        its base kernel, so its sigma_f bracket is the amplitude bracket
-        rescaled by sqrt(variance_scale), with `params` held fixed.
+        Both families sweep the same output amplitudes sqrt(k(0)) =
+        sigma_f / sqrt(variance_scale), amplitude_factors times RMS(y),
+        which keeps their treatment symmetric. SE's length-scales span the
+        smallest training-point gap up to the full span; SDOF holds `params` fixed.
         """
         return self.family_grids(family, [data], params)[0]
 
     def family_grids(
         self, family: str, datasets: Sequence[TrainingSet], params: OscillatorParams
     ) -> list[StructureGrid]:
-        """family_grid of each of `datasets`, which must share their sample times.
-
-        The base kernels depend on the sample times (SE) or on `params`
-        (SDOF) only, so they are built once; each set adds its own sigma_f
-        bracket from its RMS(y). A family not in FAMILIES raises InvalidInputError.
+        """family_grid of each of `datasets`, which must share their sample times: one set of
+        bases, one mean for all RMS(y) and one _log_spaced call for all sigma_f rows. A family
+        not in FAMILIES raises InvalidInputError.
         """
         if family not in FAMILIES:
             raise InvalidInputError(f"unknown family {family!r}, expected one of {FAMILIES}")
-        brackets = []
-        for data in datasets:
-            rms = float(np.sqrt(np.mean(data.y**2)))
-            if rms == 0.0:
-                raise InvalidInputError(
-                    "the amplitude bracket needs RMS(y) > 0; every y squares to 0"
-                )
-            brackets.append(tuple(factor * rms for factor in self.amplitude_factors))
         t = datasets[0].t
         if family == "se":
             require_se_sample_count(t.size)
             l_range = (float(np.min(np.diff(t))), float(t[-1] - t[0]))
-            first = build_se_grid(brackets[0], l_range, self.se_sigma_count, self.se_length_count)
+            bases, count = _se_bases(l_range, self.se_length_count), self.se_sigma_count
         else:
-            scale = np.sqrt(SDOFKernel(sigma_f=1.0, params=params).variance_scale)
-            brackets = [(lo * scale, hi * scale) for lo, hi in brackets]
-            first = build_sdof_grid(params, brackets[0], self.sdof_sigma_count)
-        count = len(first.sigma_fs)
-        return [first, *(
-            replace(first, sigma_fs=_log_spaced("sigma_f", bracket, count))
-            for bracket in brackets[1:]
-        )]
+            bases, count = (SDOFKernel(sigma_f=1.0, params=params),), self.sdof_sigma_count
+        unit = np.sqrt(bases[0].variance_scale)  # the sigma_f of a unit amplitude sqrt(k(0))
+        with np.errstate(over="ignore"):  # an overflow leaves an RMS(y) or a bracket infinite
+            rms = np.sqrt(np.mean(np.stack([data.y for data in datasets]) ** 2, axis=1))
+            brackets = np.multiply.outer(rms, self.amplitude_factors) * unit
+        if not np.all((rms > 0.0) & (rms < np.inf)):
+            raise InvalidInputError("the amplitude bracket needs a finite RMS(y) > 0")
+        return [StructureGrid(family, bases, s) for s in _log_spaced("sigma_f", brackets, count)]
 
 
 def require_se_sample_count(n: int) -> None:
@@ -266,7 +266,7 @@ def srm_select_batch(
 
     The training sets must share their sample times, and the grids their
     base kernels and number of signal scales; the scales themselves may
-    differ. The sets stack into arrays, targets (sets x n) and rho =
+    differ. The sets stack into arrays, each base's projections z (sets x n) and rho =
     sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights read too.
     Raises InvalidInputError if the counts, sample times, bases or scale
     counts differ, or if a set's sigma_n fails require_determined_noise at
@@ -291,17 +291,19 @@ def srm_select_batch(
             exc.set_index = r
             raise
     y = np.stack([data.y for data in datasets])
+    z = [spectrum.project(y) for spectrum in spectra]  # (sets x n) per base
     rho = np.array([np.divide(g.sigma_fs, d.sigma_n) for g, d in zip(grids, datasets)]) ** 2
-    scored = [signal_scale_scores(spectrum, y, rho) for spectrum in spectra]
+    scored = [signal_scale_scores(spectrum, zs, rho) for spectrum, zs in zip(spectra, z)]
     edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
     results = []
     for r, grid in enumerate(grids):
         scores = vc_bounds(mse[r], edf[r], n, bound_config)
         # lexsort is stable: the (bound, h, grid index) order
         best = int(np.lexsort((scores.h, scores.bound))[0])
+        b = best // count
         results.append(SelectionResult(
             grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
-            grid, scores, spectral_weights(spectra[best // count], rho[r, best % count], y[r]),
+            grid, scores, bases[b], spectral_weights(spectra[b], rho[r, best % count], z[b][r]),
         ))
     return results
 

@@ -406,10 +406,11 @@ class _Inputs:
         assert main(["simulate", *flags, "--out", str(data)]) == 0
         return str(data)
 
-    def zero_targets(self):
-        """Copy of the simulated data dir whose training.csv has every target y set to 0."""
+    def scaled_targets(self, factor):
+        """Copy of the simulated data dir whose training.csv has every target y times `factor`."""
         header, *rows = (self._sim_dir / "training.csv").read_text().splitlines()
-        text = "".join(f"{t},0,{h}\n" for t, _, h in (row.split(",") for row in rows))
+        cells = (row.split(",") for row in rows)
+        text = "".join(f"{t},{float(y) * factor!r},{h}\n" for t, y, h in cells)
         return self.training_file("training.csv", f"{header}\n{text}".encode())
 
     def training_file(self, name, content):
@@ -638,9 +639,14 @@ _INVALID_INPUTS = [
          "experiment", "--config",
          i.config(lambda d: [plan.update(t_start=-0.3) for plan in d["plans"]]), "--out", out]),
     ("select-all-zero-targets", 2,
-     lambda i, out: ["select", "--data", i.zero_targets(), "--family", "both", "--out", out]),
+     lambda i, out: ["select", "--data", i.scaled_targets(0.0), "--family", "both", "--out", out]),
     ("select-sdof-all-zero-targets", 2,
-     lambda i, out: ["select", "--data", i.zero_targets(), "--family", "sdof", "--out", out]),
+     lambda i, out: ["select", "--data", i.scaled_targets(0.0), "--family", "sdof", "--out", out]),
+    ("select-target-squares-overflow", 2,
+     lambda i, out: ["select", "--data", i.scaled_targets(1e200), "--out", out]),
+    ("select-sdof-amplitude-bracket-overflows", 2,
+     lambda i, out: ["select", "--data", i.data, "--family", "sdof", "--amp-hi", "1e308",
+                     "--out", out]),
     ("select-training-plan-decimation-edited", 3,
      lambda i, out: [
          "select", "--data", i.training(lambda d: d["plan"].update(decimation=4)),
@@ -687,6 +693,8 @@ def test_invalid_input_exits_with_its_code(sim_dir, tmp_path, golden_dir, capsys
     ("config-negative-start-time", "t_start must be >= 0"),
     ("select-all-zero-targets", "RMS(y)"),
     ("select-sdof-all-zero-targets", "RMS(y)"),
+    ("select-target-squares-overflow", "RMS(y)"),
+    ("select-sdof-amplitude-bracket-overflows", "the sigma_f range must be two finite numbers"),
     ("select-one-sample", "1 times are not the 63 sample times of the plan in training.json"),
     ("select-training-plan-decimation-edited",
      "63 times are not the 251 sample times of the plan in training.json"),
@@ -700,6 +708,15 @@ def test_invalid_input_names_its_cause(sim_dir, tmp_path, golden_dir, capsys, na
     expected, argv = _ROWS[name]
     assert main(argv(_Inputs(sim_dir, tmp_path, golden_dir), str(tmp_path / "o"))) == expected
     assert cause in capsys.readouterr().err
+
+
+def test_fit_reports_an_overflowing_training_mse_as_inf(sim_dir, tmp_path, golden_dir, capsys):
+    # the residuals' squares overflow; fit still succeeds and warns of nothing
+    data = _Inputs(sim_dir, tmp_path, golden_dir).scaled_targets(1e200)
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", data, "--kernel", _SE_KERNEL, "--out", str(out)]) == 0
+    assert json.loads((out / "fit.json").read_text())["train_mse"] == "inf"
+    assert capsys.readouterr().err == ""
 
 
 def test_sdof_selects_on_two_samples(sim_dir, tmp_path, golden_dir, capsys):

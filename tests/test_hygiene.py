@@ -21,7 +21,8 @@ modules. The eigen-form belongs to the search: no module but ``smoother``
 and ``srm`` names ``Spectrum``, ``decompose``, ``signal_scale_scores`` or
 ``spectral_weights``, as a name, an attribute or an import. The structure
 grids have one owner: no module but ``srm`` calls ``StructureGrid``,
-``build_se_grid``, ``build_sdof_grid`` or ``_log_spaced``. The
+``build_se_grid``, ``build_sdof_grid``, ``_log_spaced`` or ``geomspace``,
+so only ``srm`` builds scale grids. The
 uniform-grid route has one owner: no module but ``smoother`` calls
 ``sliding_window_view``, ``toeplitz``, ``solve_toeplitz``, ``_uniform`` or
 ``_fold_blocks``, by name or attribute, and no module, ``smoother``
@@ -387,7 +388,7 @@ def test_only_the_search_names_the_eigen_form(path):
     assert _eigen_form_names(path.read_text()) == []
 
 
-_GRID_BUILDERS = {"StructureGrid", "build_se_grid", "build_sdof_grid", "_log_spaced"}
+_GRID_BUILDERS = {"StructureGrid", "build_se_grid", "build_sdof_grid", "_log_spaced", "geomspace"}
 
 
 def _named_calls(source: str, names: set[str]) -> list[str]:
@@ -408,9 +409,10 @@ def test_scanner_flags_a_grid_built_outside_srm():
         "other = srm.StructureGrid('sdof', bases, scales)\n"
         "result = srm_select(grid, data)\n"
         "doc = 'build_sdof_grid(params, bracket, 30)'\n"
+        "scales = np.geomspace(lo, hi, count)\n"
     )
     assert _named_calls(source, _GRID_BUILDERS) == [
-        "line 2: build_se_grid", "line 3: StructureGrid",
+        "line 2: build_se_grid", "line 3: StructureGrid", "line 6: geomspace",
     ]
 
 

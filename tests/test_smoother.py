@@ -330,6 +330,23 @@ class TestRobustness:
         with pytest.raises(InvalidInputError, match="rounding level"):
             at(0.5 * level)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-150, 1e150), st.sampled_from(["se", "sdof"]))
+    def test_noise_rule_takes_n_k0_bit_for_bit(self, sigma_f, family):
+        # fit's top n * k(0), from sigma_f^2 * unit_diagonal, is kernel_eval's k(0) times n
+        spec = SEKernel(sigma_f, 0.05) if family == "se" else SDOFKernel(sigma_f, _PAPER)
+        t = np.linspace(0.0, 0.3, 12)
+        tops = []
+
+        def record(sigma_n, n, top):
+            tops.append(top)
+            raise InvalidInputError("recorded")
+
+        with mock.patch.object(smoother, "require_determined_noise", record):
+            with pytest.raises(InvalidInputError, match="recorded"):
+                fit(spec, _make_data(t, np.sin(30 * t)), 0.1)
+        assert tops == [12 * float(kernel_eval(spec, 0.0, 0.0))]
+
 
 # targets are 0 or at least 1e-3 in magnitude: the check is relative to each
 # curve's max |value|, and all-tiny targets would drive it into subnormals
@@ -376,7 +393,8 @@ class TestSpectralRefit:
         spectra = {base: decompose([base], t)[0] for base, _, _ in cells}
         for base, sigma_f, data in cells:
             cross = kernel_eval(base, t_star[:, None], t)
-            got = cross @ spectral_weights(spectra[base], (sigma_f / data.sigma_n) ** 2, data.y)
+            z = spectra[base].project(data.y)
+            got = cross @ spectral_weights(spectra[base], (sigma_f / data.sigma_n) ** 2, z)
             scale = sigma_f**2
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
             weights = np.array(solve_dense(A.tolist(), data.y.tolist()))
@@ -563,7 +581,9 @@ def _edf_tolerance(lam: np.ndarray, noise: float) -> float:
     cancellation, which dominates when sigma_n >> sigma_f.
     """
     edf = float(np.sum(lam / (lam + noise)))
-    perturbation = _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
+    # past sigma_n^2 = 1e154 the squares overflow, and the term is 0 to the float range
+    with np.errstate(over="ignore"):
+        perturbation = _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
     return 1e-9 * edf + perturbation + 4 * lam.size * _EPS
 
 
@@ -642,6 +662,12 @@ _SDOF_AT_LEVEL = (_SDOF, 10.0 + 0.02 * np.arange(16), math.sqrt(1.5 * _SDOF_LEVE
 # sigma_n = 1e8 sigma_f: the Gohberg-Semencul n - sigma_n^2 tr(A^-1) rounds
 # to -1.8e-15 before the clamp (on _NOISE_DOMINATED's 12 times it is exactly 0)
 _NOISE_DOMINATED_10 = (SEKernel(1.0, 0.05), np.linspace(0.0, 0.3, 10), 1e8)
+# sigma_n = 1e100 sqrt(k(0)): x ~ 1 / sigma_n^2, whose squares underflow, so a
+# Gohberg-Semencul sum over x_k^2 gives edf = n where the edf is below 1e-180
+_HEAVY_NOISE_SE = (SEKernel(1.0, 0.01), np.linspace(0.0, 0.3, 16), 1e100)
+_HEAVY_NOISE_SDOF = (
+    _SDOF, 10.0 + 0.02 * np.arange(16), 1e100 * math.sqrt(kernel_eval(_SDOF, 0.0, 0.0))
+)
 
 
 class TestLevinsonFit:
@@ -650,6 +676,8 @@ class TestLevinsonFit:
     @example(_RANK_ONE)
     @example(_SDOF_AT_LEVEL)
     @example(_NOISE_DOMINATED_10)
+    @example(_HEAVY_NOISE_SE)
+    @example(_HEAVY_NOISE_SDOF)
     def test_matches_dense_oracles(self, problem):
         # The references solve the matrix the uniform path solves, A = T +
         # sigma_n^2 I with T = toeplitz(k(t - t[0])). The weights get rel 1e-8
@@ -669,7 +697,9 @@ class TestLevinsonFit:
         T = scipy.linalg.toeplitz(kernel_eval(spec, t - t[0], 0.0))
         A = T + noise * np.eye(n)
         w = model.weights
-        assert np.linalg.norm(y - A @ w) <= 2 * n * _EPS * np.linalg.norm(A) * np.linalg.norm(w)
+        # BLAS nrm2 scales its sum: at sigma_n = 1e100 ||A||^2 overflows and ||w||^2 underflows
+        norm_a, norm_w = scipy.linalg.norm(A.ravel()), scipy.linalg.norm(w)
+        assert np.linalg.norm(y - A @ w) <= 2 * n * _EPS * norm_a * norm_w
         lam = np.maximum(scipy.linalg.eigh(T, eigvals_only=True), 0.0)
         kappa = (lam[-1] + noise) / (lam[0] + noise)
         ref_w = np.array(solve_dense(A.tolist(), y.tolist()))
@@ -682,7 +712,8 @@ class TestLevinsonFit:
         # the spectral edf missed a 60-digit edf of T by 1.9 and 1.5 times
         # _edf_tolerance, and this path by 0.02 times, so the spectral
         # reference gets n times the eigenvalue term on top
-        eigh_error = n * _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
+        with np.errstate(over="ignore"):
+            eigh_error = n * _EPS * lam[-1] * float(np.sum(noise / (lam + noise) ** 2))
         assert abs(model.edf - float(np.sum(lam / (lam + noise)))) <= tolerance + eigh_error
 
 

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import srmks.smoother as smoother_module
@@ -27,6 +27,7 @@ from srmks.risk import (
 )
 from srmks.smoother import decompose, fit, rounding_level
 from srmks.srm import (
+    FAMILIES,
     GridSettings,
     SelectionResult,
     StructureGrid,
@@ -63,7 +64,7 @@ def _result(bound, h, family="se"):
         family=family, best_spec=spec, best_report=scores.report(0),
         degenerate=bool(scores.clipped[0]),
         grid=StructureGrid(family="se", bases=(spec,), sigma_fs=(1.0,)), scores=scores,
-        weights=np.zeros(1),
+        base=spec, weights=np.zeros(1),
     )
 
 
@@ -506,6 +507,73 @@ def _batch_problems(draw):
     return grids, datasets, draw(st.sampled_from([None, _GENERAL]))
 
 
+@st.composite
+def _amplitude_rows(draw):
+    """A family, 1-5 sets on shared times with RMS(y) from about 1e-100 to 1e100, amplitude
+    factors lo < hi, and a sigma_f count."""
+    n = draw(st.integers(3, 10))
+    t = np.linspace(0.0, 0.3, n)
+    values = st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1e-3)
+    datasets = []
+    for scale in draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5)):
+        y = 10**scale * np.array(draw(st.lists(values, min_size=n, max_size=n)))
+        datasets.append(TrainingSet(t=t, y=y, sigma_n=1.0, true_h=np.zeros(n), seed=0))
+    lo = 10 ** draw(st.floats(-3.0, 1.0))
+    hi = lo * draw(st.floats(1.0, 1e3))
+    assume(lo < hi)
+    return draw(st.sampled_from(FAMILIES)), datasets, (lo, hi), draw(st.integers(1, 40))
+
+
+# log10 of lo and of the next float up coincide: stacked with another row, a
+# plain np.geomspace takes linspace's zero-step branch for every row
+_LOG_EQUAL = (1.5031848598255995e82, float(np.nextafter(1.5031848598255995e82, np.inf)))
+_BRACKETS = st.tuples(st.floats(1e-300, 1e300), st.floats(1.0, 1e6)).map(
+    lambda pair: (pair[0], pair[0] * pair[1])
+)
+
+
+class TestSigmaRows:
+    """family_grids' sigma_f rows, one np.geomspace for all sets, are each set's own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_amplitude_rows())
+    def test_family_grids_match_per_set_geomspace(self, problem):
+        family, datasets, factors, count = problem
+        grid_settings = GridSettings(
+            se_sigma_count=count, se_length_count=2, sdof_sigma_count=count,
+            amplitude_factors=factors,
+        )
+        scale = 1.0 if family == "se" else np.sqrt(SDOFKernel(1.0, _PAPER).variance_scale)
+        # the bracket of each set alone, as the per-set loop formed it
+        brackets = []
+        for data in datasets:
+            rms = float(np.sqrt(np.mean(data.y**2)))
+            brackets.append(tuple(factor * rms * scale for factor in factors))
+        try:
+            grids = grid_settings.family_grids(family, datasets, _PAPER)
+        except InvalidInputError as exc:
+            assert "same log10" in str(exc) and count > 1
+            assert any(np.log10(lo) == np.log10(hi) for lo, hi in brackets)
+            return
+        for grid, (lo, hi) in zip(grids, brackets, strict=True):
+            assert grid.sigma_fs == tuple(np.geomspace(lo, hi, count).tolist())
+            assert grid.bases == grids[0].bases
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_BRACKETS, min_size=1, max_size=6), st.integers(1, 40))
+    @example([_LOG_EQUAL, (0.1, 10.0)], 10)
+    @example([_LOG_EQUAL, (0.1, 10.0)], 1)  # one value needs no step: the bracket only places it
+    def test_stacked_rows_match_per_row_geomspace(self, brackets, count):
+        assume(all(lo < hi < np.inf for lo, hi in brackets))
+        try:
+            rows = srm_module._log_spaced("sigma_f", brackets, count)
+        except InvalidInputError as exc:
+            assert "same log10" in str(exc) and count > 1
+            assert any(np.log10(lo) == np.log10(hi) for lo, hi in brackets)
+            return
+        assert rows == [tuple(np.geomspace(lo, hi, count).tolist()) for lo, hi in brackets]
+
+
 class TestBatchSelection:
     @settings(max_examples=100, deadline=None)
     @given(_batch_problems())
@@ -518,6 +586,25 @@ class TestBatchSelection:
         assert batch == separate
         assert [r.trace for r in batch] == [r.trace for r in separate]
         assert all(np.array_equal(b.weights, s.weights) for b, s in zip(batch, separate))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_projection_per_base(self, monkeypatch, family):
+        # the stacked targets are projected once per base kernel; the refits reuse those rows
+        cfg = default_config(repetitions=3)
+        datasets = [cfg.training_set(cfg.plans[0], i) for i in range(3)]
+        grids = cfg.grids.family_grids(family, datasets, cfg.params)
+        calls, project = [], smoother_module.Spectrum.project
+
+        def counted(spectrum, y):
+            calls.append(y.shape)
+            return project(spectrum, y)
+
+        monkeypatch.setattr(smoother_module.Spectrum, "project", counted)
+        results = srm_select_batch(grids, datasets, cfg.bound_config)
+        assert calls == [(3, datasets[0].n)] * len(grids[0].bases)
+        for result in results:
+            assert result.base == replace(result.best_spec, sigma_f=1.0)
+            assert result.base in result.grid.bases
 
     def test_one_uniform_verdict_per_batch(self, paper_params, monkeypatch):
         # the grid's bases share their sample times, so one verdict serves all
@@ -697,7 +784,7 @@ def _scored_grids(draw):
     best = int(np.lexsort((scores.h, scores.bound))[0])
     return SelectionResult(
         grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
-        grid, scores, np.zeros(1),
+        grid, scores, grid.bases[best // len(grid.sigma_fs)], np.zeros(1),
     )
 
 
