@@ -1,8 +1,9 @@
 """The one place that encodes and decodes files: CSV tables, JSON documents, floats.
 
-Floats are written with 17 significant digits, enough to round-trip IEEE
-doubles exactly, and the non-finite ones as the strings "inf", "-inf" and
-"nan", so CSV and JSON files stay portable. json_text writes every JSON
+CSV fields and stdout write floats with 17 significant digits, JSON with
+float.__repr__ (the shortest text that reads back, 0.5961296844730606): both
+round-trip IEEE doubles, and write "inf", "-inf" and "nan" for the
+non-finite ones, so the files stay portable. json_text writes every JSON
 document (two-space indent, one trailing newline), json_rows_text its bytes
 for a document with a list of entries drawn from float and bool columns, and
 lines_text every file of lines. csv_text writes a CSV table from its
@@ -10,17 +11,18 @@ columns, each float array formatted in one call and bools as true/false;
 csv_table reads one, skipping blank lines and checking the header, that a
 data row follows and that every row has the header's field count.
 
-The config and report dataclasses and the training.json sidecar derive from
-JsonRecord, whose one codec walks the dataclass fields in order. A field's
-key is its name unless its metadata names another
+The config, report and kernel-spec dataclasses and the training.json sidecar
+derive from JsonRecord, whose one codec walks the dataclass fields in order.
+A field's key is its name unless its metadata names another
 (``field(metadata={"key": "min"})``); enums go by value, tuples become
-lists, None stays null and nested JsonRecords recurse. On read, only a
-field with a default may be missing and an unknown key is an error, so a
-misspelt key cannot fall back to a default. Floats are read by
-float_from_json (a JSON number that is not a boolean, or a string that
-json_float writes), bools must be JSON booleans, and ints pass through to
-the classes' own require_int checks. Every reader raises only ValueError:
-InvalidInputError, or the JSONDecodeError of malformed JSON.
+lists, None stays null and nested JsonRecords recurse, or, under the key
+None, sit inline: their keys beside their parent's. On read, only a field
+with a default may be missing and an unknown key is an error, so a misspelt
+key cannot fall back to a default. Floats are read by float_from_json (a
+JSON number that is not a boolean, or a string that json_float writes),
+bools must be JSON booleans, and ints pass through to the classes' own
+require_int checks. Every reader raises only ValueError: InvalidInputError,
+or the JSONDecodeError of malformed JSON.
 """
 from __future__ import annotations
 
@@ -185,18 +187,25 @@ def _codec(tp) -> tuple:
 def _fields(cls) -> tuple:
     """(name, key, encode, decode, required) per dataclass field of `cls`, in order.
 
-    An identity coder is None, so that writing a field skips the call.
+    An identity coder is None, so that writing a field skips the call. An
+    inline field's key is the tuple of its record's keys.
     """
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
-            f.metadata.get("key", f.name),
+            f.metadata.get("key", f.name) or _keys(hints[f.name]),
             *(None if coder is _same else coder for coder in _codec(hints[f.name])),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
     )
+
+
+@functools.cache
+def _keys(cls) -> tuple:
+    """Every key of a `cls` object, in field order."""
+    return sum((key if isinstance(key, tuple) else (key,) for _, key, *_ in _fields(cls)), ())
 
 
 class JsonRecord:
@@ -206,20 +215,23 @@ class JsonRecord:
         doc = {}
         for name, key, encode, _, _ in _fields(type(self)):
             value = getattr(self, name)
-            doc[key] = value if encode is None else encode(value)
+            value = value if encode is None else encode(value)
+            doc.update(value if isinstance(key, tuple) else {key: value})
         return doc
 
     @classmethod
     def from_json_dict(cls, d):
         if not isinstance(d, dict):
             raise InvalidInputError(f"{cls.__name__} must be a JSON object, got {d!r}")
-        fields = _fields(cls)
-        unknown = d.keys() - {key for _, key, _, _, _ in fields}
+        keys = _keys(cls)
+        unknown = d.keys() - keys
         if unknown:
-            raise InvalidInputError(f"unknown {cls.__name__} key {min(unknown)!r}")
+            raise InvalidInputError(f"unknown {cls.__name__} key {min(unknown)!r}, not in {keys}")
         kwargs = {}
-        for name, key, _, decode, required in fields:
-            if key in d:
+        for name, key, _, decode, required in _fields(cls):
+            if isinstance(key, tuple):
+                kwargs[name] = decode({k: d[k] for k in key if k in d})
+            elif key in d:
                 kwargs[name] = d[key] if decode is None else decode(d[key])
             elif required:
                 raise InvalidInputError(f"{cls.__name__} needs the key {key!r}")

@@ -20,19 +20,20 @@ pairs is exactly symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ioutil import float_from_json, json_float
+from .ioutil import JsonRecord
 from .oscillator import OscillatorParams
 
 __all__ = [
     "SEKernel",
     "SDOFKernel",
     "KernelSpec",
+    "KERNELS",
     "kernel_eval",
     "gram",
     "kernel_to_json_dict",
@@ -49,7 +50,7 @@ def _require_finite_variance(sigma_f: float, unit_diagonal: float) -> None:
 
 
 @dataclass(frozen=True)
-class SEKernel:
+class SEKernel(JsonRecord):
     """Squared-exponential kernel with signal scale sigma_f and length-scale (s)."""
 
     sigma_f: float
@@ -68,11 +69,11 @@ class SEKernel:
 
 
 @dataclass(frozen=True)
-class SDOFKernel:
+class SDOFKernel(JsonRecord):
     """Oscillator kernel: sigma_f plus the physical coefficients of the system."""
 
     sigma_f: float
-    params: OscillatorParams
+    params: OscillatorParams = field(metadata={"key": None})  # written inline: m, c, k
 
     family = "sdof"
 
@@ -107,6 +108,7 @@ class SDOFKernel:
 
 
 KernelSpec = Union[SEKernel, SDOFKernel]
+KERNELS = {"se": SEKernel, "sdof": SDOFKernel}
 
 
 def kernel_eval(spec: KernelSpec, t, t_prime):
@@ -152,31 +154,15 @@ def gram(spec: KernelSpec, t) -> np.ndarray:
     return kernel_eval(spec, t[:, None], t[None, :])
 
 
-_KERNEL_KEYS = {"se": ("sigma_f", "length_scale"), "sdof": ("sigma_f", "m", "c", "k")}
-
-
 def kernel_to_json_dict(spec: KernelSpec) -> dict:
-    if isinstance(spec, SEKernel):
-        values = (spec.sigma_f, spec.length_scale)
-    elif isinstance(spec, SDOFKernel):
-        values = (spec.sigma_f, spec.params.m, spec.params.c, spec.params.k)
-    else:
+    if type(spec) not in KERNELS.values():
         raise InvalidInputError(f"unknown kernel spec {spec!r}")
-    return {"family": spec.family, **dict(zip(_KERNEL_KEYS[spec.family], map(json_float, values)))}
+    return {"family": spec.family, **spec.to_json_dict()}
 
 
 def kernel_from_json_dict(d) -> KernelSpec:
-    """The inverse of kernel_to_json_dict: exactly the family's keys, numbers by float_from_json."""
+    """The inverse of kernel_to_json_dict: a family, then exactly that record's keys."""
     family = d.get("family") if isinstance(d, dict) else None
-    if not (isinstance(family, str) and family in _KERNEL_KEYS):
-        raise InvalidInputError(f"kernel spec needs a family 'se' or 'sdof', got {d!r}")
-    keys = _KERNEL_KEYS[family]
-    if d.keys() != {"family", *keys}:
-        raise InvalidInputError(
-            f"a {family} kernel spec holds exactly the keys family, {', '.join(keys)}; "
-            f"got {', '.join(sorted(d))}"
-        )
-    sigma_f, *rest = map(float_from_json, (d[key] for key in keys))
-    if family == "se":
-        return SEKernel(sigma_f, *rest)
-    return SDOFKernel(sigma_f, OscillatorParams(*rest))
+    if not (isinstance(family, str) and family in KERNELS):
+        raise InvalidInputError(f"kernel spec needs a family, one of {tuple(KERNELS)}, got {d!r}")
+    return KERNELS[family].from_json_dict({k: v for k, v in d.items() if k != "family"})

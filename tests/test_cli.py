@@ -725,6 +725,50 @@ def test_sdof_selects_on_two_samples(sim_dir, tmp_path, golden_dir, capsys):
     assert main(["select", "--data", data, "--family", "sdof", "--out", str(tmp_path / "o")]) == 0
 
 
+def _scaled_training_set(sim, out, factor):
+    """Copy of the data dir `sim` with y, true_h and sigma_n all times `factor`."""
+    header, *rows = (sim / "training.csv").read_text().splitlines()
+    cells = (row.split(",") for row in rows)
+    text = "".join(f"{t},{float(y) * factor!r},{float(h) * factor!r}\n" for t, y, h in cells)
+    meta = json.loads((sim / "training.json").read_text())
+    meta["sigma_n"] *= factor
+    out.mkdir()
+    (out / "training.csv").write_text(f"{header}\n{text}")
+    (out / "training.json").write_text(json.dumps(meta))
+    return out
+
+
+def test_select_picks_the_same_winner_on_data_scaled_by_1e_150(tmp_path, capsys):
+    # the winner's bound, 4.1e-308 at 1e-150, is still a normal float
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--decimation", "16", "--seed", "3", "--out", str(sim)]) == 0
+    winners = []
+    for factor in (1.0, 1e-150):
+        data = _scaled_training_set(sim, tmp_path / f"x{factor:g}", factor)
+        assert main(["select", "--data", str(data), "--out", str(data / "sel")]) == 0
+        best = json.loads((data / "sel" / "best.json").read_text())
+        spec, report = best["best_spec"], best["best_report"]
+        winners.append((best["family"], spec["sigma_f"] / factor, report["h"]))
+    (family, sigma_f, h), (scaled_family, scaled_sigma_f, scaled_h) = winners
+    assert scaled_family == family
+    assert scaled_sigma_f == pytest.approx(sigma_f, rel=1e-12)
+    assert scaled_h == pytest.approx(h, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "factor,cause", [(1e-158, "above the rounding level"), (1e-160, "RMS(y)")]
+)
+def test_select_rejects_data_scaled_out_of_the_float_range(tmp_path, capsys, factor, cause):
+    # sigma_n^2 underflows to zero first, at 1e-158; RMS(y) from 1e-159 on
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--decimation", "16", "--seed", "3", "--out", str(sim)]) == 0
+    data = _scaled_training_set(sim, tmp_path / "scaled", factor)
+    capsys.readouterr()
+    assert main(["select", "--data", str(data), "--out", str(tmp_path / "sel")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and cause in lines[0]
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

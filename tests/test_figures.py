@@ -74,6 +74,21 @@ class TestBoxFigures:
         assert re.findall(r'text-anchor="end" fill="#333333">([^<]*)<', panel) == ["0.1", "1", "10"]
         assert len(re.findall(r'data-empty="true"', panel)) == 2
 
+    def test_panels_of_one_value_are_widened_to_a_decade(self):
+        # the pad 10**(0.08 * log10(hi / lo)) rounds to 1, so both log scales
+        # start with equal ends; without the widening the figure divides by zero
+        top = math.nextafter(1e10, math.inf)
+        records = [
+            replace(_record(63, 0, "se", bound=1e10), true_mse=1e10),
+            replace(_record(63, 1, "se", bound=top), true_mse=top),
+        ]
+        svg = boxplot_svg(records)
+        for metric in ("bound", "true_mse"):
+            panel = svg[svg.index(f'<g class="panel" data-metric="{metric}">'):]
+            ticks = re.findall(r'text-anchor="end" fill="#333333">([^<]*)<', panel)
+            assert ticks[0] == "1e+10"
+        assert "nan" not in svg and len(BOX_RE.findall(svg)) == 2
+
     def test_family_missing_at_one_size_draws_no_box_there(self):
         records = [_record(63, 0, "se"), _record(63, 0, "sdof"), _record(126, 0, "se")]
         boxes = BOX_RE.findall(boxplot_svg(records))

@@ -8,11 +8,13 @@ name at its top level, so ``from module import *`` would fail. A
 module-private top-level function, class or assignment (a name with one
 leading underscore) is orphaned when nothing in its own module reads it.
 JSON has one codec and one writer: no class but ``ioutil.JsonRecord``
-defines ``to_json_dict`` or ``from_json_dict``, and no module but
-``ioutil`` calls ``json.dumps``. CSV has one reader and one writer: no
-module but ``ioutil`` splits a line into fields (``.split(",")``) or
-joins fields or lines (``",".join``, ``"\\n".join``). SVG has one
-element writer: no string literal in ``figures`` outside
+defines ``to_json_dict`` or ``from_json_dict``, no module but ``ioutil``
+calls ``json.dumps``, and no module but ``ioutil`` decodes a JSON number:
+none imports, calls or passes on ``float_from_json``, so a codec made of
+module functions cannot hide from the method scan. CSV has one reader and
+one writer: no module but ``ioutil`` splits a line into fields
+(``.split(",")``) or joins fields or lines (``",".join``, ``"\\n".join``).
+SVG has one element writer: no string literal in ``figures`` outside
 ``figures._tag`` opens or closes an element (``<`` or ``</`` followed by
 a letter, where an f-string's replacement fields count as letters). An
 input rule has one owner module: no ``InvalidInputError`` message text,
@@ -219,6 +221,38 @@ def test_no_class_has_its_own_json_codec(path):
     assert _own_json_codecs(path.read_text()) == []
 
 
+def _uses(source: str, names: set[str]) -> list[str]:
+    """Every name, attribute or imported name in `names`, called or passed on as in map(f, x)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used = [alias.name for alias in node.names]
+        else:
+            used = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found.extend(f"line {node.lineno}: {name}" for name in used if name in names)
+    return found
+
+
+def test_scanner_flags_a_json_number_decoded_outside_ioutil():
+    source = (
+        "from .ioutil import float_from_json, json_float\n"
+        "sigma_f = float_from_json(d['sigma_f'])\n"
+        "values = map(ioutil.float_from_json, (d[key] for key in keys))\n"
+        "doc = 'float_from_json(d[key])'\n"
+        "text = json_float(sigma_f)\n"
+    )
+    assert _uses(source, {"float_from_json"}) == [
+        "line 1: float_from_json", "line 2: float_from_json", "line 3: float_from_json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "ioutil.py"], ids=lambda path: path.name
+)
+def test_json_numbers_are_decoded_only_by_ioutil(path):
+    assert _uses(path.read_text(), {"float_from_json"}) == []
+
+
 def _csv_line_handlers(source: str) -> list[str]:
     """Every .split(","), ",".join and "\\n".join call."""
     found = []
@@ -359,14 +393,7 @@ _EIGEN_FORM = {"Spectrum", "decompose", "signal_scale_scores", "spectral_weights
 
 def _eigen_form_names(source: str) -> list[str]:
     """Every name, attribute or imported name of the eigen-form API."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name for alias in node.names]
-        else:
-            names = [getattr(node, "id", None), getattr(node, "attr", None)]
-        found.extend(f"line {node.lineno}: {name}" for name in names if name in _EIGEN_FORM)
-    return found
+    return _uses(source, _EIGEN_FORM)
 
 
 def test_scanner_flags_the_eigen_form_outside_the_search():

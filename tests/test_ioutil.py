@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from srmks.errors import InvalidInputError
 from srmks.experiment import BoxStats, ExperimentConfig, default_config
 from srmks.ioutil import (
+    JsonRecord,
     csv_table,
     csv_text,
     float_from_json,
@@ -19,6 +20,7 @@ from srmks.ioutil import (
     json_rows_text,
     json_text,
 )
+from srmks.kernels import SDOFKernel
 from srmks.oscillator import OscillatorParams, SamplingPlan, TrainingMeta
 from srmks.risk import BoundConfig, DeltaRule, RiskReport
 from srmks.srm import GridSettings
@@ -153,6 +155,34 @@ def test_optional_keys_take_the_field_defaults():
 def test_malformed_documents_are_rejected(cls, doc, match):
     with pytest.raises(ValueError, match=match):
         cls.from_json_dict(doc)
+
+
+_SDOF_SPEC = SDOFKernel(sigma_f=0.5, params=OscillatorParams(m=1.0, c=20.0, k=1e6))
+
+
+def test_an_inline_record_writes_its_keys_beside_its_parents():
+    assert issubclass(SDOFKernel, JsonRecord)
+    doc = _SDOF_SPEC.to_json_dict()
+    assert doc == {"sigma_f": 0.5, "m": 1.0, "c": 20.0, "k": 1e6}
+    assert list(doc) == ["sigma_f", "m", "c", "k"]
+    assert SDOFKernel.from_json_dict(json.loads(json_text(doc))) == _SDOF_SPEC
+
+
+def test_an_unknown_key_beside_an_inline_record_names_the_parent_and_its_keys():
+    doc = {**_SDOF_SPEC.to_json_dict(), "bogus": 1.0}
+    with pytest.raises(InvalidInputError) as caught:
+        SDOFKernel.from_json_dict(doc)
+    message = str(caught.value)
+    assert "unknown SDOFKernel key 'bogus'" in message
+    assert "('sigma_f', 'm', 'c', 'k')" in message
+
+
+@pytest.mark.parametrize("key", ["m", "c", "k"])
+def test_a_missing_key_of_an_inline_record_is_named(key):
+    doc = _SDOF_SPEC.to_json_dict()
+    del doc[key]
+    with pytest.raises(InvalidInputError, match=f"needs the key '{key}'"):
+        SDOFKernel.from_json_dict(doc)
 
 
 def test_booleans_must_be_json_booleans():

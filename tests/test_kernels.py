@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srmks.errors import InvalidInputError
+from srmks.ioutil import JsonRecord, json_text
 from srmks.kernels import (
+    KERNELS,
     SDOFKernel,
     SEKernel,
     gram,
@@ -17,6 +20,7 @@ from srmks.kernels import (
 )
 from srmks.oscillator import OscillatorParams, SamplingPlan
 from srmks.smoother import decimated_cross_kernel
+from srmks.srm import FAMILIES
 
 # dyadic rationals: exact binary fractions make shift arithmetic lossless,
 # so stationarity k(t+s, t'+s) == k(t, t') can be asserted with ==
@@ -301,6 +305,24 @@ class TestSerialization:
         back = kernel_from_json_dict(kernel_to_json_dict(k))
         assert back == k
 
+    # one spec per entry of KERNELS, so that a new family needs an example here
+    _EXAMPLES = {"se": _se(sigma_f=2.5, length_scale=0.037), "sdof": _sdof(sigma_f=0.75)}
+
+    def test_every_family_has_an_example(self):
+        assert self._EXAMPLES.keys() == KERNELS.keys()
+
+    @pytest.mark.parametrize("family", list(KERNELS))
+    def test_every_family_is_a_json_record_that_round_trips(self, family):
+        cls, spec = KERNELS[family], self._EXAMPLES[family]
+        assert issubclass(cls, JsonRecord) and type(spec) is cls
+        assert cls.family == family
+        doc = json.loads(json_text(kernel_to_json_dict(spec)))
+        assert doc == {"family": family, **spec.to_json_dict()}
+        assert kernel_from_json_dict(doc) == spec
+
+    def test_the_search_families_are_the_kernel_table(self):
+        assert FAMILIES == tuple(KERNELS)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidInputError):
             kernel_from_json_dict({"family": "matern", "sigma_f": 1.0})
@@ -318,9 +340,9 @@ class TestSerialization:
             ({"family": "sdof", "sigma_f": 1.0, "m": None, "c": 20.0, "k": 1e6}, "JSON number"),
             (
                 {"family": "se", "sigma_f": 0.002, "length_scale": 0.01, "bogus": 1},
-                "exactly the keys family, sigma_f, length_scale; got",
+                "unknown SEKernel key 'bogus'",
             ),
-            ({"family": "sdof", "sigma_f": 1.0, "m": 1.0, "c": 20.0}, "exactly the keys"),
+            ({"family": "sdof", "sigma_f": 1.0, "m": 1.0, "c": 20.0}, "needs the key 'k'"),
             ({"family": ["se"], "sigma_f": 1.0, "length_scale": 0.01}, "family"),
             ({"sigma_f": 1.0, "length_scale": 0.01}, "family"),
             ([1], "family"),

@@ -621,6 +621,9 @@ class TestBatchSelection:
         srm_select(grid, data)
         assert calls == [data.n]
 
+    def test_an_empty_batch_selects_nothing(self):
+        assert srm_select_batch([], []) == []
+
     def test_rejects_sets_with_different_sample_times(self, paper_params):
         first = _dataset(paper_params, decimation=16, seed=0)
         shifted = TrainingSet(
