@@ -213,8 +213,9 @@ class GridSettings(JsonRecord):
         self, family: str, datasets: Sequence[TrainingSet], params: OscillatorParams
     ) -> list[StructureGrid]:
         """family_grid of each of `datasets`, which must share their sample times: one set of
-        bases, one mean for all RMS(y) and one _log_spaced call for all sigma_f rows. A family
-        not in FAMILIES raises InvalidInputError.
+        bases, one mean for all RMS(y), exact from y / 2^e (_scaled_targets), and one
+        _log_spaced call for all sigma_f rows. A family not in FAMILIES, or an RMS(y)^2, the
+        scale of the risks, that is 0 or not finite, raises InvalidInputError.
         """
         if family not in FAMILIES:
             raise InvalidInputError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -226,12 +227,24 @@ class GridSettings(JsonRecord):
         else:
             bases, count = (SDOFKernel(sigma_f=1.0, params=params),), self.sdof_sigma_count
         unit = np.sqrt(bases[0].variance_scale)  # the sigma_f of a unit amplitude sqrt(k(0))
+        y, e = _scaled_targets(datasets)
         with np.errstate(over="ignore"):  # an overflow leaves an RMS(y) or a bracket infinite
-            rms = np.sqrt(np.mean(np.stack([data.y for data in datasets]) ** 2, axis=1))
+            rms = np.ldexp(np.sqrt(np.mean(y**2, axis=1)), e)
             brackets = np.multiply.outer(rms, self.amplitude_factors) * unit
-        if not np.all((rms > 0.0) & (rms < np.inf)):
-            raise InvalidInputError("the amplitude bracket needs a finite RMS(y) > 0")
+        if not np.all((0.0 < rms**2) & (rms**2 < np.inf)):
+            raise InvalidInputError("the amplitude bracket and risks need a finite RMS(y)^2 > 0")
         return [StructureGrid(family, bases, s) for s in _log_spaced("sigma_f", brackets, count)]
+
+
+def _scaled_targets(datasets: Sequence[TrainingSet]) -> tuple[np.ndarray, np.ndarray]:
+    """(y / 2^e, e) for the stacked targets y of `datasets`, e per set: 0 unless the set's
+    largest |y| is below 2^-256, where its squares can be subnormal, else that |y|'s
+    exponent. The division is exact, and where the squares stay normal it changes no score.
+    """
+    y = np.stack([data.y for data in datasets])
+    top = np.max(np.abs(y), axis=1)
+    e = np.where(top < 2.0**-256, np.frexp(top)[1], 0)
+    return (np.ldexp(y, -e[:, None]) if e.any() else y), e
 
 
 def require_se_sample_count(n: int) -> None:
@@ -267,7 +280,8 @@ def srm_select_batch(
     The training sets must share their sample times, and the grids their
     base kernels and number of signal scales; the scales themselves may
     differ. The sets stack into arrays, each base's projections z (sets x n) and rho =
-    sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights read too.
+    sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights read too. z projects
+    y / 2^e (_scaled_targets): a winner is picked on exact risks, then scaled back.
     Raises InvalidInputError if the counts, sample times, bases or scale
     counts differ, or if a set's sigma_n fails require_determined_noise at
     top = (its largest sigma_f)^2 * lambda_max; its `set_index` is the set's position.
@@ -290,8 +304,8 @@ def srm_select_batch(
         except InvalidInputError as exc:
             exc.set_index = r
             raise
-    y = np.stack([data.y for data in datasets])
-    z = [spectrum.project(y) for spectrum in spectra]  # (sets x n) per base
+    y, e = _scaled_targets(datasets)
+    z = [spectrum.project(y) for spectrum in spectra]  # (sets x n) per base, of y / 2^e
     rho = np.array([np.divide(g.sigma_fs, d.sigma_n) for g, d in zip(grids, datasets)]) ** 2
     scored = [signal_scale_scores(spectrum, zs, rho) for spectrum, zs in zip(spectra, z)]
     edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
@@ -301,9 +315,14 @@ def srm_select_batch(
         # lexsort is stable: the (bound, h, grid index) order
         best = int(np.lexsort((scores.h, scores.bound))[0])
         b = best // count
+        weights = spectral_weights(spectra[b], rho[r, best % count], z[b][r])
+        if e[r]:  # back from y / 2^e: risks scale by 4^e, weights by 2^e
+            risk, bound = (np.ldexp(v, 2 * e[r]) for v in (scores.empirical_risk, scores.bound))
+            scores = replace(scores, empirical_risk=risk, bound=bound)
+            weights = np.ldexp(weights, e[r])
         results.append(SelectionResult(
             grid.family, grid.candidate(best), scores.report(best), bool(scores.clipped.all()),
-            grid, scores, bases[b], spectral_weights(spectra[b], rho[r, best % count], z[b][r]),
+            grid, scores, bases[b], weights,
         ))
     return results
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import srmks.cli as cli_module
 import srmks.smoother as smoother_module
@@ -739,20 +740,23 @@ def _scaled_training_set(sim, out, factor):
 
 
 def test_select_picks_the_same_winner_on_data_scaled_by_1e_150(tmp_path, capsys):
-    # the winner's bound, 4.1e-308 at 1e-150, is still a normal float
+    # the winner's bound, 4.1e-308 at 1e-150, is still a normal float; at
+    # 1e-155 and 1e-157 the squares of y are subnormal, and the search
+    # divides y by a power of two before it squares
     sim = tmp_path / "sim"
     assert main(["simulate", "--decimation", "16", "--seed", "3", "--out", str(sim)]) == 0
     winners = []
-    for factor in (1.0, 1e-150):
+    for factor in (1.0, 1e-150, 1e-155, 1e-157):
         data = _scaled_training_set(sim, tmp_path / f"x{factor:g}", factor)
         assert main(["select", "--data", str(data), "--out", str(data / "sel")]) == 0
         best = json.loads((data / "sel" / "best.json").read_text())
         spec, report = best["best_spec"], best["best_report"]
         winners.append((best["family"], spec["sigma_f"] / factor, report["h"]))
-    (family, sigma_f, h), (scaled_family, scaled_sigma_f, scaled_h) = winners
-    assert scaled_family == family
-    assert scaled_sigma_f == pytest.approx(sigma_f, rel=1e-12)
-    assert scaled_h == pytest.approx(h, rel=1e-12)
+    (family, sigma_f, h), *scaled = winners
+    for scaled_family, scaled_sigma_f, scaled_h in scaled:
+        assert scaled_family == family
+        assert scaled_sigma_f == pytest.approx(sigma_f, rel=1e-12)
+        assert scaled_h == pytest.approx(h, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -805,6 +809,27 @@ class TestExitCodes:
         assert main(["select", "--data", str(sim_dir), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err == "error: the 32x32 eigendecomposition did not converge\n"
+
+    @pytest.mark.parametrize("solution,message", [
+        (None, "cannot solve the 63x63 Toeplitz system: synthetic singular principal minor"),
+        (np.nan, "the 63x63 Toeplitz system gave non-finite weights"),
+        (1e200, "the 63x63 Toeplitz system gave no finite edf"),
+    ], ids=["linalg-error", "nan", "overflow"])
+    def test_failed_fit_maps_to_four(
+        self, sim_dir, tmp_path, monkeypatch, capsys, solution, message
+    ):
+        # a failed Levinson solve, non-finite weights and an x whose trace
+        # is out of range each end fit with one error line, no traceback
+        def solve_toeplitz(c, b, **kw):
+            if solution is None:
+                raise np.linalg.LinAlgError("synthetic singular principal minor")
+            return np.full_like(b, solution)
+
+        monkeypatch.setattr(scipy.linalg, "solve_toeplitz", solve_toeplitz)
+        capsys.readouterr()
+        argv = ["fit", "--data", str(sim_dir), "--kernel", _SE_KERNEL, "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_memory_error_maps_to_four(self, tmp_path, monkeypatch, capsys):
         def boom(args):

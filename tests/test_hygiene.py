@@ -32,7 +32,10 @@ included, calls a dense ``toeplitz``: the uniform-grid route forms no n x
 n matrix. SciPy has one owner: no module but ``smoother`` imports
 ``scipy`` or names it, as a name or an attribute, and no module imports it
 outside a function body, so only a command that solves a system (``fit``,
-``plot --kind predictions``) loads it.
+``plot --kind predictions``) loads it. No module names ``lapack``, as a
+name, an attribute or an imported name: every solve goes through numpy's
+and scipy.linalg's solvers, which raise LinAlgError, and none through a
+LAPACK binding with its own ``info`` protocol.
 """
 import ast
 import re
@@ -576,3 +579,19 @@ def test_scanner_flags_a_module_level_scipy_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_scipy_at_import_time(path):
     assert _module_level_scipy_imports(path.read_text()) == []
+
+
+def test_scanner_flags_a_lapack_call():
+    source = (
+        "import scipy.linalg\n"
+        "inverse, info = scipy.linalg.lapack.dtrtri(factor, lower=1)\n"
+        "from scipy.linalg import lapack\n"
+        "doc = 'scipy.linalg.lapack.dtrtri'\n"
+        "inverse = scipy.linalg.solve_triangular(factor, eye, lower=True)\n"
+    )
+    assert sorted(_uses(source, {"lapack"})) == ["line 2: lapack", "line 3: lapack"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_calls_lapack_directly(path):
+    assert _uses(path.read_text(), {"lapack"}) == []

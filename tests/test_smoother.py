@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import edf_trace, exact_residual, solve_dense
@@ -220,16 +220,23 @@ class TestRobustness:
             fit(SEKernel(1.0, 0.05), data, 0.1)
         assert calls["count"] == 1
 
-    @pytest.mark.parametrize("fill,info", [(1.0, 3), (np.inf, 0)], ids=["info", "overflow"])
-    def test_failed_triangular_inverse_raises(self, monkeypatch, fill, info):
-        # LAPACK's dtrtri reports a zero diagonal of the factor through info;
-        # an inverse too large to square gives a non-finite edf
+    @pytest.mark.parametrize("inverse,message", [
+        (None, "cannot solve the 10x10 smoother system"),
+        (np.inf, "the 10x10 smoother system gave no finite edf"),
+    ], ids=["info", "overflow"])
+    def test_failed_triangular_inverse_raises(self, monkeypatch, inverse, message):
+        # solve_triangular raises LinAlgError on a zero diagonal of the
+        # factor; an inverse too large to square gives a non-finite edf
         t = _IRREGULAR_10
         data = _make_data(t, np.sin(30 * t), 0.1)
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dtrtri", lambda c, **kw: (np.full_like(c, fill), info)
-        )
-        with pytest.raises(SingularSystemError, match=f"dtrtri info {info}"):
+
+        def solve_triangular(a, b, **kw):
+            if inverse is None:
+                raise np.linalg.LinAlgError("singular matrix: resolution failed at diagonal 3")
+            return np.full_like(b, inverse)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", solve_triangular)
+        with pytest.raises(SingularSystemError, match=message):
             fit(SEKernel(1.0, 0.05), data, 0.1)
 
     @pytest.mark.parametrize("t,order", [
@@ -758,7 +765,31 @@ def _counting_cholesky(monkeypatch):
     return calls
 
 
+@st.composite
+def _plans(draw):
+    """A SamplingPlan with t_start 0 or from 1e-6 to 1e7 s, a span from 1e-8 to 1e4 s,
+    2 to 4,000 base points and any decimation that keeps two samples."""
+    t_start = draw(st.one_of(st.just(0.0), st.floats(-6.0, 7.0).map(lambda e: 10**e)))
+    t_end = t_start + 10 ** draw(st.floats(-8.0, 4.0))
+    assume(t_end > t_start)
+    base_points = draw(st.integers(2, 4000))
+    decimation = draw(st.integers(1, base_points - 1))
+    return SamplingPlan(
+        t_start=t_start, t_end=t_end, base_points=base_points, decimation=decimation,
+        snr=10.0, seed=0,
+    )
+
+
 class TestFitDispatch:
+    @settings(max_examples=300, deadline=None)
+    @given(_plans())
+    def test_every_plan_takes_levinson(self, plan):
+        # every valid plan's times pass the gate, so every CLI input and
+        # benchmark fit takes Levinson; only hand-built times take Cholesky
+        t = plan.sample_times()
+        assume(np.all(np.diff(t) > 0))
+        assert smoother._uniform(t)
+
     @pytest.mark.parametrize("family", ["se", "sdof"])
     @pytest.mark.parametrize("decimation", [1, 4, 16])
     @pytest.mark.parametrize("t_start", [0.0, 10.0])

@@ -360,6 +360,33 @@ class TestSelection:
                     srm_select(grid, data)
 
 
+class TestSubnormalSquares:
+    def test_select_is_exact_on_data_scaled_by_powers_of_two(self, paper_params):
+        # from about k = 507 the squares of y * 2^-k are subnormal; the search
+        # divides y by a power of two first, so the winner stays put until
+        # sigma_n^2 drops below the rounding level at k = 525
+        data = _dataset(paper_params, seed=3)
+
+        def winner(k):
+            s = 2.0**-k
+            scaled = TrainingSet(data.t, data.y * s, data.sigma_n * s, data.true_h * s, data.seed)
+            results = [
+                srm_select(GridSettings().family_grid(family, scaled, paper_params), scaled)
+                for family in FAMILIES
+            ]
+            best = compare_structures(results)
+            return best.family, best.best_spec.sigma_f / s, best.best_report.h
+
+        family, sigma_f, h = winner(0)
+        for k in range(490, 525):
+            scaled_family, scaled_sigma_f, scaled_h = winner(k)
+            assert scaled_family == family, k
+            assert scaled_sigma_f == pytest.approx(sigma_f, rel=1e-12), k
+            assert scaled_h == pytest.approx(h, rel=1e-12), k
+        with pytest.raises(InvalidInputError, match="rounding level"):
+            winner(525)
+
+
 _PAPER = OscillatorParams(m=1.0, c=20.0, k=1e6)
 _GENERAL = BoundConfig(a1=0.5, a2=2.0, c=0.8, delta=0.05, delta_rule=DeltaRule.FIXED)
 
@@ -532,11 +559,20 @@ _BRACKETS = st.tuples(st.floats(1e-300, 1e300), st.floats(1.0, 1e6)).map(
 )
 
 
+# amplitude factors one ulp apart whose products with RMS(y) = 0.782... round
+# to one float: the bracket is empty, which _require_bracket rejects
+_ROUNDED_AWAY = ("se", [TrainingSet(
+    t=np.linspace(0.0, 0.3, 7), y=np.array([1.0, 1.125, 1.03125, 0.5, 0.5, 0.625, 0.25]),
+    sigma_n=1.0, true_h=np.zeros(7), seed=0,
+)], (0.04531583637600818, 0.04531583637600819), 1)
+
+
 class TestSigmaRows:
     """family_grids' sigma_f rows, one np.geomspace for all sets, are each set's own."""
 
     @settings(max_examples=100, deadline=None)
     @given(_amplitude_rows())
+    @example(_ROUNDED_AWAY)
     def test_family_grids_match_per_set_geomspace(self, problem):
         family, datasets, factors, count = problem
         grid_settings = GridSettings(
@@ -552,6 +588,9 @@ class TestSigmaRows:
         try:
             grids = grid_settings.family_grids(family, datasets, _PAPER)
         except InvalidInputError as exc:
+            if any(lo >= hi for lo, hi in brackets):
+                assert "0 < lo < hi" in str(exc)
+                return
             assert "same log10" in str(exc) and count > 1
             assert any(np.log10(lo) == np.log10(hi) for lo, hi in brackets)
             return
