@@ -10,7 +10,9 @@ that plan alone, with one repetition and base_seed + iteration as its base
 seed, reproduces the cell's records exactly but for their iteration label.
 
 The study runs plan by plan. Every iteration of a plan shares its sample
-times, so each family's selections for all the iterations are one
+times, noise-free response and noise level, which
+oscillator.generate_training_sets computes once per plan, so each
+family's selections for all the iterations are one
 srm_select_batch call: one eigendecomposition per (plan, base kernel)
 instead of one per (plan, iteration, base kernel). The same batch refits
 each winner from that decomposition and returns its weights, which one
@@ -27,7 +29,8 @@ config.json (echo of the configuration), all written by ioutil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .oscillator import (
     OscillatorParams,
     SamplingPlan,
     TrainingSet,
-    generate_training_set,
+    generate_training_sets,
     impulse_response,
 )
 from .risk import BoundConfig, empirical_risk
@@ -103,9 +106,13 @@ class ExperimentConfig(JsonRecord):
     def iteration_seed(self, iteration: int) -> int:
         return self.base_seed + iteration
 
+    def training_sets(self, plan: SamplingPlan, iterations: Iterable[int]) -> list[TrainingSet]:
+        """The plan's training set at each iteration's derived seed, from one noise-free signal."""
+        return generate_training_sets(self.params, plan, map(self.iteration_seed, iterations))
+
     def training_set(self, plan: SamplingPlan, iteration: int) -> TrainingSet:
         """The plan's training set at the iteration's derived seed."""
-        return generate_training_set(self.params, replace(plan, seed=self.iteration_seed(iteration)))
+        return self.training_sets(plan, [iteration])[0]
 
 
 def default_config(repetitions: int = 100, base_seed: int = 1234) -> ExperimentConfig:
@@ -161,7 +168,7 @@ def _select_family(
 
 def _run_plan(cfg: ExperimentConfig, plan: SamplingPlan) -> list[IterationRecord]:
     """Records of every iteration of one plan, in (iteration, family) order."""
-    datasets = [cfg.training_set(plan, i) for i in range(cfg.repetitions)]
+    datasets = cfg.training_sets(plan, range(cfg.repetitions))
     dense_t = plan.base_grid()
     dense_h = impulse_response(cfg.params, dense_t)
     selections = {family: _select_family(cfg, family, datasets) for family in FAMILIES}

@@ -22,6 +22,7 @@ a 64-bit integer, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "TrainingMeta",
     "impulse_response",
     "generate_training_set",
+    "generate_training_sets",
     "training_set_to_csv",
     "training_set_to_json",
     "training_set_from_files",
@@ -211,12 +213,28 @@ def generate_training_set(params: OscillatorParams, plan: SamplingPlan) -> Train
     draws come from numpy's PCG64 generator (ziggurat normal transform)
     seeded with plan.seed.
     """
+    return generate_training_sets(params, plan, [plan.seed])[0]
+
+
+def generate_training_sets(
+    params: OscillatorParams, plan: SamplingPlan, seeds: Iterable[int]
+) -> list[TrainingSet]:
+    """generate_training_set(params, plan) at each of `seeds` in place of plan.seed, bit for bit.
+
+    The sample times, the noise-free response and sigma_n depend on the plan
+    alone and are computed once; only the noise is drawn per seed. The sets
+    share the arrays t and true_h.
+    """
     kept = plan.sample_times()
     true_h = impulse_response(params, kept)
     sigma_n = float(np.sqrt(np.mean(true_h**2) / plan.snr))
-    rng = np.random.default_rng(plan.seed)
-    y = true_h + sigma_n * rng.standard_normal(kept.size)
-    return TrainingSet(t=kept, y=y, sigma_n=sigma_n, true_h=true_h, seed=plan.seed)
+    return [
+        TrainingSet(
+            t=kept, y=true_h + sigma_n * np.random.default_rng(seed).standard_normal(kept.size),
+            sigma_n=sigma_n, true_h=true_h, seed=seed,
+        )
+        for seed in seeds
+    ]
 
 
 TRAINING_CSV_HEADER = "t,y,true_h"

@@ -40,13 +40,28 @@ cross-kernel (GPML eq. 2.25), depend on rho alone:
 
     edf = sum_i g_i r_i,   mse = sum_i r_i^2 z_i^2 / n,   z = U^T y
 
-Only z depends on the targets, and the scorers below take z: training
-sets that share their sample times (the repetitions of one sampling plan)
-share one Spectrum per (plan, base kernel), which only srm's search holds,
-and one projection of their stacked targets scores every repetition at
-every rho and refits the winners, so a study needs no Cholesky. One kernel
-on one training set goes through fit, whose Levinson solve or Cholesky
-factor and triangular solves cost less than one eigendecomposition.
+An eigenvalue at or below rounding_level(n, lambda_max), lambda_max the
+largest of the base's, is not determined by the floating-point Gram
+matrix, so a Spectrum holds only the pairs above that cut and counts the
+rest as dropped. On a dropped pair g < rho * rounding_level(n,
+lambda_max), below 1 by the noise rule at the end of this docstring and
+far below it in a study, so the scorers take r = 1 there: the edf sums
+the kept pairs, the MSE adds the dropped share of y whole, tail =
+sum_dropped z_i^2 = ||y - U_k z_k||^2 with U_k and z_k the kept pairs'
+vectors and projections, and the refit adds rho (y - U_k z_k). A base
+that drops nothing takes the formulas above unchanged, bit for bit, with
+no tail. The tail is not ||y||^2 - ||z_k||^2: that difference cancels,
+and its error of order eps ||y||^2, added on every base, moved the MSE
+of a short-l base that drops nothing by rel 1.25e-9.
+
+Only y and z depend on the targets, and the scorers below take both:
+training sets that share their sample times (the repetitions of one
+sampling plan) share one Spectrum per (plan, base kernel), which only
+srm's search holds, and one projection of their stacked targets scores
+every repetition at every rho and refits the winners, so a study needs
+no Cholesky. One kernel on one training set goes through fit, whose
+Levinson solve or Cholesky factor and triangular solves cost less than
+one eigendecomposition.
 
 This module owns the uniform-grid route: no other module gathers a
 Toeplitz matrix, solves a Toeplitz system or calls _uniform, the gate of
@@ -65,22 +80,29 @@ column they are exact for the Toeplitz matrix at any t_start, where the
 computed times t_i - t_j carry rounding relative to |t|. Any other times
 take gram and one full decomposition.
 
-U itself is never formed: a Spectrum keeps the blocks' eigenvectors, V+
-(c x c) and V- (m x m) on uniform times and one n x n block on others,
-and applies U through them. U^T y is V+^T fold+(y) and V-^T fold-(y), with
-fold+(y)_i = sqrt(1/2) (y_i + y_{n-1-i}) (plus the middle y for odd n)
-and fold-(y)_i = sqrt(1/2) (y_i - y_{n-1-i}); U s unfolds V+ s+ and V- s-
-the same way. The held spectra thus take bases x (c^2 + m^2) floats, half
-of bases x n^2. z stays one matrix-vector product per set and block, not
-one matrix product over the stacked sets: BLAS may sum a column of a
-matrix product in an order that depends on how many columns come with it,
-and a set's scores must not depend on the sets searched beside it.
+U itself is never formed: a Spectrum keeps the blocks' kept
+eigenvectors, columns of V+ (c x c) and V- (m x m) on uniform times and
+of one n x n block on others, and applies U_k through them. U^T y is V+^T
+fold+(y) and V-^T fold-(y), with fold+(y)_i = sqrt(1/2) (y_i + y_{n-1-i})
+(plus the middle y for odd n) and fold-(y)_i = sqrt(1/2) (y_i -
+y_{n-1-i}); U s unfolds V+ s+ and V- s- the same way. Each block's kept
+pairs are the top slice of its ascending eigenvalues. The held spectra
+thus take sum_bases (kept+ c + kept- m) floats, against bases x (c^2 +
+m^2) for every pair: the default study's SE grid keeps 1,001, 1,637 and
+2,775 of its 1,890, 3,780 and 7,530 pairs at n = 63, 126 and 251 (its
+longest l keeps 8), so its 31 bases hold 3.0 MB instead of 7.8 MB at n =
+251, and 38.3 MB instead of 124.2 MB at n = 1001. z and U_k z stay one
+matrix-vector product per set and block, not one matrix product over the
+stacked sets: BLAS may sum a column of a matrix product in an order that
+depends on how many columns come with it, and a set's scores must not
+depend on the sets searched beside it.
 
 Every block goes to LAPACK's dsyevd, the divide-and-conquer solver, in
 one np.linalg.eigh call (_eigh); a non-finite kernel matrix, rejected
 before the call, and a divide and conquer that does not converge both
-raise SingularSystemError. The eigenvectors are kept in Fortran order,
-LAPACK's own layout: Spectrum.project's products on C-ordered copies move
+raise SingularSystemError. The kept columns are copied once, into Fortran
+order, LAPACK's own layout, and the full output is dropped before the next
+base is decomposed: Spectrum.project's products on C-ordered copies move
 the study's true MSE by up to rel 1.5e-13. A search thus runs on numpy
 alone; scipy, which only fit's solve needs, is imported inside the
 functions that call it.
@@ -136,16 +158,20 @@ class FittedSmoother:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen-form K_0 = U diag(lambda) U^T of a base kernel's Gram matrix, U kept as blocks.
+    """The determined eigenpairs of a base kernel's Gram matrix, K_0 ~ U diag(lambda) U^T.
 
-    `blocks` holds the eigenvectors, one per column: (V+, V-), the even
-    and odd blocks of the fold, on uniform times, and (U,) on any others.
-    `eigenvalues` follows the blocks' columns: ascending within each block,
-    clamped at zero. project and expand apply U^T and U without forming U.
+    `blocks` holds the kept eigenvectors, one per column: (V+, V-), the
+    even and odd blocks of the fold, on uniform times, and (U,) on any
+    others. `eigenvalues` follows the blocks' columns, ascending within
+    each block and all above the rounding level; `dropped` counts the
+    pairs at or below it, which no block holds. project and expand apply
+    U^T and U of the kept pairs without forming U, so y - expand(project(y))
+    is the part of y along the dropped pairs.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple[np.ndarray, ...]
+    dropped: int
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """z = U^T y of every row of `y` (n, or sets x n), in eigenvalue order.
@@ -154,19 +180,28 @@ class Spectrum:
         same bits whichever sets are stacked with it.
         """
         parts = _fold(y) if len(self.blocks) == 2 else (y,)
-        return np.concatenate(
-            [(v.T @ part[..., None])[..., 0] for v, part in zip(self.blocks, parts)], axis=-1
-        )
+        return np.concatenate([_per_row(v.T, part) for v, part in zip(self.blocks, parts)], axis=-1)
 
     def expand(self, s: np.ndarray) -> np.ndarray:
-        """U s for coefficients `s` in eigenvalue order, n or n x k."""
+        """U s of every row of coefficients `s` (kept, or sets x kept), in eigenvalue order.
+
+        One matrix-vector product per row and block, as in project.
+        """
         if len(self.blocks) == 1:
-            return self.blocks[0] @ s
+            return _per_row(self.blocks[0], s)
         even, odd = self.blocks
-        p, q = even @ s[:even.shape[0]], odd @ s[even.shape[0]:]
-        m = q.shape[0]
+        k = even.shape[1]
+        p, q = _per_row(even, s[..., :k]), _per_row(odd, s[..., k:])
+        m = q.shape[-1]
         # (x; Jx)/sqrt(2) for the even part, (x; -Jx)/sqrt(2) for the odd; the middle is even's
-        return np.concatenate([_HALF * (p[:m] + q), p[m:], (_HALF * (p[:m] - q))[::-1]])
+        return np.concatenate(
+            [_HALF * (p[..., :m] + q), p[..., m:], (_HALF * (p[..., :m] - q))[..., ::-1]], axis=-1
+        )
+
+
+def _per_row(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row of `x` (its last axis), one matrix-vector product each."""
+    return (matrix @ x[..., None])[..., 0]
 
 
 def _fold(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,17 +218,36 @@ def decompose(bases: Sequence[KernelSpec], t: np.ndarray) -> list[Spectrum]:
     One _uniform verdict serves every base. On times that pass it each
     matrix is the symmetric Toeplitz toeplitz(k(t - t[0])), decomposed as
     its even and odd blocks (_fold_blocks); any other times take gram(base,
-    t) whole. Every block goes to _eigh. The spectra come in the order of
-    `bases`. Raises SingularSystemError for a non-finite kernel matrix or a
-    failed decomposition.
+    t) whole. Every block goes to _eigh, and _determined keeps each base's
+    pairs above the rounding level before the next base is decomposed. The
+    spectra come in the order of `bases`. Raises SingularSystemError for a
+    non-finite kernel matrix or a failed decomposition.
     """
     if _uniform(t):
         lags = t - t[0]
         blocks = (_fold_blocks(_finite_kernel(kernel_eval(base, lags, 0.0))) for base in bases)
     else:
         blocks = ((_finite_kernel(gram(base, t)),) for base in bases)
-    pairs = (zip(*map(_eigh, matrices)) for matrices in blocks)
-    return [Spectrum(np.maximum(np.concatenate(lams), 0.0), vectors) for lams, vectors in pairs]
+    return [_determined([_eigh(matrix) for matrix in matrices], t.size) for matrices in blocks]
+
+
+def _determined(pairs: list[tuple[np.ndarray, np.ndarray]], n: int) -> Spectrum:
+    """The Spectrum of the blocks' (ascending eigenvalues, eigenvectors) `pairs`, of order n in all.
+
+    With lambda_max the largest eigenvalue of any block, each block keeps the
+    top slice of its eigenvalues above rounding_level(n, lambda_max), and its
+    vectors as one Fortran-order copy of those columns, the layout
+    Spectrum.project's products need for the bits of the study's outputs.
+    The full output of _eigh is not kept.
+    """
+    cut = rounding_level(n, max(lam[-1] for lam, _ in pairs if lam.size))
+    lams, blocks = [], []
+    for lam, vectors in pairs:
+        k = int(lam.searchsorted(cut, "right"))
+        lams.append(lam[k:])
+        blocks.append(np.asfortranarray(vectors[:, k:]))
+    kept = np.concatenate(lams)
+    return Spectrum(kept, tuple(blocks), n - kept.size)
 
 
 def _finite_kernel(values: np.ndarray) -> np.ndarray:
@@ -205,20 +259,17 @@ def _finite_kernel(values: np.ndarray) -> np.ndarray:
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, eigenvectors) of the symmetric `matrix`, the vectors F-ordered.
+    """(ascending eigenvalues, eigenvectors) of the symmetric `matrix`, one vector per column.
 
     One np.linalg.eigh, LAPACK's dsyevd, on matrix.T, whose lower triangle
-    is `matrix`'s upper one; it leaves `matrix` unchanged. The vectors are
-    copied to Fortran order, LAPACK's own layout, which Spectrum.project's
-    products need for the bits of the study's outputs. Raises
+    is `matrix`'s upper one; it leaves `matrix` unchanged. Raises
     SingularSystemError when the divide and conquer does not converge.
     """
     try:
-        lam, vectors = np.linalg.eigh(matrix.T)
+        return np.linalg.eigh(matrix.T)
     except np.linalg.LinAlgError as exc:
         n = matrix.shape[0]
         raise SingularSystemError(f"the {n}x{n} eigendecomposition did not converge") from exc
-    return lam, np.asfortranarray(vectors)
 
 
 def _fold_blocks(lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,28 +440,36 @@ def _cholesky_fit(spec, t, y, noise):
 
 
 def signal_scale_scores(
-    spectrum: Spectrum, z: np.ndarray, rho: np.ndarray
+    spectrum: Spectrum, y: np.ndarray, z: np.ndarray, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(edf, training MSE) of the spectrum's base kernel, each indexed (set, scale).
 
-    `z` stacks the sets' projections spectrum.project(y) (sets x n) and
-    `rho` their sigma_f^2 / sigma_n^2 (sets x scales). Every set must lie
-    on the spectrum's sample times, with its noise variance above the
-    rounding level, as srm.srm_select_batch checks.
+    `y` stacks the sets' targets (sets x n), `z` their projections
+    spectrum.project(y) and `rho` their sigma_f^2 / sigma_n^2 (sets x
+    scales). The edf sums the kept pairs; the MSE adds, where the spectrum
+    drops pairs, their share of y whole (r = 1), ||y - spectrum.expand(z)||^2.
+    Every set must lie on the spectrum's sample times, with its noise
+    variance above the rounding level, as srm.srm_select_batch checks.
     """
     g = rho[:, :, None] * spectrum.eigenvalues
     r = 1.0 / (g + 1.0)
-    mse = np.sum(r**2 * (z**2)[:, None, :], axis=-1) / z.shape[1]
-    return np.sum(g * r, axis=-1), mse
+    rss = np.sum(r**2 * (z**2)[:, None, :], axis=-1)
+    if spectrum.dropped:
+        rss += np.sum((y - spectrum.expand(z)) ** 2, axis=-1)[:, None]
+    return np.sum(g * r, axis=-1), rss / y.shape[-1]
 
 
-def spectral_weights(spectrum: Spectrum, rho: float, z: np.ndarray) -> np.ndarray:
+def spectral_weights(spectrum: Spectrum, rho: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """v = U (rho r z) = U (z / (lambda + 1 / rho)), r = 1 / (rho lambda + 1), z = U^T y.
 
     Fit to y with z = spectrum.project(y) at sigma_f^2 / sigma_n^2 = rho, the smoother
     predicts kernel_eval(base, t*, t) @ v, base the spectrum's kernel over its times t.
+    The dropped pairs, where r = 1, add rho (y - spectrum.expand(z)).
     """
-    return spectrum.expand(rho * z / (rho * spectrum.eigenvalues + 1.0))
+    weights = spectrum.expand(rho * z / (rho * spectrum.eigenvalues + 1.0))
+    if spectrum.dropped:
+        weights += rho * (y - spectrum.expand(z))
+    return weights
 
 
 def predict(model: FittedSmoother, t_star):

@@ -27,7 +27,9 @@ batch of one. Each set's bounds are one risk.vc_bounds call, kept as
 arrays, from which the trace files are written a column at a time: only
 the winner becomes a kernel spec, a RiskReport, its base and weights. No
 decomposition outlives its batch, whose spectra (smoother.Spectrum) hold
-7.8 MB for 31 bases at n = 251 and 124 MB at n = 1001. The winner
+only the eigenpairs above the rounding level: 3.0 MB for the default
+study's 31 bases at n = 251 and 38.3 MB at n = 1001, against 7.8 and 124
+MB with every pair. The winner
 minimises the bound; ties go to the smaller capacity (the simplest
 adequate element), then to grid order. If every candidate clips to
 +infinity the selection still returns the smallest-capacity candidate,
@@ -279,9 +281,10 @@ def srm_select_batch(
 
     The training sets must share their sample times, and the grids their
     base kernels and number of signal scales; the scales themselves may
-    differ. The sets stack into arrays, each base's projections z (sets x n) and rho =
-    sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights read too. z projects
-    y / 2^e (_scaled_targets): a winner is picked on exact risks, then scaled back.
+    differ. The sets stack into arrays, the targets y, each base's projections z (sets x
+    kept pairs) and rho = sigma_f^2 / sigma_n^2 (sets x scales), which the winners' weights
+    read too. z projects y / 2^e (_scaled_targets): a winner is picked on exact risks, then
+    scaled back.
     Raises InvalidInputError if the counts, sample times, bases or scale
     counts differ, or if a set's sigma_n fails require_determined_noise at
     top = (its largest sigma_f)^2 * lambda_max; its `set_index` is the set's position.
@@ -305,9 +308,9 @@ def srm_select_batch(
             exc.set_index = r
             raise
     y, e = _scaled_targets(datasets)
-    z = [spectrum.project(y) for spectrum in spectra]  # (sets x n) per base, of y / 2^e
+    z = [spectrum.project(y) for spectrum in spectra]  # (sets x kept) per base, of y / 2^e
     rho = np.array([np.divide(g.sigma_fs, d.sigma_n) for g, d in zip(grids, datasets)]) ** 2
-    scored = [signal_scale_scores(spectrum, zs, rho) for spectrum, zs in zip(spectra, z)]
+    scored = [signal_scale_scores(spectrum, y, zs, rho) for spectrum, zs in zip(spectra, z)]
     edf, mse = (np.concatenate([block[k] for block in scored], axis=1) for k in (0, 1))
     results = []
     for r, grid in enumerate(grids):
@@ -315,7 +318,7 @@ def srm_select_batch(
         # lexsort is stable: the (bound, h, grid index) order
         best = int(np.lexsort((scores.h, scores.bound))[0])
         b = best // count
-        weights = spectral_weights(spectra[b], rho[r, best % count], z[b][r])
+        weights = spectral_weights(spectra[b], rho[r, best % count], y[r], z[b][r])
         if e[r]:  # back from y / 2^e: risks scale by 4^e, weights by 2^e
             risk, bound = (np.ldexp(v, 2 * e[r]) for v in (scores.empirical_risk, scores.bound))
             scores = replace(scores, empirical_risk=risk, bound=bound)

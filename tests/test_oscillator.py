@@ -13,6 +13,7 @@ from srmks.oscillator import (
     SamplingPlan,
     TrainingSet,
     generate_training_set,
+    generate_training_sets,
     impulse_response,
     training_set_from_files,
     training_set_to_csv,
@@ -230,6 +231,18 @@ class TestGenerateTrainingSet:
         c = generate_training_set(paper_params, _plan(seed=12))
         assert np.array_equal(a.y, b.y)
         assert not np.array_equal(a.y, c.y)
+
+    def test_many_seeds_give_each_seed_alone(self, paper_params):
+        # one noise-free signal serves every seed; each set keeps the bits of its own draw
+        sets = generate_training_sets(paper_params, _plan(seed=0), [11, 999, 11])
+        for data, seed in zip(sets, [11, 999, 11]):
+            alone = generate_training_set(paper_params, _plan(seed=seed))
+            assert data.seed == seed
+            assert data.sigma_n == alone.sigma_n
+            for field in ("t", "y", "true_h"):
+                assert np.array_equal(getattr(data, field), getattr(alone, field))
+            noise = np.random.default_rng(seed).standard_normal(alone.n)
+            assert np.array_equal(data.y, alone.true_h + alone.sigma_n * noise)
 
     def test_clean_signal_independent_of_seed(self, paper_params):
         a = generate_training_set(paper_params, _plan(seed=11))

@@ -401,7 +401,8 @@ class TestSpectralRefit:
         for base, sigma_f, data in cells:
             cross = kernel_eval(base, t_star[:, None], t)
             z = spectra[base].project(data.y)
-            got = cross @ spectral_weights(spectra[base], (sigma_f / data.sigma_n) ** 2, z)
+            rho = (sigma_f / data.sigma_n) ** 2
+            got = cross @ spectral_weights(spectra[base], rho, data.y, z)
             scale = sigma_f**2
             A = scale * gram(base, t) + data.sigma_n**2 * np.eye(t.size)
             weights = np.array(solve_dense(A.tolist(), data.y.tolist()))
@@ -437,16 +438,21 @@ class TestSpectrumBlocks:
         lam, vectors = scipy.linalg.eigh(K, driver="ev")
         slack = 4.0  # the fold's property test's allowance at n <= 16
         top = lam[-1]
+        # the kept pairs against as many of the oracle's largest
         got = np.sort(spectrum.eigenvalues)
-        assert np.max(np.abs(got - np.maximum(lam, 0.0))) <= slack * rounding_level(n, top)
+        assert np.max(np.abs(got - lam[n - got.size:])) <= slack * rounding_level(n, top)
         _assert_spectrum_of(spectrum, K, slack)
         z = spectrum.project(y)
         # every set's z has the same bits alone as stacked with the others
         assert all(np.array_equal(z[r], spectrum.project(y[r])) for r in range(len(y)))
-        # U (z / (lambda + mu)) = (K + mu I)^-1 y, whatever basis each side picked for
-        # its eigenvectors; over 10,000 draws the oracle reached 1.5 rounding levels
+        # and so does its part along the dropped pairs, y - U z
+        rest = y - spectrum.expand(z)
+        assert all(np.array_equal(rest[r], y[r] - spectrum.expand(z[r])) for r in range(len(y)))
+        # U (z / (lambda + mu)) plus the dropped pairs' part / mu = (K + mu I)^-1 y,
+        # whatever basis each side picked for its eigenvectors; over 10,000 draws the
+        # oracle reached 1.5 rounding levels
         mu = top
-        solved = np.array([spectrum.expand(row / (spectrum.eigenvalues + mu)) for row in z])
+        solved = spectrum.expand(z / (spectrum.eigenvalues + mu)) + rest / mu
         want = (y @ vectors / (np.maximum(lam, 0.0) + mu)) @ vectors.T
         level = rounding_level(n, np.max(np.abs(y)) / mu)
         assert np.max(np.abs(solved - want)) <= slack * level
@@ -494,17 +500,19 @@ def _lag_toeplitz(base, t):
 
 
 def _vectors(spectrum):
-    """U, built through the spectrum's own expand."""
-    return spectrum.expand(np.eye(spectrum.eigenvalues.size))
+    """U, built through the spectrum's own expand, one kept pair per column."""
+    return spectrum.expand(np.eye(spectrum.eigenvalues.size)).T
 
 
 def _assert_spectrum_of(spectrum, K, slack=1.0):
+    """The kept pairs lie above the rounding level and are eigenpairs of K to `slack` levels."""
     n, lam, vectors = K.shape[0], spectrum.eigenvalues, _vectors(spectrum)
-    assert lam.min() >= 0.0
-    blocks = np.split(lam, [spectrum.blocks[0].shape[0]])
+    assert lam.size + spectrum.dropped == n
+    assert lam.min() > rounding_level(n, lam.max())
+    blocks = np.split(lam, [spectrum.blocks[0].shape[1]])
     assert all(np.all(np.diff(block) >= 0.0) for block in blocks)
-    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= slack * rounding_level(n, 1.0)
-    assert np.max(np.abs((vectors * lam) @ vectors.T - K)) <= slack * rounding_level(n, lam.max())
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(lam.size))) <= slack * rounding_level(n, 1.0)
+    assert np.max(np.abs(K @ vectors - vectors * lam)) <= slack * rounding_level(n, lam.max())
 
 
 def _no_gram(spec, t):
@@ -541,8 +549,10 @@ class TestFoldedDecomposition:
         # in U^T U - I and 1.4 levels in U diag(lambda) U^T - A, and a full eigh
         # of A itself 2.5 n eps and 2.9 levels (LAPACK's own tests allow 30)
         slack = 4.0
-        got = np.sort(spectrum.eigenvalues)
-        assert np.max(np.abs(got - want)) <= slack * rounding_level(t.size, want[-1])
+        got = np.sort(spectrum.eigenvalues)  # the kept pairs against the oracle's largest
+        assert np.max(np.abs(got - want[t.size - got.size:])) <= slack * rounding_level(
+            t.size, want[-1]
+        )
         _assert_spectrum_of(spectrum, A, slack)
         _assert_even_or_odd(_vectors(spectrum))
 
